@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cfom import CoefficientSchedule, DualTrajectory, Trajectory
+from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, anti_transpose
 from .dgf import DGF
 from .objectives import SmoothObjective
 from .spaces import NormIndex, Vector, lp_norm, pairing
@@ -80,9 +80,31 @@ class EnergyTrace:
         return float(np.max(e[1:] - e[:-1])) if len(e) > 1 else 0.0
 
 
-def _d_f(f: SmoothObjective, fx: float, fx2: float, g2: Vector, x: Vector, x2: Vector) -> float:
+def _d_f(fx: float, fx2: float, g2: Vector, x: Vector, x2: Vector) -> float:
     """D_f(x, x2) from precomputed values f(x), f(x2) and grad f(x2)."""
     return fx - fx2 - pairing(g2, x - x2)
+
+
+def _coco_brackets(pts, duals, traj, f_vals, conj_vals, L: float, sigma: float, g: DGF) -> list:
+    """(coco_f, coco_conjugate) for each step k -> k+1 of a primal or dual run.
+
+    pts/duals are (xs, ys) or (qs, rs) and conj_vals the conjugate DGF at
+    duals.  The float operations are those of every emitted energy trace,
+    in the same order, so traces keep their bytes.
+    """
+    out = []
+    for k in range(len(pts) - 1):
+        coco_f = (
+            _d_f(f_vals[k], f_vals[k + 1], traj.f_grads[k + 1], pts[k], pts[k + 1])
+            - lp_norm(traj.f_grads[k] - traj.f_grads[k + 1], g.q) ** 2 / (2.0 * L)
+        )
+        coco_conj = (
+            conj_vals[k] - conj_vals[k + 1]
+            - pairing(duals[k] - duals[k + 1], traj.mirrors[k + 1])
+            - sigma / 2.0 * lp_norm(traj.mirrors[k + 1] - traj.mirrors[k], g.p) ** 2
+        )
+        out.append((coco_f, coco_conj))
+    return out
 
 
 def primal_energy_trace(
@@ -108,28 +130,18 @@ def primal_energy_trace(
     u = [float(v) for v in u]
     if len(u) != N + 1:
         raise ValueError("u must have length N+1")
-    q = g.q
-    p = g.p
     x = np.asarray(x, dtype=np.float64)
     fx = f.value(x)
     f_vals = [f.value(xi) for xi in traj.xs]
     phi_conj = [g.conjugate_value(yi) for yi in traj.ys]
+    brackets = _coco_brackets(traj.xs, traj.ys, traj, f_vals, phi_conj, L, sigma, g)
 
     e0 = g.value(x) + phi_conj[0] - pairing(traj.ys[0], x)
-    e0 -= u[0] * _d_f(f, fx, f_vals[0], traj.f_grads[0], x, traj.xs[0])
+    e0 -= u[0] * _d_f(fx, f_vals[0], traj.f_grads[0], x, traj.xs[0])
     energies = [e0]
     decrements = []
-    for k in range(N):
-        cvx = _d_f(f, fx, f_vals[k + 1], traj.f_grads[k + 1], x, traj.xs[k + 1])
-        coco_f = (
-            _d_f(f, f_vals[k], f_vals[k + 1], traj.f_grads[k + 1], traj.xs[k], traj.xs[k + 1])
-            - lp_norm(traj.f_grads[k] - traj.f_grads[k + 1], q) ** 2 / (2.0 * L)
-        )
-        coco_conj = (
-            phi_conj[k] - phi_conj[k + 1]
-            - pairing(traj.ys[k] - traj.ys[k + 1], traj.mirrors[k + 1])
-            - sigma / 2.0 * lp_norm(traj.mirrors[k + 1] - traj.mirrors[k], p) ** 2
-        )
+    for k, (coco_f, coco_conj) in enumerate(brackets):
+        cvx = _d_f(fx, f_vals[k + 1], traj.f_grads[k + 1], x, traj.xs[k + 1])
         decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
         energies.append(energies[-1] - (u[k + 1] - u[k]) * cvx - u[k] * coco_f - coco_conj)
 
@@ -173,24 +185,14 @@ def dual_energy_trace(
     v = [float(x) for x in v]
     if len(v) != N + 1:
         raise ValueError("v must have length N+1")
-    q = g.q
-    p = g.p
     f_vals = [f.value(qi) for qi in traj.qs]
     psi_conj = [g.conjugate_value(ri) for ri in traj.rs]
+    brackets = _coco_brackets(traj.qs, traj.rs, traj, f_vals, psi_conj, L, sigma, g)
 
     energies = [v[0] * (f_vals[0] - f_vals[N])]
     decrements = []
-    for k in range(N):
-        cvx = _d_f(f, f_vals[N], f_vals[k], traj.f_grads[k], traj.qs[N], traj.qs[k])
-        coco_f = (
-            _d_f(f, f_vals[k], f_vals[k + 1], traj.f_grads[k + 1], traj.qs[k], traj.qs[k + 1])
-            - lp_norm(traj.f_grads[k] - traj.f_grads[k + 1], q) ** 2 / (2.0 * L)
-        )
-        coco_conj = (
-            psi_conj[k] - psi_conj[k + 1]
-            - pairing(traj.rs[k] - traj.rs[k + 1], traj.mirrors[k + 1])
-            - sigma / 2.0 * lp_norm(traj.mirrors[k + 1] - traj.mirrors[k], p) ** 2
-        )
+    for k, (coco_f, coco_conj) in enumerate(brackets):
+        cvx = _d_f(f_vals[N], f_vals[k], traj.f_grads[k], traj.qs[N], traj.qs[k])
         decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
         energies.append(energies[-1] - (v[k + 1] - v[k]) * cvx - v[k + 1] * coco_f - coco_conj)
 
@@ -205,16 +207,21 @@ def dual_energy_trace(
     return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms)
 
 
-def _reconstruct_primal_iterates(s: CoefficientSchedule, B: List[Vector]) -> List[Vector]:
-    """x_k as driven by the schedule when grad phi*(y_i) is replaced by B_i."""
-    xs = [B[0]]
-    for k in range(s.N):
-        x_next = xs[k].copy()
-        for i in range(k + 2):
-            if s.b[k + 1, i] != 0.0:
-                x_next = x_next - s.b[k + 1, i] * B[i]
-        xs.append(x_next)
-    return xs
+def _stacked(s: CoefficientSchedule, scenario: GradientScenario):
+    """The scenario's two families as (N+1, d) arrays."""
+    if scenario.N != s.N:
+        raise ValueError("scenario length does not match schedule")
+    return np.stack(scenario.A), np.stack(scenario.B)
+
+
+def _norm_sums(w: np.ndarray, X: np.ndarray, Y: np.ndarray, L: float, sigma: float,
+               norm: Optional[NormIndex]) -> float:
+    """sum_k w_k/(2L) ||X_k - X_{k+1}||_q^2 + sigma/2 ||Y_k - Y_{k+1}||_p^2."""
+    p = norm.p if norm is not None else 2.0
+    q = norm.q if norm is not None else 2.0
+    dX = np.sum(np.abs(np.diff(X, axis=0)) ** q, axis=1) ** (2.0 / q)
+    dY = np.sum(np.abs(np.diff(Y, axis=0)) ** p, axis=1) ** (2.0 / p)
+    return float(w @ dX / (2.0 * L) + sigma / 2.0 * np.sum(dY))
 
 
 def evaluate_U(
@@ -226,27 +233,14 @@ def evaluate_U(
     norm: Optional[NormIndex] = None,
 ) -> float:
     """Closed-form U_A as a function of the gradient families alone."""
-    N = s.N
-    if scenario.N != N:
-        raise ValueError("scenario length does not match schedule")
-    u = [float(x) for x in u]
-    p = norm.p if norm is not None else 2.0
-    q = norm.q if norm is not None else 2.0
-    A, B = scenario.A, scenario.B
-    xs = _reconstruct_primal_iterates(s, B)
-    total = 0.0
-    for k in range(N):
-        total += u[k] / (2.0 * L) * lp_norm(A[k] - A[k + 1], q) ** 2
-        total += sigma / 2.0 * lp_norm(B[k] - B[k + 1], p) ** 2
-        y_step = np.zeros_like(A[0])
-        for i in range(k + 1):
-            if s.a[k + 1, i] != 0.0:
-                y_step = y_step + s.a[k + 1, i] * A[i]
-        total += pairing(y_step, B[k + 1])
-    for k in range(N + 1):
-        a_next = A[k + 1] if k + 1 <= N else np.zeros_like(A[0])
-        total -= u[k] * pairing(A[k] - a_next, xs[k])
-    return total
+    A, B = _stacked(s, scenario)
+    u = np.asarray(u, dtype=np.float64)
+    # x_k as driven by the schedule when grad phi*(y_i) is replaced by B_i.
+    xs = B[0] - np.cumsum(np.vstack([np.zeros_like(B[:1]), s.b[1:] @ B]), axis=0)
+    dA = A - np.vstack([A[1:], np.zeros_like(A[:1])])  # A_k - A_{k+1}, A_{N+1} = 0
+    return (_norm_sums(u[:-1], A, B, L, sigma, norm)
+            + float(np.sum((s.a[1:] @ A) * B[1:]))
+            - float(np.sum(u[:, None] * dA * xs)))
 
 
 def evaluate_V(
@@ -258,63 +252,36 @@ def evaluate_V(
     norm: Optional[NormIndex] = None,
 ) -> float:
     """Closed-form V_B of the mirror dual of s, on scenario (C, D)."""
-    N = s.N
-    if scenario.N != N:
-        raise ValueError("scenario length does not match schedule")
-    v = [float(x) for x in v]
-    p = norm.p if norm is not None else 2.0
-    q = norm.q if norm is not None else 2.0
-    C, D = scenario.A, scenario.B
-    total = 0.0
-    for k in range(N):
-        total += v[k + 1] / (2.0 * L) * lp_norm(C[k] - C[k + 1], q) ** 2
-        total += sigma / 2.0 * lp_norm(D[k] - D[k + 1], p) ** 2
-    # sum_k < r_{k-1} - r_k, D_k > with r_{k-1} - r_k = sum_i b_{N-i,N-k} C_i.
-    for k in range(N + 1):
-        r_step = np.zeros_like(C[0])
-        for i in range(k + 1):
-            if s.b[N - i, N - k] != 0.0:
-                r_step = r_step + s.b[N - i, N - k] * C[i]
-        total += pairing(r_step, D[k])
-    for k in range(N):
-        bracket = v[k + 1] * C[k + 1]
-        for j in range(k + 1):
-            bracket = bracket - (v[j + 1] - v[j]) * C[j]
-        q_step = np.zeros_like(D[0])
-        for i in range(k + 1):
-            if s.a[N - i, N - 1 - k] != 0.0:
-                q_step = q_step + s.a[N - i, N - 1 - k] * D[i]
-        total += pairing(bracket, q_step)
-    return total
+    C, D = _stacked(s, scenario)
+    v = np.asarray(v, dtype=np.float64)
+    # The mirror dual of s, read as stored: r_{k-1} - r_k = (b_dual @ C)_k
+    # and q_k - q_{k+1} = (a_dual[1:] @ D)_k.
+    a_dual, b_dual = anti_transpose(s.a), anti_transpose(s.b)
+    bracket = v[1:, None] * C[1:] - np.cumsum(np.diff(v)[:, None] * C[:-1], axis=0)
+    return (_norm_sums(v[1:], C, D, L, sigma, norm)
+            + float(np.sum((b_dual @ C) * D))
+            + float(np.sum(bracket * (a_dual[1:] @ D))))
 
 
 def duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
     """Map (A, B) to (C, D) per the bijection; invertible since u > 0."""
-    u = [float(x) for x in u]
-    if any(ui <= 0 for ui in u):
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0):
         raise ValueError("u must be positive")
-    A, B = scenario.A, scenario.B
-    N = scenario.N
-    C: List[Vector] = [None] * (N + 1)
-    C[0] = u[N] * A[N]
-    for i in range(N - 1, -1, -1):
-        a_next = A[i + 1] if i + 1 <= N else np.zeros_like(A[0])
-        C[N - i] = C[N - i - 1] + u[i] * (A[i] - a_next)
-    D = [B[N - i] for i in range(N + 1)]
-    return GradientScenario(A=C, B=D)
+    A, B = np.stack(scenario.A), np.stack(scenario.B)
+    dA = A - np.vstack([A[1:], np.zeros_like(A[:1])])  # A_i - A_{i+1}, A_{N+1} = 0
+    # C_0 = u_N A_N and C_{N-i} = C_{N-i-1} + u_i (A_i - A_{i+1}).
+    C = np.cumsum((u[:, None] * dA)[::-1], axis=0)
+    return GradientScenario(A=list(C), B=list(B[::-1]))
 
 
 def inverse_duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
-    u = [float(x) for x in u]
-    C, D = scenario.A, scenario.B
-    N = scenario.N
-    A: List[Vector] = [None] * (N + 1)
-    A[N] = C[0] / u[N]
-    for i in range(N - 1, -1, -1):
-        a_next = A[i + 1]
-        A[i] = a_next + (C[N - i] - C[N - i - 1]) / u[i]
-    B = [D[N - i] for i in range(N + 1)]
-    return GradientScenario(A=A, B=B)
+    u = np.asarray(u, dtype=np.float64)
+    C, D = np.stack(scenario.A), np.stack(scenario.B)
+    # A_N = C_0 / u_N and A_i = A_{i+1} + (C_{N-i} - C_{N-i-1}) / u_i.
+    steps = np.vstack([C[:1], np.diff(C, axis=0)])[::-1] / u[:, None]
+    A = np.cumsum(steps[::-1], axis=0)[::-1]
+    return GradientScenario(A=list(A), B=list(D[::-1]))
 
 
 @dataclass

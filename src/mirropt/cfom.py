@@ -13,7 +13,9 @@ conjugate DGF swapped:
     q_{k+1} = q_k - sum_{i<=k}   a_{N-i,N-1-k} grad psi*(r_i)
     r_{k+1} = r_k - sum_{i<=k+1} b_{N-i,N-1-k} grad f(q_i)
 
-with r_0 = -b_{N,N} grad f(q_0).  In the Euclidean case both reduce to
+with r_0 = -b_{N,N} grad f(q_0).  Both run through one executor: the
+dual schedule is the anti-transpose of both triangles, and the two
+oracles trade places.  In the Euclidean case both reduce to
 fixed-step first-order methods (FSFOMs) whose stepsize matrices are
 anti-diagonal transposes of each other.
 """
@@ -21,7 +23,7 @@ anti-diagonal transposes of each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -73,22 +75,11 @@ class CoefficientSchedule:
             raise ValueError(f"coefficient arrays must have shape ({self.N + 1}, {self.N + 1})")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite coefficient")
-        # Zero outside the triangles (a strict, b inclusive).
-        for k in range(self.N + 1):
-            if np.any(a[k, k:] != 0.0) or np.any(b[k, k + 1:] != 0.0):
-                raise ValueError("coefficients outside the triangular index range")
-        if np.any(a[0, :] != 0.0):
-            raise ValueError("a has no row 0")
+        # Zero outside the triangles (a strict, b inclusive); a row 0 is all zero.
+        if np.triu(a).any() or np.triu(b, 1).any():
+            raise ValueError("coefficients outside the triangular index range")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def r0_coef(self) -> float:
-        """Initial coefficient -b_{N,N} used by the mirror dual of this schedule."""
-        return -float(self.b[self.N, self.N])
-
-    def is_primal_convention(self) -> bool:
-        return self.b[0, 0] == -1.0
 
 
 def schedule_from_entries(N: int, a_entries, b_entries, b00: Optional[float] = None) -> CoefficientSchedule:
@@ -128,8 +119,7 @@ class ValidityReport:
 
 
 def validate_schedule(s: CoefficientSchedule, tol: float = ROW_SUM_TOL) -> ValidityReport:
-    res = np.array([float(np.sum(s.b[k, : k + 1])) for k in range(1, s.N + 1)])
-    return ValidityReport(residuals=res, tol=tol)
+    return ValidityReport(residuals=s.b[1:].sum(axis=1), tol=tol)
 
 
 @dataclass
@@ -158,36 +148,44 @@ def _check_finite(v: Vector, what: str, k: int) -> Vector:
     return v
 
 
+def _run_coupled(s: CoefficientSchedule, F, G, u0: Vector, u_label: str, w_label: str):
+    """The one recurrence behind both executors, read with s as stored:
+
+        u_{k+1} = u_k - sum_{i<=k}   a[k+1, i] G(w_i)
+        w_{k+1} = w_k - sum_{i<=k+1} b[k+1, i] F(u_i),   w_0 = -b[0, 0] F(u_0).
+
+    Returns the (N+1, d) arrays of u, w, F(u) and G(w).
+    """
+    N = s.N
+    u0 = np.asarray(u0, dtype=np.float64)
+    F0 = np.asarray(F(u0), dtype=np.float64)
+    U, GW = np.empty((N + 1,) + u0.shape), np.empty((N + 1,) + u0.shape)
+    W, FU = np.empty((N + 1,) + F0.shape), np.empty((N + 1,) + F0.shape)
+    U[0], FU[0] = u0, F0
+    W[0] = -s.b[0, 0] * F0
+    GW[0] = G(W[0])
+    for k in range(N):
+        U[k + 1] = _check_finite(U[k] - s.a[k + 1, : k + 1] @ GW[: k + 1], u_label, k + 1)
+        FU[k + 1] = F(U[k + 1])
+        W[k + 1] = _check_finite(W[k] - s.b[k + 1, : k + 2] @ FU[: k + 2], w_label, k + 1)
+        GW[k + 1] = G(W[k + 1])
+    return U, W, FU, GW
+
+
 def run_cfom(
     s: CoefficientSchedule,
     f: SmoothObjective,
     g: DGF,
     y0: DualVector,
 ) -> Trajectory:
-    """Execute the CFOM defined by s for N steps from y0, x0 = grad phi*(y0)."""
-    y0 = np.asarray(y0, dtype=np.float64)
-    ys = [y0]
-    mirrors = [g.conjugate_grad(y0)]
-    xs = [mirrors[0]]
-    f_grads = [np.asarray(f.grad(xs[0]), dtype=np.float64)]
-    for k in range(s.N):
-        y_next = ys[k].copy()
-        for i in range(k + 1):
-            aki = s.a[k + 1, i]
-            if aki != 0.0:
-                y_next = y_next - aki * f_grads[i]
-        _check_finite(y_next, "dual iterate y", k + 1)
-        ys.append(y_next)
-        mirrors.append(g.conjugate_grad(y_next))
-        x_next = xs[k].copy()
-        for i in range(k + 2):
-            bki = s.b[k + 1, i]
-            if bki != 0.0:
-                x_next = x_next - bki * mirrors[i]
-        _check_finite(x_next, "primal iterate x", k + 1)
-        xs.append(x_next)
-        f_grads.append(np.asarray(f.grad(x_next), dtype=np.float64))
-    return Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
+    """Execute the CFOM defined by s for N steps from y0.
+
+    x0 = -b[0, 0] grad phi*(y0), which is grad phi*(y0) under the primal
+    b[0, 0] = -1 convention.
+    """
+    ys, xs, mirrors, f_grads = _run_coupled(
+        s, g.conjugate_grad, f.grad, y0, "dual iterate y", "primal iterate x")
+    return Trajectory(xs=list(xs), ys=list(ys), f_grads=list(f_grads), mirrors=list(mirrors))
 
 
 def mirror_dual_schedule(s: CoefficientSchedule) -> CoefficientSchedule:
@@ -196,16 +194,7 @@ def mirror_dual_schedule(s: CoefficientSchedule) -> CoefficientSchedule:
     The returned schedule's b[0, 0] equals the input's b[N, N]: read
     directly by the dual executor, its negation is the r_0 coefficient.
     """
-    N = s.N
-    a = np.zeros_like(s.a)
-    b = np.zeros_like(s.b)
-    for r in range(1, N + 1):
-        for c in range(r):
-            a[r, c] = s.a[N - c, N - r]
-    for r in range(N + 1):
-        for c in range(r + 1):
-            b[r, c] = s.b[N - c, N - r]
-    return CoefficientSchedule(N=N, a=a, b=b)
+    return CoefficientSchedule(N=s.N, a=anti_transpose(s.a), b=anti_transpose(s.b))
 
 
 def run_dual_cfom(
@@ -215,30 +204,10 @@ def run_dual_cfom(
     q0: PrimalVector,
 ) -> DualTrajectory:
     """Execute a dual-form schedule directly: coefficients read as stored,
-    r_0 = -b[0, 0] grad f(q_0)."""
-    q0 = np.asarray(q0, dtype=np.float64)
-    qs = [q0]
-    f_grads = [np.asarray(f.grad(q0), dtype=np.float64)]
-    rs = [-s_dual.b[0, 0] * f_grads[0]]
-    mirrors = [g.conjugate_grad(rs[0])]
-    for k in range(s_dual.N):
-        q_next = qs[k].copy()
-        for i in range(k + 1):
-            aki = s_dual.a[k + 1, i]
-            if aki != 0.0:
-                q_next = q_next - aki * mirrors[i]
-        _check_finite(q_next, "primal iterate q", k + 1)
-        qs.append(q_next)
-        f_grads.append(np.asarray(f.grad(q_next), dtype=np.float64))
-        r_next = rs[k].copy()
-        for i in range(k + 2):
-            bki = s_dual.b[k + 1, i]
-            if bki != 0.0:
-                r_next = r_next - bki * f_grads[i]
-        _check_finite(r_next, "dual iterate r", k + 1)
-        rs.append(r_next)
-        mirrors.append(g.conjugate_grad(r_next))
-    return DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
+    r_0 = -b[0, 0] grad f(q_0).  The primal executor with the oracles swapped."""
+    qs, rs, f_grads, mirrors = _run_coupled(
+        s_dual, f.grad, g.conjugate_grad, q0, "primal iterate q", "dual iterate r")
+    return DualTrajectory(qs=list(qs), rs=list(rs), f_grads=list(f_grads), mirrors=list(mirrors))
 
 
 def run_mirror_dual(
@@ -261,37 +230,15 @@ def to_h_matrix(s: CoefficientSchedule, L: float = 1.0, form: str = "primal") ->
     row-sum condition so that the y_0 dependence cancels.
     """
     N = s.N
-    H = np.zeros((N, N))
     if form == "primal":
         if not validate_schedule(s).ok:
             raise ValueError("schedule fails the convex-hull row-sum condition")
-        # S[i, l] = coefficient of grad f(x_l) in (y_0 - y_i).
-        S = np.zeros((N + 1, N + 1))
-        for i in range(1, N + 1):
-            S[i] = S[i - 1]
-            S[i, :i] = S[i, :i] + s.a[i, :i]
-        for k in range(N):
-            for l in range(k + 1):
-                coef = 0.0
-                for i in range(k + 2):
-                    coef += s.b[k + 1, i] * S[i, l]
-                H[k, l] = -L * coef
-    elif form == "dual":
-        # rho[i, l] = coefficient of grad f(q_l) in r_i.
-        rho = np.zeros((N + 1, N + 1))
-        rho[0, 0] = -s.b[0, 0]
-        for i in range(1, N + 1):
-            rho[i] = rho[i - 1]
-            rho[i, : i + 1] = rho[i, : i + 1] - s.b[i, : i + 1]
-        for k in range(N):
-            for l in range(k + 1):
-                coef = 0.0
-                for i in range(k + 1):
-                    coef += s.a[k + 1, i] * rho[i, l]
-                H[k, l] = L * coef
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return H
+        # Row i of cumsum(a) holds the coefficients of grad f(x_l) in y_0 - y_i.
+        return -L * (s.b[1:] @ np.cumsum(s.a, axis=0))[:, :N]
+    if form == "dual":
+        # Row i of -cumsum(b) holds the coefficients of grad f(q_l) in r_i.
+        return L * (s.a[1:] @ -np.cumsum(s.b, axis=0))[:, :N]
+    raise ValueError(f"unknown form {form!r}")
 
 
 def anti_transpose(H: np.ndarray) -> np.ndarray:

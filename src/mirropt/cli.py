@@ -8,7 +8,8 @@ Subcommands:
     ot             solve a transport instance to accuracy eps
 
 Exit codes: 0 success, 1 usage or I/O error, 2 certified-bound violation,
-3 duality residual above tolerance.
+3 duality residual above tolerance, 4 numerical failure (a non-finite
+iterate, or the OT gradient-evaluation budget exhausted).
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ def cmd_certify(args) -> int:
         for got, want in zip(vals, row):
             if (got is None) != (want is None):
                 raise UsageError("trace column shape mismatch")
-            if got is not None and abs(got - float(want)) > 1e-9 * (1.0 + abs(float(want))):
+            # Relative, not 1e-9 (1 + |want|): values below 1e-9 must match
+            # too.  Written as "not <=" so that a nan in the trace fails.
+            if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
                 print(f"trace mismatch at k={int(vals[0])}", file=sys.stderr)
                 return 2
         energy = vals[4]
@@ -307,6 +310,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (FloatingPointError, RuntimeError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

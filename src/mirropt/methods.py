@@ -227,16 +227,22 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     """The CFOM coefficient families whose execution reproduces run_amd."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    th = theta_sequence(N)
+    # sq[j + 2] = theta_j^2, with theta_j = 0 for j <= -1.  Entry k of the
+    # vectors below belongs to step k -> k+1, which fills row k + 1 of a and b.
+    vals = theta_sequence(N).values
+    sq = np.concatenate([np.zeros(2), vals * vals])
+    k = np.arange(N)
+    sq_km2, sq_km1, sq_k, sq_kp1 = sq[k], sq[k + 1], sq[k + 2], sq[k + 3]
     a = np.zeros((N + 1, N + 1))
     b = np.zeros((N + 1, N + 1))
     b[0, 0] = -1.0
-    for k in range(N):
-        a[k + 1, k] = (sigma / L) * (th.sq(k) - th.sq(k - 1))
-        for s in range(1, k):
-            b[k + 1, s] = (th.sq(s - 1) - th.sq(s - 2)) * (1.0 / th.sq(k) - 1.0 / th.sq(k + 1))
-        b[k + 1, k] = (th.sq(k) - th.sq(k - 2)) / th.sq(k) - (th.sq(k - 1) - th.sq(k - 2)) / th.sq(k + 1)
-        b[k + 1, k + 1] = -(th.sq(k + 1) - th.sq(k - 1)) / th.sq(k + 1)
+    a[k + 1, k] = (sigma / L) * (sq_k - sq_km1)
+    # b[k+1, s] for 1 <= s < k: (theta_{s-1}^2 - theta_{s-2}^2)(1/theta_k^2 - 1/theta_{k+1}^2).
+    inner = np.outer(1.0 / sq_k - 1.0 / sq_kp1, sq_km1 - sq_km2)
+    inner[:, 0] = 0.0
+    b[1:, :N] = np.tril(inner, -1)
+    b[k + 1, k] = (sq_k - sq_km2) / sq_k - (sq_km1 - sq_km2) / sq_kp1
+    b[k + 1, k + 1] = -(sq_kp1 - sq_km1) / sq_kp1
     return CoefficientSchedule(N=N, a=a, b=b)
 
 
@@ -298,10 +304,6 @@ class ConcatRun:
     @property
     def final_x(self) -> Vector:
         return self.dual_amd.dual_traj.qs[-1]
-
-    @property
-    def final_r(self) -> Vector:
-        return self.dual_amd.dual_traj.rs[-1]
 
 
 def run_concat(

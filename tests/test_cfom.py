@@ -94,7 +94,11 @@ def test_mirror_dual_index_examples(rng):
 def test_mirror_dual_is_exact_involution(N, seed):
     rng = np.random.default_rng(seed)
     s = random_schedule(N, rng)
-    dd = mirror_dual_schedule(mirror_dual_schedule(s))
+    d = mirror_dual_schedule(s)
+    for r in range(N + 1):
+        for c in range(N + 1):
+            assert d.a[r, c] == s.a[N - c, N - r] and d.b[r, c] == s.b[N - c, N - r]
+    dd = mirror_dual_schedule(d)
     assert np.array_equal(dd.a, s.a)
     assert np.array_equal(dd.b, s.b)
 
@@ -149,22 +153,41 @@ def test_hull_weights_for_convex_schedules(rng):
             assert np.sum(w) == pytest.approx(1.0, abs=1e-10)
 
 
+def _fsfom(H, L, f, x0):
+    """x_{k+1} = x_k - (1/L) sum_{l<=k} H[k, l] grad f(x_l)."""
+    xs = [np.asarray(x0, dtype=np.float64)]
+    grads = [f.grad(xs[0])]
+    for k in range(H.shape[0]):
+        xs.append(xs[k] - (1.0 / L) * sum(H[k, l] * grads[l] for l in range(k + 1)))
+        grads.append(f.grad(xs[-1]))
+    return xs
+
+
 def test_h_matrix_fsfom_equivalence_primal(rng):
     f = _quadratic(rng)
-    N = 7
     L = f.L
-    s = amd_schedule(N, L, 1.0)
-    H = to_h_matrix(s, L=L, form="primal")
-    y0 = rng.standard_normal(5)
-    tr = run_cfom(s, f, euclidean(), y0)
-    xs = [y0.copy()]
-    grads = [f.grad(xs[0])]
-    for k in range(N):
-        x = xs[k] - (1.0 / L) * sum(H[k, l] * grads[l] for l in range(k + 1))
-        xs.append(x)
-        grads.append(f.grad(x))
-    for a, b in zip(xs, tr.xs):
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
+    schedules = [amd_schedule(7, L, 1.0)]
+    schedules += [random_valid_schedule(int(rng.integers(1, 9)), rng, scale=0.3) for _ in range(5)]
+    for s in schedules:
+        H = to_h_matrix(s, L=L, form="primal")
+        y0 = rng.standard_normal(5)
+        tr = run_cfom(s, f, euclidean(), y0)
+        for a, b in zip(_fsfom(H, L, f, y0), tr.xs):  # x_0 = y_0 for the Euclidean DGF
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
+
+
+def test_h_matrix_fsfom_equivalence_dual(rng):
+    f = _quadratic(rng)
+    L = f.L
+    schedules = [amd_schedule(7, L, 1.0)]
+    schedules += [random_valid_schedule(int(rng.integers(1, 9)), rng, scale=0.3) for _ in range(5)]
+    for s in schedules:
+        s_dual = mirror_dual_schedule(s)
+        H = to_h_matrix(s_dual, L=L, form="dual")
+        q0 = rng.standard_normal(5)
+        dt = run_dual_cfom(s_dual, f, euclidean(), q0)
+        for a, b in zip(_fsfom(H, L, f, q0), dt.qs):
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
 def test_h_matrix_dual_is_anti_transpose(rng):

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from mirropt import ot
 from mirropt.cfom import load_schedule, run_dual_cfom, save_schedule
 from mirropt.cli import main
 from mirropt.dgf import euclidean
@@ -76,6 +78,26 @@ def test_certify_roundtrip_and_tamper(tmp_path):
     lines[-1] = ",".join(parts)
     out.write_text("\n".join(lines) + "\n")
     assert main(["certify", "--trace", str(out), "--config", cfg]) == 2
+    # A converged run's last f is far below 1e-9; a changed leading digit
+    # there must fail too, so the comparison is relative.
+    cfg = _write(tmp_path / "cfg200.json", dict(AMD_CONFIG, N=200))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["certify", "--trace", str(out), "--config", cfg]) == 0
+    lines = out.read_text().splitlines()
+    parts = lines[-1].split(",")
+    assert parts[1].startswith("6.43")
+    for changed in ("7" + parts[1][1:], "nan"):
+        lines[-1] = ",".join([parts[0], changed] + parts[2:])
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["certify", "--trace", str(out), "--config", cfg]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_divergence_exits_4(tmp_path, capsys):
+    # L far below the true constant 4: AMD diverges (non-finite y at k = 80).
+    cfg = _write(tmp_path / "cfg.json", dict(AMD_CONFIG, N=200, L=0.001))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 4
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_duality_check_amd(tmp_path):
@@ -160,6 +182,16 @@ def test_ot_command(tmp_path, capsys):
     assert np.max(np.abs(X.sum(axis=1) - 0.5)) <= 1e-10
     assert np.max(np.abs(X.sum(axis=0) - 0.5)) <= 1e-10
     assert "gap=" in capsys.readouterr().out
+
+
+def test_ot_budget_exhausted_exits_4(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(0)
+    doc = {"C": rng.uniform(0, 1, (30, 30)).tolist(),
+           "mu": [1.0 / 30] * 30, "nu": [1.0 / 30] * 30}
+    inst = _write(tmp_path / "inst.json", doc)
+    monkeypatch.setattr(ot, "solve_ot", functools.partial(ot.solve_ot, eval_cap=100))
+    assert main(["ot", "--instance", inst, "--eps", "0.001", "--out", str(tmp_path / "o.json")]) == 4
+    assert "budget 100 exhausted" in capsys.readouterr().err
 
 
 def test_ot_rejects_bad_marginals(tmp_path):

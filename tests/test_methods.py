@@ -146,11 +146,28 @@ def test_amd_pairing_telescope(rng):
     assert np.max(np.abs(acc)) <= 1e-10
 
 
+def _amd_schedule_by_index(N, L, sigma):
+    """amd_schedule's coefficients written entry by entry, as the reference."""
+    th = theta_sequence(N)
+    a = np.zeros((N + 1, N + 1))
+    b = np.zeros((N + 1, N + 1))
+    b[0, 0] = -1.0
+    for k in range(N):
+        a[k + 1, k] = (sigma / L) * (th.sq(k) - th.sq(k - 1))
+        for s in range(1, k):
+            b[k + 1, s] = (th.sq(s - 1) - th.sq(s - 2)) * (1.0 / th.sq(k) - 1.0 / th.sq(k + 1))
+        b[k + 1, k] = (th.sq(k) - th.sq(k - 2)) / th.sq(k) - (th.sq(k - 1) - th.sq(k - 2)) / th.sq(k + 1)
+        b[k + 1, k + 1] = -(th.sq(k + 1) - th.sq(k - 1)) / th.sq(k + 1)
+    return a, b
+
+
 def test_amd_schedule_validity_and_first_coefficient():
-    for N in (1, 3, 8):
+    for N in (1, 2, 3, 8, 57):
         s = amd_schedule(N, 2.0, 0.5)
         assert validate_schedule(s).ok
         assert s.a[1, 0] == pytest.approx(0.25)  # sigma/L at k = 0
+        a, b = _amd_schedule_by_index(N, 2.0, 0.5)
+        assert np.array_equal(s.a, a) and np.array_equal(s.b, b)
 
 
 def test_amd_schedule_executes_to_amd(rng):

@@ -190,6 +190,20 @@ def test_solve_ot_validation_and_cap():
         solve_ot(inst, 0.001, eval_cap=8)
 
 
+def test_solve_ot_counts_every_gradient_call(rng, monkeypatch):
+    calls = []
+    grad = OTDualObjective.grad
+
+    def counted(self, z):
+        calls.append(1)
+        return grad(self, z)
+
+    monkeypatch.setattr(OTDualObjective, "grad", counted)
+    res = solve_ot(_random_instance(rng, 10, 10), 0.05)
+    assert res.report["N"] > 1  # several attempts, each one ending in a grad_l1
+    assert res.report["grad_evals"] == len(calls)
+
+
 def test_lp_oracle_examples():
     assert lp_oracle(_uniform2()) == pytest.approx(0.0, abs=1e-15)
     const = OTInstance(C=np.full((2, 2), 0.7), mu=[0.4, 0.6], nu=[0.3, 0.7])
