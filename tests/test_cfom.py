@@ -163,12 +163,17 @@ def _fsfom(H, L, f, x0):
     return xs
 
 
+def _h_schedules(rng, L):
+    """AMD plus random schedules that meet the row-sum condition."""
+    return [amd_schedule(7, L, 1.0)] + [
+        random_valid_schedule(int(rng.integers(1, 9)), rng, scale=0.3) for _ in range(5)
+    ]
+
+
 def test_h_matrix_fsfom_equivalence_primal(rng):
     f = _quadratic(rng)
     L = f.L
-    schedules = [amd_schedule(7, L, 1.0)]
-    schedules += [random_valid_schedule(int(rng.integers(1, 9)), rng, scale=0.3) for _ in range(5)]
-    for s in schedules:
+    for s in _h_schedules(rng, L):
         H = to_h_matrix(s, L=L, form="primal")
         y0 = rng.standard_normal(5)
         tr = run_cfom(s, f, euclidean(), y0)
@@ -179,9 +184,7 @@ def test_h_matrix_fsfom_equivalence_primal(rng):
 def test_h_matrix_fsfom_equivalence_dual(rng):
     f = _quadratic(rng)
     L = f.L
-    schedules = [amd_schedule(7, L, 1.0)]
-    schedules += [random_valid_schedule(int(rng.integers(1, 9)), rng, scale=0.3) for _ in range(5)]
-    for s in schedules:
+    for s in _h_schedules(rng, L):
         s_dual = mirror_dual_schedule(s)
         H = to_h_matrix(s_dual, L=L, form="dual")
         q0 = rng.standard_normal(5)

@@ -13,7 +13,6 @@ Regenerate the fixtures (only when an output change is intended) with
 
 import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -154,4 +153,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)
