@@ -320,8 +320,11 @@ def check_mirror_duality(
     """Sample random scenarios and assert U_A(A,B) = V_B(C,D) under the bijection.
 
     v defaults to the conjugate weights 1/u_{N-i}; passing anything else
-    breaks the identity and is reported as failures.
+    breaks the identity and is reported as failures.  At least one trial
+    in at least one dimension is required: with none, nothing is checked.
     """
+    if trials < 1 or dim < 1:
+        raise ValueError("check_mirror_duality needs trials >= 1 and dim >= 1")
     rng = np.random.default_rng(seed)
     u = [float(x) for x in u]
     N = s.N

@@ -143,7 +143,7 @@ class DualTrajectory:
 
 
 def _check_finite(v: Vector, what: str, k: int) -> Vector:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise FloatingPointError(f"non-finite {what} at iteration {k}")
     return v
 

@@ -107,7 +107,8 @@ def _trace_rows(run, f, g):
     else:
         tr = run.dual_traj
         energies = None
-        if run.method == "dual-amd":
+        # Dual energies need psi*(0) = 0; a shifted DGF leaves the column empty.
+        if run.method == "dual-amd" and not g.shifted:
             th = run.theta
             v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
             et = certificates.dual_energy_trace(tr, v, f, g, L=run.L, sigma=run.sigma)

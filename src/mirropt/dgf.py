@@ -89,13 +89,20 @@ class DGF:
 
         At y = 0 the expression is 0^{2-q} * 0 for q > 2; the limit is 0,
         so the value is the shift x0 (the minimizer of phi* minus linear).
+        At q = 2 the map is y + x0.  There y + 0.0 equals the general
+        formula bit for bit (-0.0 becomes 0.0, inf and nan pass through),
+        except where ||y||_2^2 underflows to zero (every |y_i| below about
+        1e-162): the general formula then returns x0, y + 0.0 returns y + x0.
         """
         y = np.asarray(y, dtype=np.float64)
-        ny = lp_norm(y, self.q)
-        if ny == 0.0:
-            out = np.zeros_like(y)
+        if self.p == 2.0:
+            out = y + 0.0
         else:
-            out = ny ** (2.0 - self.q) * _signed_power(y, self.q - 1.0)
+            ny = lp_norm(y, self.q)
+            if ny == 0.0:
+                out = np.zeros_like(y)
+            else:
+                out = ny ** (2.0 - self.q) * _signed_power(y, self.q - 1.0)
         if self.x0 is not None:
             out = out + self.x0
         return out

@@ -25,6 +25,7 @@ __all__ = [
     "ThetaSequence",
     "theta_sequence",
     "MethodRun",
+    "AMDPath",
     "run_md",
     "run_dual_md",
     "run_amd",
@@ -182,6 +183,67 @@ def run_dual_md(
     return MethodRun(method="dual-md", dual_traj=dual_traj, bound=bound)
 
 
+class AMDPath:
+    """AMD from y0 for every horizon N at once.
+
+    With theta_N = theta_{N-1}, the iterates y_0..y_N and x_0..x_{N-1} of
+    an N-step AMD run do not depend on N; only the last primal step x_N
+    does.  The path keeps one run, extends it when a longer horizon is
+    asked for, and forms x_N on demand, so output(N) gives the floats of
+    an N-step run from y0 for any N, asked for in any order.  Reaching
+    horizon N costs N gradient evaluations in all (at x_0..x_{N-1}).
+    """
+
+    def __init__(
+        self,
+        f: SmoothObjective,
+        g: DGF,
+        y0: DualVector,
+        L: Optional[float] = None,
+        sigma: Optional[float] = None,
+    ):
+        self.f, self.g = f, g
+        self.L = f.L if L is None else L
+        self.sigma = g.sigma if sigma is None else sigma
+        y0 = np.asarray(y0, dtype=np.float64)
+        # K is the longest horizon reached so far.
+        self.ys = [y0]  # y_0 .. y_K
+        self.mirrors = [g.conjugate_grad(y0)]  # grad phi*(y_k), k <= K
+        self.xs = [self.mirrors[0]]  # x_k, k < K, each formed with its own theta_k
+        self.f_grads: List[Vector] = []  # grad f(x_k), k < K
+        self._sq = [0.0]  # _sq[j + 1] = theta_j^2, theta_{-1} = 0
+
+    def _x(self, k: int, sq_k: float) -> Vector:
+        """x_k from x_{k-1} and the mirrors, with theta_k^2 = sq_k."""
+        sq, m = self._sq, self.mirrors
+        x = (
+            sq[k] / sq_k * self.xs[k - 1]
+            + (sq_k - sq[k]) / sq_k * m[k]
+            + (sq[k] - sq[k - 1]) / sq_k * (m[k] - m[k - 1])
+        )
+        return _check_finite(x, "primal iterate x", k)
+
+    def output(self, N: int) -> PrimalVector:
+        """x_N of the N-step run (theta_N = theta_{N-1}), extending the path to y_N.
+
+        No gradient is taken at x_N.
+        """
+        if N < 1:
+            raise ValueError("N >= 1 required")
+        if len(self._sq) <= N:
+            vals = theta_sequence(max(N, 2 * len(self._sq))).values[:-1]
+            self._sq = [0.0] + (vals * vals).tolist()
+        sq, step = self._sq, self.sigma / self.L
+        for k in range(len(self.ys) - 1, N):
+            if k == len(self.xs):
+                self.xs.append(self._x(k, sq[k + 1]))
+            self.f_grads.append(np.asarray(self.f.grad(self.xs[k]), dtype=np.float64))
+            y = self.ys[k] - step * (sq[k + 1] - sq[k]) * self.f_grads[k]
+            self.ys.append(_check_finite(y, "dual iterate y", k + 1))
+            self.mirrors.append(self.g.conjugate_grad(y))
+        return self._x(N, sq[N])
+
+
 def run_amd(
     f: SmoothObjective,
     g: DGF,
@@ -193,33 +255,16 @@ def run_amd(
     """Accelerated mirror descent with the equality theta sequence."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    L = f.L if L is None else L
-    sigma = g.sigma if sigma is None else sigma
-    th = theta_sequence(N)
-    y0 = np.asarray(y0, dtype=np.float64)
-    ys = [y0]
-    mirrors = [g.conjugate_grad(y0)]
-    xs = [mirrors[0]]
-    f_grads = [np.asarray(f.grad(xs[0]), dtype=np.float64)]
-    for k in range(N):
-        y_next = ys[k] - (sigma / L) * (th.sq(k) - th.sq(k - 1)) * f_grads[k]
-        _check_finite(y_next, "dual iterate y", k + 1)
-        ys.append(y_next)
-        mirrors.append(g.conjugate_grad(y_next))
-        tk1 = th.sq(k + 1)
-        x_next = (
-            th.sq(k) / tk1 * xs[k]
-            + (tk1 - th.sq(k)) / tk1 * mirrors[k + 1]
-            + (th.sq(k) - th.sq(k - 1)) / tk1 * (mirrors[k + 1] - mirrors[k])
-        )
-        _check_finite(x_next, "primal iterate x", k + 1)
-        xs.append(x_next)
-        f_grads.append(np.asarray(f.grad(x_next), dtype=np.float64))
+    path = AMDPath(f, g, y0, L=L, sigma=sigma)
+    x_N = path.output(N)
+    xs = path.xs[:N] + [x_N]
+    f_grads = path.f_grads[:N] + [np.asarray(f.grad(x_N), dtype=np.float64)]
+    L, sigma, th = path.L, path.sigma, theta_sequence(N)
     bound = None
     if f.x_star is not None:
         d0 = g.value(f.x_star) - g.value(xs[0]) - float(g.grad(xs[0]) @ (f.x_star - xs[0]))
         bound = L * d0 / (sigma * th.sq(N))
-    traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
+    traj = Trajectory(xs=xs, ys=path.ys[: N + 1], f_grads=f_grads, mirrors=path.mirrors[: N + 1])
     return MethodRun(method="amd", traj=traj, bound=bound, theta=th, L=L, sigma=sigma)
 
 
@@ -265,23 +310,23 @@ def run_dual_amd(
     L = f.L if L is None else L
     sigma = g.sigma if sigma is None else sigma
     th = theta_sequence(N)
+    # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
+    w = (th.values * th.values)[::-1].tolist() + [0.0, 0.0, 0.0]
+    step = sigma / L
     q0 = np.asarray(q0, dtype=np.float64)
     qs = [q0]
     f_grads = [np.asarray(f.grad(q0), dtype=np.float64)]
-    rs = [(th.sq(N) - th.sq(N - 2)) / th.sq(N) * f_grads[0]]
-    gk = f_grads[0] / th.sq(N - 1)
+    rs = [(w[0] - w[2]) / w[0] * f_grads[0]]
+    gk = f_grads[0] / w[1]
     mirrors = [g.conjugate_grad(rs[0])]
     for k in range(N):
-        q_next = qs[k] - (sigma / L) * (th.sq(N - k - 1) - th.sq(N - k - 2)) * mirrors[k]
+        w1, w2, w3 = w[k + 1], w[k + 2], w[k + 3]
+        q_next = qs[k] - step * (w1 - w2) * mirrors[k]
         _check_finite(q_next, "primal iterate q", k + 1)
         qs.append(q_next)
         f_grads.append(np.asarray(f.grad(q_next), dtype=np.float64))
-        g_next = gk + (f_grads[k + 1] - f_grads[k]) / th.sq(N - k - 1)
-        r_next = (
-            rs[k]
-            + (th.sq(N - k - 1) - th.sq(N - k - 2)) * (g_next - gk)
-            + (th.sq(N - k - 2) - th.sq(N - k - 3)) * g_next
-        )
+        g_next = gk + (f_grads[k + 1] - f_grads[k]) / w1
+        r_next = rs[k] + (w1 - w2) * (g_next - gk) + (w2 - w3) * g_next
         _check_finite(r_next, "dual iterate r", k + 1)
         rs.append(r_next)
         mirrors.append(g.conjugate_grad(r_next))

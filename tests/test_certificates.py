@@ -207,6 +207,14 @@ def test_duality_identity_amd():
     assert rep.max_residual <= 1e-9
 
 
+@pytest.mark.parametrize("trials, dim", [(0, 4), (-2, 4), (5, 0)])
+def test_duality_check_rejects_empty_sampling(trials, dim):
+    s = amd_schedule(3, 1.0, 1.0)
+    u = [float(i + 1) for i in range(4)]
+    with pytest.raises(ValueError, match="trials >= 1 and dim >= 1"):
+        check_mirror_duality(s, u, 1.0, 1.0, trials=trials, dim=dim)
+
+
 def test_duality_check_reports_mismatched_v():
     N, L, sigma = 5, 1.0, 1.0
     s = amd_schedule(N, L, sigma)

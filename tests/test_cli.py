@@ -92,6 +92,23 @@ def test_certify_roundtrip_and_tamper(tmp_path):
         assert main(["certify", "--trace", str(out), "--config", cfg]) == 2
 
 
+def test_dual_amd_shifted_dgf_trace_certifies(tmp_path):
+    doc = {
+        "method": "dual-amd",
+        "objective": {"kind": "diag-quadratic", "d": [1.0, 4.0], "b": [0.3, -0.2]},
+        "dgf": {"kind": "shifted-euclidean", "x0": [1.0, 1.0]},
+        "N": 10,
+        "q0": [1.0, -1.0],
+    }
+    cfg = _write(tmp_path / "cfg.json", doc)
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if ln[0].isdigit()]
+    assert len(rows) == 11
+    assert all(row[4] == "" and row[3] != "" for row in rows)  # no energies; psi* kept
+    assert main(["certify", "--trace", str(out), "--config", cfg]) == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exits_4(tmp_path, capsys):
     # L far below the true constant 4: AMD diverges (non-finite y at k = 80).
@@ -110,6 +127,12 @@ def test_duality_check_amd(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["max_residual"] <= 1e-9
     assert doc["trials"] == 100
+
+
+@pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-2"], ["--dim", "0"]])
+def test_duality_check_with_nothing_sampled_exits_1(extra, capsys):
+    assert main(["duality-check", "--schedule", "amd", "--N", "3", *extra]) == 1
+    assert "trials >= 1 and dim >= 1" in capsys.readouterr().err
 
 
 def test_duality_check_random_schedule_file(tmp_path, rng):
@@ -203,6 +226,19 @@ def test_ot_rejects_bad_marginals(tmp_path):
 def test_ot_rejects_bad_eps(tmp_path):
     inst = _write(tmp_path / "inst.json", OT_INSTANCE)
     assert main(["ot", "--instance", inst, "--eps", "-0.1", "--out", str(tmp_path / "o.json")]) == 1
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_ot_rejects_non_finite_eps(tmp_path, eps):
+    inst = _write(tmp_path / "inst.json", OT_INSTANCE)
+    assert main(["ot", "--instance", inst, "--eps", eps, "--out", str(tmp_path / "o.json")]) == 1
+
+
+def test_ot_rejects_non_finite_cost(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"C": [[0.0, NaN], [1.0, 0.0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5]}')
+    assert main(["ot", "--instance", str(inst), "--eps", "0.1", "--out", str(tmp_path / "o.json")]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1():

@@ -36,6 +36,34 @@ def test_conjugate_grad_examples():
     assert np.allclose(got, 2.0 ** (-1.0 / 3.0) * np.ones(2), atol=1e-12)
 
 
+def _general_conjugate_grad(g, y):
+    """grad phi*(y) by the general formula, q = 2 included."""
+    ny = lp_norm(y, g.q)
+    out = np.zeros_like(y) if ny == 0.0 else ny ** (2.0 - g.q) * np.sign(y) * np.abs(y) ** (g.q - 1.0)
+    return out if g.x0 is None else out + g.x0
+
+
+@pytest.mark.parametrize("y", [
+    [-0.0, 1.0], [-0.0, -0.0], [0.0, -0.0], [np.inf, -2.0], [-np.inf, np.inf],
+    [np.nan, 1.0], [3.0, -4.0],
+])
+@pytest.mark.parametrize("x0", [None, [0.7, -0.0], [-0.0, 0.0]])
+def test_euclidean_conjugate_grad_equals_general_formula(y, x0):
+    g = euclidean(x0=None if x0 is None else np.array(x0))
+    y = np.array(y)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _general_conjugate_grad(g, y)
+    got = g.conjugate_grad(y)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_euclidean_conjugate_grad_is_exact_below_norm_underflow():
+    # ||y||^2 underflows to 0 here, so the general formula would return 0.
+    y = np.array([1e-170, -1e-170])
+    assert np.array_equal(euclidean().conjugate_grad(y), y)
+
+
 def test_grad_examples():
     x0 = np.array([0.3, 0.4, -1.0])
     g = squared_lp(1.5, x0=x0)

@@ -9,8 +9,12 @@ max_residual is roundoff.
 Regenerate the fixtures (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which names each fixture file whose bytes change before it rewrites it.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -132,23 +136,39 @@ def test_duality_check_outcome(name, tmp_path):
     assert _duality(name, tmp_path) == want
 
 
+def _write_fixtures(fixtures: dict) -> int:
+    """Print each fixture whose bytes differ from tests/golden/, then rewrite those."""
+    changed = [name for name, data in fixtures.items()
+               if not (GOLDEN / name).exists() or (GOLDEN / name).read_bytes() != data]
+    for name in changed:
+        print(f"differs: tests/golden/{name}")
+    for name in changed:
+        (GOLDEN / name).write_bytes(fixtures[name])
+    return len(changed)
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "schedule.json").write_text(json.dumps(_random_schedule_doc(), indent=1) + "\n")
-    (GOLDEN / "ot_instance.json").write_text(json.dumps(_ot_instance_doc(), indent=1) + "\n")
+    # The inputs first: the outputs below are computed from them.
+    changed = _write_fixtures({
+        "schedule.json": (json.dumps(_random_schedule_doc(), indent=1) + "\n").encode(),
+        "ot_instance.json": (json.dumps(_ot_instance_doc(), indent=1) + "\n").encode(),
+    })
     workdir = Path(tempfile.mkdtemp())
     try:
-        codes = {}
-        for name in sorted(RUN_CASES):
-            codes[name], trace = _run_trace(name, workdir)
-            (GOLDEN / f"run_{name}.csv").write_bytes(trace)
-        (GOLDEN / "run_exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
-        (GOLDEN / "dualize_out.json").write_bytes(_dualize(workdir))
-        (GOLDEN / "ot_result.json").write_bytes(_ot(workdir))
-        outcomes = {name: _duality(name, workdir) for name in sorted(DUALITY_CASES)}
-        (GOLDEN / "duality_check.json").write_text(json.dumps(outcomes, indent=1) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            outputs, codes = {}, {}
+            for name in sorted(RUN_CASES):
+                codes[name], outputs[f"run_{name}.csv"] = _run_trace(name, workdir)
+            outputs["run_exit_codes.json"] = (json.dumps(codes, indent=1) + "\n").encode()
+            outputs["dualize_out.json"] = _dualize(workdir)
+            outputs["ot_result.json"] = _ot(workdir)
+            outcomes = {name: _duality(name, workdir) for name in sorted(DUALITY_CASES)}
+            outputs["duality_check.json"] = (json.dumps(outcomes, indent=1) + "\n").encode()
     finally:
         shutil.rmtree(workdir)
+    changed += _write_fixtures(outputs)
+    print(f"{changed} of {len(outputs) + 2} fixture files rewritten")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mirropt.cfom import run_cfom, run_mirror_dual, validate_schedule
 from mirropt.dgf import euclidean, squared_lp
 from mirropt.methods import (
+    AMDPath,
     amd_schedule,
     run_amd,
     run_concat,
@@ -159,6 +160,76 @@ def _amd_schedule_by_index(N, L, sigma):
         b[k + 1, k] = (th.sq(k) - th.sq(k - 2)) / th.sq(k) - (th.sq(k - 1) - th.sq(k - 2)) / th.sq(k + 1)
         b[k + 1, k + 1] = -(th.sq(k + 1) - th.sq(k - 1)) / th.sq(k + 1)
     return a, b
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("horizons", [[1, 2, 4, 8, 16, 32], [3, 4, 9, 10, 25]])
+def test_amd_path_output_equals_run_amd(rng, p, horizons):
+    f = _quadratic(rng, p=p)
+    g = euclidean() if p == 2.0 else squared_lp(p)
+    y0 = rng.standard_normal(5)
+    path = AMDPath(f, g, y0)
+    for N in horizons:
+        assert np.array_equal(path.output(N), run_amd(f, g, y0, N).traj.xs[-1])
+    assert len(path.f_grads) == horizons[-1]  # grad f at x_0 .. x_{N-1}, each once
+    with pytest.raises(ValueError):
+        path.output(0)
+
+
+def _reference_amd(f, g, y0, N, L, sigma):
+    """AMD as one loop over theta_sequence(N): (ys, xs, f_grads, mirrors)."""
+    th = theta_sequence(N)
+    ys, mirrors = [y0], [g.conjugate_grad(y0)]
+    xs = [mirrors[0]]
+    f_grads = [f.grad(xs[0])]
+    for k in range(N):
+        ys.append(ys[k] - (sigma / L) * (th.sq(k) - th.sq(k - 1)) * f_grads[k])
+        mirrors.append(g.conjugate_grad(ys[-1]))
+        tk1 = th.sq(k + 1)
+        xs.append(
+            th.sq(k) / tk1 * xs[k]
+            + (tk1 - th.sq(k)) / tk1 * mirrors[k + 1]
+            + (th.sq(k) - th.sq(k - 1)) / tk1 * (mirrors[k + 1] - mirrors[k])
+        )
+        f_grads.append(f.grad(xs[-1]))
+    return ys, xs, f_grads, mirrors
+
+
+def _reference_dual_amd(f, g, q0, N, L, sigma):
+    """Dual-AMD as one loop over theta_sequence(N): (qs, rs, f_grads, mirrors)."""
+    th = theta_sequence(N)
+    qs, f_grads = [q0], [f.grad(q0)]
+    rs = [(th.sq(N) - th.sq(N - 2)) / th.sq(N) * f_grads[0]]
+    gk = f_grads[0] / th.sq(N - 1)
+    mirrors = [g.conjugate_grad(rs[0])]
+    for k in range(N):
+        qs.append(qs[k] - (sigma / L) * (th.sq(N - k - 1) - th.sq(N - k - 2)) * mirrors[k])
+        f_grads.append(f.grad(qs[-1]))
+        g_next = gk + (f_grads[k + 1] - f_grads[k]) / th.sq(N - k - 1)
+        rs.append(
+            rs[k]
+            + (th.sq(N - k - 1) - th.sq(N - k - 2)) * (g_next - gk)
+            + (th.sq(N - k - 2) - th.sq(N - k - 3)) * g_next
+        )
+        mirrors.append(g.conjugate_grad(rs[-1]))
+        gk = g_next
+    return qs, rs, f_grads, mirrors
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("N", [1, 2, 5, 16, 37])
+def test_amd_runners_equal_reference_loops(rng, p, N):
+    """The path-built run_amd and run_dual_amd give the reference loops' floats."""
+    f = _quadratic(rng, p=p)
+    g = euclidean() if p == 2.0 else squared_lp(p)
+    start = rng.standard_normal(5)
+    tr = run_amd(f, g, start, N).traj
+    for got, want in zip((tr.ys, tr.xs, tr.f_grads, tr.mirrors), _reference_amd(f, g, start, N, f.L, g.sigma)):
+        assert np.array_equal(np.array(got), np.array(want))
+    tr = run_dual_amd(f, g, start, N).dual_traj
+    for got, want in zip((tr.qs, tr.rs, tr.f_grads, tr.mirrors),
+                         _reference_dual_amd(f, g, start, N, f.L, g.sigma)):
+        assert np.array_equal(np.array(got), np.array(want))
 
 
 def test_amd_schedule_validity_and_first_coefficient():

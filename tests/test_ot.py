@@ -16,6 +16,8 @@ from mirropt.ot import (
     round_plan,
     solve_ot,
 )
+from mirropt.dgf import euclidean
+from mirropt.methods import run_concat
 from mirropt.spaces import bregman, finite_difference_gradient, lp_norm
 
 
@@ -40,6 +42,18 @@ def test_instance_validation():
         OTInstance(C=[[0.0, 1.0]], mu=[1.0], nu=[1.0, 0.0])  # zero support
     with pytest.raises(ValueError):
         OTInstance(C=[[0.0, 1.0]], mu=[1.0, 0.0], nu=[0.5, 0.5])  # shape mismatch
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("C", [[0.0, math.nan], [1.0, 0.0]]),
+    ("C", [[0.0, math.inf], [1.0, 0.0]]),
+    ("mu", [math.nan, 0.5]),
+    ("nu", [0.5, math.inf]),
+])
+def test_instance_rejects_non_finite(field, bad):
+    doc = {"C": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5], field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        OTInstance(**doc)
 
 
 def test_dual_value_zero_cost_example():
@@ -99,6 +113,17 @@ def test_dual_objective_cocoercivity_sup_norm(rng):
         y = rng.standard_normal(5)
         d = bregman(h.value, h.grad, x, y)
         assert d >= lp_norm(h.grad(x) - h.grad(y), 1) ** 2 / (8.0 * h.L) - 1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_objective_grad_equals_ot_dual_grad(rng, scale):
+    """The objective's reused kernel buffer gives ot_dual_grad's floats, also at large |u|/r."""
+    inst = _random_instance(rng, 7, 5)
+    h = OTDualObjective(inst, r=0.01)
+    for _ in range(3):
+        z = scale * rng.standard_normal(12)
+        gu, gv = ot_dual_grad(inst, 0.01, z[:7], z[7:])
+        assert np.array_equal(h.grad(z), np.concatenate([gu, gv]))
 
 
 def test_plan_from_dual_uniform_and_normalized(rng):
@@ -183,8 +208,9 @@ def test_solve_ot_concentrates_on_diagonal():
 
 
 def test_solve_ot_validation_and_cap():
-    with pytest.raises(ValueError):
-        solve_ot(_uniform2(), 0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_ot(_uniform2(), eps)
     inst = OTInstance(C=[[0.0, 5.0], [5.0, 0.0]], mu=[0.3, 0.7], nu=[0.6, 0.4])
     with pytest.raises(RuntimeError):
         solve_ot(inst, 0.001, eval_cap=8)
@@ -202,6 +228,39 @@ def test_solve_ot_counts_every_gradient_call(rng, monkeypatch):
     res = solve_ot(_random_instance(rng, 10, 10), 0.05)
     assert res.report["N"] > 1  # several attempts, each one ending in a grad_l1
     assert res.report["grad_evals"] == len(calls)
+
+
+def _restart_reference(inst, eps):
+    """solve_ot as a fresh AMD + dual-AMD concatenation from 0 per doubling of N."""
+    m, n = inst.shape
+    r = eps / (2.0 * math.log(m * n))
+    tol = eps / (8.0 * float(np.max(np.abs(inst.C))))
+    h = OTDualObjective(inst, r=r)
+    N = 1
+    while True:
+        run = run_concat(h, euclidean(), euclidean(), np.zeros(m + n), N, L=h.L, sigma1=1.0, sigma2=1.0)
+        grad_l1 = float(np.sum(np.abs(run.dual_amd.dual_traj.f_grads[-1])))
+        if grad_l1 <= tol:
+            break
+        N *= 2
+    u, v = h.split(run.final_x)
+    plan = round_plan(inst, plan_from_dual(inst, r, u, v))
+    return plan, float(np.sum(inst.C * plan.X)), N, grad_l1
+
+
+@pytest.mark.parametrize("seed, m, n, eps", [(1, 4, 5, 0.1), (2, 6, 6, 0.05), (3, 9, 4, 0.08), (4, 3, 12, 0.2)])
+def test_solve_ot_matches_restart_reference(seed, m, n, eps):
+    """Sharing one AMD path across the doubling of N leaves every output float unchanged."""
+    inst = _random_instance(np.random.default_rng(seed), m, n)
+    res = solve_ot(inst, eps)
+    plan, cost, N, grad_l1 = _restart_reference(inst, eps)
+    assert res.report["N"] == N > 1
+    assert res.plan.X.tobytes() == plan.X.tobytes()
+    assert res.cost == cost
+    assert res.report["grad_l1"] == grad_l1
+    # N gradients along the shared AMD path, N_j + 1 per dual-AMD attempt.
+    attempts = [2 ** j for j in range(N.bit_length())]
+    assert res.report["grad_evals"] == N + sum(N_j + 1 for N_j in attempts)
 
 
 def test_lp_oracle_examples():
