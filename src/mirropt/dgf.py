@@ -9,6 +9,7 @@ pair (grad phi, grad phi*) is the mirror map used by every method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,27 @@ __all__ = ["DGF", "euclidean", "squared_lp", "dgf_from_descriptor"]
 
 def _signed_power(z: Vector, expo: float) -> Vector:
     return np.sign(z) * np.abs(z) ** expo
+
+
+def _norm_power_map(z: Vector, r: float) -> Vector:
+    """grad (1/2)||z||_r^2 = ||z||_r^{2-r} sign(z) |z|^{r-1}, and 0 at z = 0.
+
+    The map is 1-homogeneous.  When ||z||_r comes out 0 or inf on a finite,
+    nonzero z (|z_i|^r under- or overflows), it is taken at z scaled by a
+    power of two of max|z| and scaled back; in-range inputs keep their floats.
+    """
+    nz = lp_norm(z, r)
+    e = 0
+    if nz == 0.0 or nz == np.inf:
+        big = float(np.max(np.abs(z)))
+        if 0.0 < big < np.inf:
+            e = math.frexp(big)[1]
+            z = np.ldexp(z, -e)
+            nz = lp_norm(z, r)
+    if nz == 0.0:
+        return np.zeros_like(z)
+    out = nz ** (2.0 - r) * _signed_power(z, r - 1.0)
+    return np.ldexp(out, e) if e else out
 
 
 @dataclass(frozen=True)
@@ -71,10 +93,7 @@ class DGF:
     def grad(self, x: PrimalVector) -> DualVector:
         """grad phi(x) = ||z||_p^{2-p} sign(z) |z|^{p-1} with z = x - x0."""
         z = self._shift(np.asarray(x, dtype=np.float64))
-        nz = lp_norm(z, self.p)
-        if nz == 0.0:
-            return np.zeros_like(z)
-        return nz ** (2.0 - self.p) * _signed_power(z, self.p - 1.0)
+        return _norm_power_map(z, self.p)
 
     def conjugate_value(self, y: DualVector) -> float:
         """phi*(y) = (1/2) ||y||_q^2 + <y, x0>."""
@@ -93,16 +112,11 @@ class DGF:
         formula bit for bit (-0.0 becomes 0.0, inf and nan pass through),
         except where ||y||_2^2 underflows to zero (every |y_i| below about
         1e-162): the general formula then returns x0, y + 0.0 returns y + x0.
+        At q != 2, a y whose ||y||_q under- or overflows is rescaled by a
+        power of two (the map is 1-homogeneous).
         """
         y = np.asarray(y, dtype=np.float64)
-        if self.p == 2.0:
-            out = y + 0.0
-        else:
-            ny = lp_norm(y, self.q)
-            if ny == 0.0:
-                out = np.zeros_like(y)
-            else:
-                out = ny ** (2.0 - self.q) * _signed_power(y, self.q - 1.0)
+        out = y + 0.0 if self.p == 2.0 else _norm_power_map(y, self.q)
         if self.x0 is not None:
             out = out + self.x0
         return out

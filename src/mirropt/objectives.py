@@ -174,9 +174,17 @@ def smoothness_constant(obj: SmoothObjective, p: float) -> float:
         if p != 2.0:
             raise ValueError("dense-quadratic supports p = 2 only")
         return obj.L
-    if obj.kind in ("log-sum-exp", "ot-dual"):
+    if obj.kind == "log-sum-exp":
         # 1/r w.r.t. ||.||_inf; bounds for other p derive from that one.
         return obj.L
+    if obj.kind == "ot-dual":
+        # Hessian (1/r) Cov_P(u_i + v_j): at most 1/r in l2, and 4/r in the
+        # sup norm, where |u_i + v_j - u_k - v_l| reaches 4.
+        if p == 2.0:
+            return obj.L
+        if p == np.inf:
+            return 4.0 * obj.L
+        raise ValueError("ot-dual supports p = 2 and p = inf only")
     raise ValueError(f"unknown objective kind {obj.kind!r}")
 
 

@@ -4,16 +4,25 @@ The dual objective
 
     h(u, v) = r log sum_{ij} exp((u_i + v_j - c_ij) / r) - <mu, u> - <nu, v>
 
-is convex and smooth.  The solver runs it with L = 1/r and the Euclidean
-DGF; a sampled-Hessian check measured about 0.98/r in l2 (and about 4/r
-in the sup norm).  Driving its gradient to l1-norm epsilon / (8 ||C||_inf)
-with r = epsilon / (2 log mn) and rounding the softmax plan to exact
-feasibility yields a plan whose cost is within epsilon of optimal.  The
-gradient and the plan share one log-domain Gibbs kernel, and the
-objective computes it in a buffer it reuses across calls.  A
-tiny exact LP oracle (endpoint evaluation for 2x2, basic-solution
-enumeration up to 12 cells) supplies the reference optimum for the
-accuracy checks.
+is convex and smooth: its Hessian is (1/r) times the covariance, under
+the softmax plan, of u_i + v_j, so h is (1/r)-smooth in l2 (the norm of
+the solver's Euclidean DGF) and (4/r)-smooth in the sup norm.  Driving
+its gradient to l1-norm epsilon / (8 ||C||_inf) with
+r = epsilon / (2 log mn) and rounding the softmax plan to exact
+feasibility yields a plan whose cost is within epsilon of optimal.
+
+The Gibbs kernel is separable, exp((u_i + v_j - c_ij) / r) =
+e^{u_i/r} K_ij e^{v_j/r} with K = exp(-C/r), so the gradient and the
+plan are taken in this scaling form: K once per objective, then two
+matrix-vector products and m + n exponentials per gradient.  The log
+domain (shift by the max, exponentiate, normalize) is kept where K
+would lose floats: when C.max()/r exceeds -log(tiny) (some K_ij would
+not be a normal float), and, as a backstop, when the scaled total is
+not finite or so small that entries within 2^-52 of the largest could
+underflow.  Both rules depend only on (C, r, u, v), so the gradient is a
+pure function of the point.  A tiny exact LP oracle (endpoint
+evaluation for 2x2, basic-solution enumeration up to 12 cells) supplies
+the reference optimum for the accuracy checks.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +55,9 @@ __all__ = [
 MARGINAL_TOL = 1e-12
 FEASIBILITY_TOL = 1e-10
 DEFAULT_EVAL_CAP = 2 ** 20
+_TINY = np.finfo(np.float64).tiny
+# exp(-x) is a normal float for every x <= _LOG_TINY (about 708.4).
+_LOG_TINY = -math.log(_TINY)
 
 
 @dataclass
@@ -119,7 +131,7 @@ def ot_dual_value(inst: OTInstance, r: float, u: Vector, v: Vector) -> float:
 def _gibbs(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarray) -> np.ndarray:
     """Normalized Gibbs kernel exp((u_i + v_j - c_ij) / r) / sum, computed in out.
 
-    The one log-domain kernel: shift by the max, exponentiate, normalize.
+    The log-domain kernel: shift by the max, exponentiate, normalize.
     """
     np.add(u[:, None], v[None, :], out=out)
     out -= inst.C
@@ -130,14 +142,63 @@ def _gibbs(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarray) ->
     return out
 
 
+def _scaling_kernel(inst: OTInstance, r: float) -> Optional[np.ndarray]:
+    """K = exp(-C/r) if every entry is a normal float, else None (the gate)."""
+    if inst.C.max() / r > _LOG_TINY:
+        return None
+    K = np.divide(inst.C, -r)
+    return np.exp(K, out=K)
+
+
+def _scaling(r: float, u: Vector, v: Vector, K: Optional[np.ndarray]):
+    """(a, b, row, tot) with Gibbs kernel a_i K_ij b_j / tot, or None for the log domain.
+
+    a = exp((u - max u)/r), b = exp((v - max v)/r), row = a * (K @ b) and
+    tot = row.sum().  None when K is None (the gate) or tot is not finite
+    or below m n 2^52 tiny (the backstop): above that floor every entry
+    within 2^-52 of the largest is a normal float, and the terms lost to
+    underflow sum to at most 2^-52 tot.
+    """
+    if K is None:
+        return None
+    a = np.exp((u - u.max()) / r)
+    b = np.exp((v - v.max()) / r)
+    row = a * (K @ b)
+    tot = row.sum()
+    if not K.size * 2.0 ** 52 * _TINY <= tot < math.inf:
+        return None
+    return a, b, row, tot
+
+
+def _marginals(
+    inst: OTInstance,
+    r: float,
+    u: Vector,
+    v: Vector,
+    K: Optional[np.ndarray],
+    buffer: Callable[[], np.ndarray],
+) -> Tuple[Vector, Vector]:
+    """Row and column sums of the normalized Gibbs kernel at (u, v).
+
+    Scaling form when _scaling allows it, else the log-domain kernel in
+    buffer(), which is called only then.
+    """
+    s = _scaling(r, u, v, K)
+    if s is None:
+        P = _gibbs(inst, r, u, v, buffer())
+        return P.sum(axis=1), P.sum(axis=0)
+    a, b, row, tot = s
+    return row / tot, b * (a @ K) / tot
+
+
 def ot_dual_grad(inst: OTInstance, r: float, u: Vector, v: Vector) -> Tuple[Vector, Vector]:
     """(softmax-plan marginals) minus (mu, nu); both blocks sum to zero."""
     if r <= 0:
         raise ValueError("temperature r must be positive")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    P = _gibbs(inst, r, u, v, np.empty(inst.shape))
-    return P.sum(axis=1) - inst.mu, P.sum(axis=0) - inst.nu
+    rows, cols = _marginals(inst, r, u, v, _scaling_kernel(inst, r), lambda: np.empty(inst.shape))
+    return rows - inst.mu, cols - inst.nu
 
 
 def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> TransportPlan:
@@ -146,7 +207,15 @@ def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> Transpor
         raise ValueError("temperature r must be positive")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    return TransportPlan(X=_gibbs(inst, r, u, v, np.empty(inst.shape)))
+    K = _scaling_kernel(inst, r)
+    s = _scaling(r, u, v, K)
+    if s is None:
+        return TransportPlan(X=_gibbs(inst, r, u, v, np.empty(inst.shape)))
+    a, b, _, tot = s
+    K *= a[:, None]
+    K *= b[None, :]
+    K /= tot
+    return TransportPlan(X=K)
 
 
 def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
@@ -178,9 +247,10 @@ def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
 class OTDualObjective(SmoothObjective):
     """The dual h as a smooth objective on the stacked variable z = (u, v).
 
-    L = 1/r is the constant the solver uses with the Euclidean DGF; a
-    sampled-Hessian check measured about 0.98/r in l2 and about 4/r in
-    the sup norm.
+    L = 1/r in l2 (norm_p = 2), the norm of the solver's Euclidean DGF;
+    the sup-norm constant is 4/r (see smoothness_constant).  The scaling
+    kernel K = exp(-C/r) is formed once, here; the log-domain buffer is
+    allocated on the first gradient that needs it.
     """
 
     inst: OTInstance
@@ -190,12 +260,13 @@ class OTDualObjective(SmoothObjective):
         if self.r <= 0:
             raise ValueError("temperature r must be positive")
         self.kind = "ot-dual"
-        self.norm_p = np.inf
+        self.norm_p = 2.0
         self.L = 1.0 / self.r
         self.x_star = None
         self.f_star = None
         self._m, self._n = self.inst.shape
-        self._kernel = np.empty(self.inst.shape)  # reused by every grad call
+        self._K = _scaling_kernel(self.inst, self.r)
+        self._buffer = None  # log-domain kernel, reused once allocated
 
     def split(self, z: Vector) -> Tuple[Vector, Vector]:
         z = self._check_dim(z, self._m + self._n)
@@ -207,8 +278,13 @@ class OTDualObjective(SmoothObjective):
 
     def grad(self, z: Vector) -> Vector:
         u, v = self.split(z)
-        P = _gibbs(self.inst, self.r, u, v, self._kernel)
-        return np.concatenate([P.sum(axis=1) - self.inst.mu, P.sum(axis=0) - self.inst.nu])
+        rows, cols = _marginals(self.inst, self.r, u, v, self._K, self._log_buffer)
+        return np.concatenate([rows - self.inst.mu, cols - self.inst.nu])
+
+    def _log_buffer(self) -> np.ndarray:
+        if self._buffer is None:
+            self._buffer = np.empty(self.inst.shape)
+        return self._buffer
 
     def to_descriptor(self) -> dict:
         d = self.inst.to_descriptor()
@@ -262,7 +338,9 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     The AMD stage's iterates before x_N do not depend on N, so every
     attempt reads its x_N off one shared AMDPath and only the dual-AMD
     stage reruns.  The floats are those of a fresh run_concat per N;
-    report["grad_evals"] is N + sum(N_j + 1) over the attempts N_j.
+    report["grad_evals"] is N + sum(N_j + 1) over the attempts N_j.  An
+    attempt that would take the evaluations past eval_cap is not started:
+    RuntimeError, with at most eval_cap gradients spent.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -276,19 +354,20 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     h = _CountingObjective(OTDualObjective(inst, r=r))
     phi = euclidean()
     path = AMDPath(h, phi, np.zeros(m + n), L=h.L, sigma=1.0)
-    N = 1
+    N, grad_l1 = 1, math.inf
     while True:
+        # The path's extension to N plus the N + 1 gradients of dual-AMD.
+        if h.grad_evals + max(0, N - len(path.f_grads)) + N + 1 > eval_cap:
+            raise RuntimeError(
+                f"gradient-evaluation budget {eval_cap} exhausted at N={N} "
+                f"(grad l1 = {grad_l1:.3e}, tol = {grad_tol:.3e})"
+            )
         run = run_dual_amd(h, phi, path.output(N), N, L=h.L, sigma=1.0)
         z = run.final_x
         # grad h(q_N), already evaluated by the run; no uncounted extra call.
         grad_l1 = float(np.sum(np.abs(run.dual_traj.f_grads[-1])))
         if grad_l1 <= grad_tol:
             break
-        if h.grad_evals >= eval_cap:
-            raise RuntimeError(
-                f"gradient-evaluation budget {eval_cap} exhausted at N={N} "
-                f"(grad l1 = {grad_l1:.3e}, tol = {grad_tol:.3e})"
-            )
         N *= 2
 
     u, v = h.base.split(z)

@@ -64,6 +64,21 @@ def test_euclidean_conjugate_grad_is_exact_below_norm_underflow():
     assert np.array_equal(euclidean().conjugate_grad(y), y)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("t, y", [
+    (1e200, [1.0, 1.0]), (1e-120, [1.0, -1.0]), (1e300, [2.0, -0.5, 1.0]), (1e-250, [1.0, -3.0]),
+])
+def test_mirror_maps_are_homogeneous_outside_norm_range(p, t, y):
+    """grad phi and grad phi* are 1-homogeneous, also where ||t y|| under- or overflows."""
+    g = squared_lp(p)
+    y = np.array(y)
+    with np.errstate(over="ignore", under="ignore"):
+        for f in (g.conjugate_grad, g.grad):
+            got = f(t * y)
+            assert np.all(np.isfinite(got))
+            assert np.allclose(got, t * f(y), rtol=1e-13, atol=0.0)
+
+
 def test_grad_examples():
     x0 = np.array([0.3, 0.4, -1.0])
     g = squared_lp(1.5, x0=x0)

@@ -75,10 +75,7 @@ def test_cocoercivity_sampling_with_declared_constant(rng):
         dim = 5 if f.kind == "ot-dual" else (3 if f.kind == "dense-quadratic" else 4)
         p = f.norm_p
         q = 1.0 if p == np.inf else p / (p - 1.0)
-        # The coupled transport dual acts through (u_i + v_j), which
-        # doubles the directional range per unit sup norm; its tight
-        # sup-norm constant is 4x the per-block temperature constant.
-        L = 4.0 * f.L if f.kind == "ot-dual" else f.L
+        L = smoothness_constant(f, p)
         for _ in range(30):
             x = rng.standard_normal(dim)
             y = rng.standard_normal(dim)
@@ -95,7 +92,9 @@ def test_smoothness_constant_examples():
     assert smoothness_constant(f15, 1.5) == 4.0
     inst = OTInstance(C=[[0.0, 1.0], [1.0, 0.0]], mu=[0.5, 0.5], nu=[0.5, 0.5])
     h = OTDualObjective(inst, r=0.05)
-    assert smoothness_constant(h, np.inf) == pytest.approx(20.0)
+    assert h.norm_p == 2.0
+    assert smoothness_constant(h, 2.0) == pytest.approx(20.0)
+    assert smoothness_constant(h, np.inf) == pytest.approx(80.0)
 
 
 def test_smoothness_constant_rejects_unsupported_p():
@@ -105,6 +104,48 @@ def test_smoothness_constant_rejects_unsupported_p():
     dq = DenseQuadratic(A=np.eye(2), b=np.zeros(2))
     with pytest.raises(ValueError):
         smoothness_constant(dq, 1.5)
+    inst = OTInstance(C=[[0.0, 1.0], [1.0, 0.0]], mu=[0.5, 0.5], nu=[0.5, 0.5])
+    for p in (1.5, 3.0):
+        with pytest.raises(ValueError):
+            smoothness_constant(OTDualObjective(inst, r=0.05), p)
+
+
+def _ot_hessian(h, z, step=1e-6):
+    """Central differences of h.grad, symmetrized."""
+    cols = [(h.grad(z + step * e) - h.grad(z - step * e)) / (2.0 * step) for e in np.eye(z.size)]
+    H = np.array(cols)
+    return 0.5 * (H + H.T)
+
+
+def _sup_norm_curvature(H):
+    """max d^T H d over the cube |d_i| <= 1, attained at a vertex (H is PSD)."""
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * H.shape[0])).reshape(H.shape[0], -1)
+    return float(np.max(np.einsum("ik,ij,jk->k", signs, H, signs)))
+
+
+def test_ot_dual_constants_against_sampled_hessian(rng):
+    """Neither declared constant is below the sampled curvature, and both are nearly reached.
+
+    The plan concentrated on two cells of different rows and columns
+    (zero cost on the diagonal, r small) makes u_i + v_j vary by 2 per
+    unit l2 norm and by 4 per unit sup norm: curvature 1/r and 4/r.
+    """
+    r = 0.05
+    cases = [(OTInstance(C=[[0.0, 1.0], [1.0, 0.0]], mu=[0.5, 0.5], nu=[0.5, 0.5]), np.zeros(4))]
+    for _ in range(20):
+        inst = OTInstance(C=rng.uniform(0, 1, (2, 3)), mu=rng.dirichlet([3.0] * 2),
+                          nu=rng.dirichlet([3.0] * 3))
+        cases.append((inst, 0.1 * rng.standard_normal(5)))
+    top_l2 = top_sup = 0.0
+    for inst, z in cases:
+        h = OTDualObjective(inst, r=r)
+        H = _ot_hessian(h, z)
+        top_l2 = max(top_l2, float(np.linalg.eigvalsh(H)[-1]))
+        top_sup = max(top_sup, _sup_norm_curvature(H))
+    L2, Linf = smoothness_constant(h, 2.0), smoothness_constant(h, np.inf)
+    assert top_l2 <= L2 * (1 + 1e-6)
+    assert top_sup <= Linf * (1 + 1e-6)
+    assert top_l2 >= 0.95 * L2 and top_sup >= 0.95 * Linf
 
 
 def test_dense_quadratic_validation():

@@ -9,6 +9,9 @@ from mirropt.ot import (
     OTDualObjective,
     OTInstance,
     TransportPlan,
+    _gibbs,
+    _LOG_TINY,
+    _scaling,
     lp_oracle,
     ot_dual_grad,
     ot_dual_value,
@@ -18,6 +21,7 @@ from mirropt.ot import (
 )
 from mirropt.dgf import euclidean
 from mirropt.methods import run_concat
+from mirropt.objectives import smoothness_constant
 from mirropt.spaces import bregman, finite_difference_gradient, lp_norm
 
 
@@ -104,15 +108,16 @@ def test_dual_grad_matches_finite_differences(rng):
 
 
 def test_dual_objective_cocoercivity_sup_norm(rng):
-    # 4/r is the safe sup-norm constant for the coupled dual; the
-    # per-block value 1/r used by the solver fails this sampler.
+    # 4/r is the sup-norm constant of the coupled dual; the l2 value 1/r
+    # used by the solver fails this sampler.
     inst = _random_instance(rng, 2, 3)
     h = OTDualObjective(inst, r=0.3)
+    L = smoothness_constant(h, np.inf)
     for _ in range(30):
         x = rng.standard_normal(5)
         y = rng.standard_normal(5)
         d = bregman(h.value, h.grad, x, y)
-        assert d >= lp_norm(h.grad(x) - h.grad(y), 1) ** 2 / (8.0 * h.L) - 1e-10
+        assert d >= lp_norm(h.grad(x) - h.grad(y), 1) ** 2 / (2.0 * L) - 1e-10
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
@@ -124,6 +129,64 @@ def test_objective_grad_equals_ot_dual_grad(rng, scale):
         z = scale * rng.standard_normal(12)
         gu, gv = ot_dual_grad(inst, 0.01, z[:7], z[7:])
         assert np.array_equal(h.grad(z), np.concatenate([gu, gv]))
+
+
+def _log_domain(inst, r, z):
+    """Gradient and plan from the log-domain kernel alone."""
+    m = inst.shape[0]
+    P = _gibbs(inst, r, z[:m], z[m:], np.empty(inst.shape))
+    return np.concatenate([P.sum(axis=1) - inst.mu, P.sum(axis=0) - inst.nu]), P
+
+
+@pytest.mark.parametrize("m, n, cost", [(20, 30, "uniform"), (40, 40, "euclid")])
+def test_scaling_form_matches_log_domain_below_gate(rng, m, n, cost):
+    """Just below the gate (C.max()/r = 0.999 * -log(tiny)) the two forms agree to 1e-13."""
+    inst = _random_instance(rng, m, n)
+    if cost == "euclid":
+        x, y = rng.uniform(0, 1, (m, 2)), rng.uniform(0, 1, (n, 2))
+        inst = OTInstance(C=((x[:, None] - y[None]) ** 2).sum(-1), mu=inst.mu, nu=inst.nu)
+    r = float(inst.C.max()) / (0.999 * _LOG_TINY)
+    h = OTDualObjective(inst, r=r)
+    for spread in (1.0, 30.0, 300.0):
+        z = spread * r * rng.standard_normal(m + n)
+        assert _scaling(r, z[:m], z[m:], h._K) is not None
+        grad, P = _log_domain(inst, r, z)
+        marginals = grad + np.concatenate([inst.mu, inst.nu])
+        assert np.max(np.abs(h.grad(z) - grad)) <= 1e-13 * np.max(marginals)
+        assert np.max(np.abs(plan_from_dual(inst, r, z[:m], z[m:]).X - P)) <= 1e-13 * P.max()
+    assert h._buffer is None  # the log-domain buffer was never needed
+
+
+def test_above_gate_is_log_domain_bit_for_bit(rng):
+    inst = _random_instance(rng, 6, 9)
+    r = float(inst.C.max()) / (1.001 * _LOG_TINY)
+    h = OTDualObjective(inst, r=r)
+    assert h._K is None
+    for _ in range(5):
+        z = 30.0 * r * rng.standard_normal(15)
+        grad, P = _log_domain(inst, r, z)
+        assert np.array_equal(h.grad(z), grad)
+        assert np.array_equal(plan_from_dual(inst, r, z[:6], z[6:]).X, P)
+
+
+def test_backstop_takes_log_domain_when_scaled_total_is_tiny():
+    """The cell at (max u, max v) costs 700 r and every other cell is e^-1000 below it.
+
+    The scaled total is then about e^-700, under the floor m n 2^52 tiny,
+    so the gradient and the plan come from the log domain, bit for bit.
+    """
+    r = 0.01
+    inst = OTInstance(C=[[7.0, 0.0], [0.0, 7.0]], mu=[0.5, 0.5], nu=[0.5, 0.5])
+    z = np.array([0.0, -10.0, 0.0, -10.0])  # |u|/r spread 1000
+    h = OTDualObjective(inst, r=r)
+    assert h._K is not None and _scaling(r, z[:2], z[2:], h._K) is None
+    grad, P = _log_domain(inst, r, z)
+    assert np.array_equal(h.grad(z), grad)
+    assert np.array_equal(plan_from_dual(inst, r, z[:2], z[2:]).X, P)
+    assert P[0, 0] == 1.0
+    assert h._buffer is not None
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(h.grad(np.full(4, np.nan))).all()  # nan input reaches the log domain
 
 
 def test_plan_from_dual_uniform_and_normalized(rng):
@@ -228,6 +291,21 @@ def test_solve_ot_counts_every_gradient_call(rng, monkeypatch):
     res = solve_ot(_random_instance(rng, 10, 10), 0.05)
     assert res.report["N"] > 1  # several attempts, each one ending in a grad_l1
     assert res.report["grad_evals"] == len(calls)
+
+
+def test_solve_ot_never_passes_eval_cap(rng, monkeypatch):
+    """The budget is checked before each attempt, not only between them."""
+    calls = []
+    grad = OTDualObjective.grad
+
+    def counted(self, z):
+        calls.append(1)
+        return grad(self, z)
+
+    monkeypatch.setattr(OTDualObjective, "grad", counted)
+    with pytest.raises(RuntimeError, match="budget 60 exhausted"):
+        solve_ot(_random_instance(rng, 30, 30), 0.001, eval_cap=60)
+    assert 0 < len(calls) <= 60
 
 
 def _restart_reference(inst, eps):
