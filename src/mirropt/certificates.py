@@ -11,7 +11,8 @@ bijection
     C_0 = u_N A_N,  C_{N-i} - C_{N-i-1} = u_i (A_i - A_{i+1}),  D_i = B_{N-i}
 
 maps one onto the other exactly, for any schedule, which is the
-identity realized numerically by check_mirror_duality.
+identity realized numerically by check_mirror_duality.  The closed forms
+take scenarios with leading batch axes and evaluate them all at once.
 """
 
 from __future__ import annotations
@@ -38,10 +39,18 @@ __all__ = [
     "DualityReport",
 ]
 
+# Trials drawn and evaluated together by check_mirror_duality, so that its
+# memory is bounded by the block, whatever the number of trials.
+TRIAL_BLOCK = 1024
+
 
 @dataclass
 class GradientScenario:
-    """Free variables standing for {grad f(x_i)} (A) and {grad phi*(y_i)} (B)."""
+    """Free variables standing for {grad f(x_i)} (A) and {grad phi*(y_i)} (B).
+
+    Vectors have shape (..., d); leading batch axes, shared by all 2N+2
+    vectors, hold that many scenarios at once.
+    """
 
     A: List[Vector]
     B: List[Vector]
@@ -208,20 +217,25 @@ def dual_energy_trace(
 
 
 def _stacked(s: CoefficientSchedule, scenario: GradientScenario):
-    """The scenario's two families as (N+1, d) arrays."""
+    """The scenario's two families as (..., N+1, d) arrays."""
     if scenario.N != s.N:
         raise ValueError("scenario length does not match schedule")
-    return np.stack(scenario.A), np.stack(scenario.B)
+    return np.stack(scenario.A, axis=-2), np.stack(scenario.B, axis=-2)
+
+
+def _per_scenario(x: np.ndarray):
+    """One value per batch index, or a plain float for a single scenario."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _norm_sums(w: np.ndarray, X: np.ndarray, Y: np.ndarray, L: float, sigma: float,
-               norm: Optional[NormIndex]) -> float:
+               norm: Optional[NormIndex]) -> np.ndarray:
     """sum_k w_k/(2L) ||X_k - X_{k+1}||_q^2 + sigma/2 ||Y_k - Y_{k+1}||_p^2."""
     p = norm.p if norm is not None else 2.0
     q = norm.q if norm is not None else 2.0
-    dX = np.sum(np.abs(np.diff(X, axis=0)) ** q, axis=1) ** (2.0 / q)
-    dY = np.sum(np.abs(np.diff(Y, axis=0)) ** p, axis=1) ** (2.0 / p)
-    return float(w @ dX / (2.0 * L) + sigma / 2.0 * np.sum(dY))
+    dX = np.sum(np.abs(np.diff(X, axis=-2)) ** q, axis=-1) ** (2.0 / q)
+    dY = np.sum(np.abs(np.diff(Y, axis=-2)) ** p, axis=-1) ** (2.0 / p)
+    return dX @ w / (2.0 * L) + sigma / 2.0 * np.sum(dY, axis=-1)
 
 
 def evaluate_U(
@@ -231,16 +245,17 @@ def evaluate_U(
     sigma: float,
     scenario: GradientScenario,
     norm: Optional[NormIndex] = None,
-) -> float:
-    """Closed-form U_A as a function of the gradient families alone."""
+):
+    """Closed-form U_A from the gradient families alone, one value per scenario."""
     A, B = _stacked(s, scenario)
     u = np.asarray(u, dtype=np.float64)
     # x_k as driven by the schedule when grad phi*(y_i) is replaced by B_i.
-    xs = B[0] - np.cumsum(np.vstack([np.zeros_like(B[:1]), s.b[1:] @ B]), axis=0)
-    dA = A - np.vstack([A[1:], np.zeros_like(A[:1])])  # A_k - A_{k+1}, A_{N+1} = 0
-    return (_norm_sums(u[:-1], A, B, L, sigma, norm)
-            + float(np.sum((s.a[1:] @ A) * B[1:]))
-            - float(np.sum(u[:, None] * dA * xs)))
+    x0 = B[..., :1, :]
+    xs = np.concatenate([x0, x0 - np.cumsum(s.b[1:] @ B, axis=-2)], axis=-2)
+    dA = -np.diff(A, axis=-2, append=0.0)  # A_k - A_{k+1}, A_{N+1} = 0
+    return _per_scenario(_norm_sums(u[:-1], A, B, L, sigma, norm)
+                         + np.sum((s.a[1:] @ A) * B[..., 1:, :], axis=(-2, -1))
+                         - np.sum(u[:, None] * dA * xs, axis=(-2, -1)))
 
 
 def evaluate_V(
@@ -250,17 +265,17 @@ def evaluate_V(
     sigma: float,
     scenario: GradientScenario,
     norm: Optional[NormIndex] = None,
-) -> float:
-    """Closed-form V_B of the mirror dual of s, on scenario (C, D)."""
+):
+    """Closed-form V_B of the mirror dual of s on (C, D), one value per scenario."""
     C, D = _stacked(s, scenario)
     v = np.asarray(v, dtype=np.float64)
     # The mirror dual of s, read as stored: r_{k-1} - r_k = (b_dual @ C)_k
     # and q_k - q_{k+1} = (a_dual[1:] @ D)_k.
     a_dual, b_dual = anti_transpose(s.a), anti_transpose(s.b)
-    bracket = v[1:, None] * C[1:] - np.cumsum(np.diff(v)[:, None] * C[:-1], axis=0)
-    return (_norm_sums(v[1:], C, D, L, sigma, norm)
-            + float(np.sum((b_dual @ C) * D))
-            + float(np.sum(bracket * (a_dual[1:] @ D))))
+    bracket = v[1:, None] * C[..., 1:, :] - np.cumsum(np.diff(v)[:, None] * C[..., :-1, :], axis=-2)
+    return _per_scenario(_norm_sums(v[1:], C, D, L, sigma, norm)
+                         + np.sum((b_dual @ C) * D, axis=(-2, -1))
+                         + np.sum(bracket * (a_dual[1:] @ D), axis=(-2, -1)))
 
 
 def duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
@@ -268,20 +283,18 @@ def duality_transform(u: Sequence[float], scenario: GradientScenario) -> Gradien
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0):
         raise ValueError("u must be positive")
-    A, B = np.stack(scenario.A), np.stack(scenario.B)
-    dA = A - np.vstack([A[1:], np.zeros_like(A[:1])])  # A_i - A_{i+1}, A_{N+1} = 0
+    dA = -np.diff(np.stack(scenario.A, axis=-2), axis=-2, append=0.0)  # A_i - A_{i+1}, A_{N+1} = 0
     # C_0 = u_N A_N and C_{N-i} = C_{N-i-1} + u_i (A_i - A_{i+1}).
-    C = np.cumsum((u[:, None] * dA)[::-1], axis=0)
-    return GradientScenario(A=list(C), B=list(B[::-1]))
+    C = np.cumsum((u[:, None] * dA)[..., ::-1, :], axis=-2)
+    return GradientScenario(A=list(np.moveaxis(C, -2, 0)), B=scenario.B[::-1])
 
 
 def inverse_duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
     u = np.asarray(u, dtype=np.float64)
-    C, D = np.stack(scenario.A), np.stack(scenario.B)
     # A_N = C_0 / u_N and A_i = A_{i+1} + (C_{N-i} - C_{N-i-1}) / u_i.
-    steps = np.vstack([C[:1], np.diff(C, axis=0)])[::-1] / u[:, None]
-    A = np.cumsum(steps[::-1], axis=0)[::-1]
-    return GradientScenario(A=list(A), B=list(D[::-1]))
+    steps = np.diff(np.stack(scenario.A, axis=-2), axis=-2, prepend=0.0)[..., ::-1, :] / u[:, None]
+    A = np.cumsum(steps[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return GradientScenario(A=list(np.moveaxis(A, -2, 0)), B=scenario.B[::-1])
 
 
 @dataclass
@@ -322,6 +335,7 @@ def check_mirror_duality(
     v defaults to the conjugate weights 1/u_{N-i}; passing anything else
     breaks the identity and is reported as failures.  At least one trial
     in at least one dimension is required: with none, nothing is checked.
+    A nan residual, as when the magnitude overflows the norms, fails its trial.
     """
     if trials < 1 or dim < 1:
         raise ValueError("check_mirror_duality needs trials >= 1 and dim >= 1")
@@ -332,14 +346,15 @@ def check_mirror_duality(
         v = [1.0 / u[N - i] for i in range(N + 1)]
     max_res = 0.0
     failures = []
-    for t in range(trials):
-        A = [magnitude * rng.standard_normal(dim) for _ in range(N + 1)]
-        B = [magnitude * rng.standard_normal(dim) for _ in range(N + 1)]
-        sc = GradientScenario(A=A, B=B)
+    for start in range(0, trials, TRIAL_BLOCK):
+        # Trial by trial, A_0..A_N then B_0..B_N: the per-vector stream.
+        AB = magnitude * rng.standard_normal((min(TRIAL_BLOCK, trials - start), 2, N + 1, dim))
+        sc = GradientScenario(A=list(AB[:, 0].swapaxes(0, 1)), B=list(AB[:, 1].swapaxes(0, 1)))
         u_val = evaluate_U(s, u, L, sigma, sc, norm=norm)
         v_val = evaluate_V(s, v, L, sigma, duality_transform(u, sc), norm=norm)
-        res = abs(u_val - v_val) / (1.0 + abs(u_val))
-        max_res = max(max_res, res)
-        if res > tol:
-            failures.append({"trial": t, "U": u_val, "V": v_val, "residual": res})
+        res = np.abs(u_val - v_val) / (1.0 + np.abs(u_val))
+        max_res = float(np.maximum(max_res, np.max(res)))
+        # Written as "not <=" so that a nan residual fails.
+        failures += [{"trial": start + int(t), "U": float(u_val[t]), "V": float(v_val[t]),
+                      "residual": float(res[t])} for t in np.flatnonzero(~(res <= tol))]
     return DualityReport(trials=trials, max_residual=max_res, failures=failures, tol=tol)

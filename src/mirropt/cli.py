@@ -46,8 +46,13 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {e}")
 
 
+# method -> (runner, key of its start point in the config)
+_METHODS = {"amd": (methods.run_amd, "y0"), "dual-amd": (methods.run_dual_amd, "q0"),
+            "md": (methods.run_md, "y0"), "dual-md": (methods.run_dual_md, "q0")}
+
+
 def _run_from_config(cfg: dict):
-    """Execute the configured method; returns (run, f, g, extras)."""
+    """Execute the configured method; returns (run, f, g)."""
     try:
         method = cfg["method"]
         f = objective_from_descriptor(cfg["objective"])
@@ -57,21 +62,13 @@ def _run_from_config(cfg: dict):
         raise UsageError(f"bad config: {e}")
     if N < 1:
         raise UsageError("N >= 1 required")
-    L = cfg.get("L")
-    sigma = cfg.get("sigma")
-    if method == "amd":
-        y0 = np.asarray(cfg.get("y0", np.zeros(_dim(cfg))), dtype=np.float64)
-        return methods.run_amd(f, g, y0, N, L=L, sigma=sigma), f, g
-    if method == "dual-amd":
-        q0 = np.asarray(cfg.get("q0", np.zeros(_dim(cfg))), dtype=np.float64)
-        return methods.run_dual_amd(f, g, q0, N, L=L, sigma=sigma), f, g
-    if method == "md":
-        y0 = np.asarray(cfg.get("y0", np.zeros(_dim(cfg))), dtype=np.float64)
-        return methods.run_md(f, g, float(cfg["alpha"]), y0, N), f, g
-    if method == "dual-md":
-        q0 = np.asarray(cfg.get("q0", np.zeros(_dim(cfg))), dtype=np.float64)
-        return methods.run_dual_md(f, g, float(cfg["alpha"]), q0, N), f, g
-    raise UsageError(f"unknown method {method!r}")
+    if method not in _METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    runner, key = _METHODS[method]
+    start = np.asarray(cfg[key] if key in cfg else np.zeros(_dim(cfg)), dtype=np.float64)
+    if method in ("md", "dual-md"):
+        return runner(f, g, float(cfg["alpha"]), start, N), f, g
+    return runner(f, g, start, N, L=cfg.get("L"), sigma=cfg.get("sigma")), f, g
 
 
 def _dim(cfg: dict) -> int:
@@ -248,8 +245,7 @@ def cmd_ot(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(result.to_json_dict(), fh, indent=1)
         fh.write("\n")
-    m, n = inst.shape
-    if (m == 2 and n == 2) or m * n <= 12:
+    if inst.C.size <= 12:
         gap = result.cost - ot.lp_oracle(inst)
         print(f"cost={_fmt(result.cost)} N={result.report['N']} gap={_fmt(gap)}")
     else:

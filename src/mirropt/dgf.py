@@ -31,7 +31,8 @@ def _norm_power_map(z: Vector, r: float) -> Vector:
     nonzero z (|z_i|^r under- or overflows), it is taken at z scaled by a
     power of two of max|z| and scaled back; in-range inputs keep their floats.
     """
-    nz = lp_norm(z, r)
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        nz = lp_norm(z, r)
     e = 0
     if nz == 0.0 or nz == np.inf:
         big = float(np.max(np.abs(z)))

@@ -204,12 +204,7 @@ def objective_from_descriptor(desc: dict) -> SmoothObjective:
     if kind == "log-sum-exp":
         return LogSumExp(r=float(desc["r"]), n=int(desc["n"]))
     if kind == "ot-dual":
-        from .ot import OTInstance, OTDualObjective
+        from .ot import OTDualObjective, instance_from_descriptor
 
-        inst = OTInstance(
-            C=np.asarray(desc["C"], dtype=np.float64),
-            mu=np.asarray(desc["mu"], dtype=np.float64),
-            nu=np.asarray(desc["nu"], dtype=np.float64),
-        )
-        return OTDualObjective(inst, r=float(desc["r"]))
+        return OTDualObjective(instance_from_descriptor(desc), r=float(desc["r"]))
     raise ValueError(f"unknown objective kind {kind!r}")

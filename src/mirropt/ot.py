@@ -20,9 +20,9 @@ would lose floats: when C.max()/r exceeds -log(tiny) (some K_ij would
 not be a normal float), and, as a backstop, when the scaled total is
 not finite or so small that entries within 2^-52 of the largest could
 underflow.  Both rules depend only on (C, r, u, v), so the gradient is a
-pure function of the point.  A tiny exact LP oracle (endpoint
-evaluation for 2x2, basic-solution enumeration up to 12 cells) supplies
-the reference optimum for the accuracy checks.
+pure function of the point.  A tiny exact LP oracle (basic-solution
+enumeration up to 12 cells) supplies the reference optimum for the
+accuracy checks.
 """
 
 from __future__ import annotations
@@ -388,18 +388,6 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     return OTResult(plan=rounded, cost=cost, report=report)
 
 
-def _lp_oracle_2x2(inst: OTInstance) -> float:
-    mu, nu, C = inst.mu, inst.nu, inst.C
-    lo = max(0.0, mu[0] + nu[0] - 1.0)
-    hi = min(mu[0], nu[0])
-
-    def cost(t):
-        X = np.array([[t, mu[0] - t], [nu[0] - t, mu[1] - (nu[0] - t)]])
-        return float(np.sum(C * X))
-
-    return min(cost(lo), cost(hi))
-
-
 def _lp_oracle_enumerate(inst: OTInstance) -> float:
     """Minimum over basic feasible solutions with m+n-1 support cells."""
     m, n = inst.shape
@@ -425,9 +413,6 @@ def _lp_oracle_enumerate(inst: OTInstance) -> float:
 
 def lp_oracle(inst: OTInstance) -> float:
     """Exact optimal transport cost for tiny instances."""
-    m, n = inst.shape
-    if m == 2 and n == 2:
-        return _lp_oracle_2x2(inst)
-    if m * n <= 12:
+    if inst.C.size <= 12:
         return _lp_oracle_enumerate(inst)
-    raise ValueError("lp_oracle supports 2x2 or up to 12 cells")
+    raise ValueError("lp_oracle supports up to 12 cells")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirropt import certificates
 from mirropt.certificates import (
     GradientScenario,
     check_mirror_duality,
@@ -225,6 +226,120 @@ def test_duality_check_reports_mismatched_v():
     assert len(rep.failures) > 0
     doc = rep.to_json_dict()
     assert set(doc) == {"trials", "max_residual", "failures", "tol"}
+
+
+def _per_trial_check(s, u, L, sigma, trials, dim, norm=None, tol=1e-9, seed=0, v=None):
+    """check_mirror_duality as one scenario per trial: the reference for the batched form."""
+    rng = np.random.default_rng(seed)
+    N = s.N
+    v = [1.0 / u[N - i] for i in range(N + 1)] if v is None else v
+    max_res, failures = 0.0, []
+    for t in range(trials):
+        A = [rng.standard_normal(dim) for _ in range(N + 1)]
+        B = [rng.standard_normal(dim) for _ in range(N + 1)]
+        sc = GradientScenario(A=A, B=B)
+        u_val = evaluate_U(s, u, L, sigma, sc, norm=norm)
+        v_val = evaluate_V(s, v, L, sigma, duality_transform(u, sc), norm=norm)
+        res = abs(u_val - v_val) / (1.0 + abs(u_val))
+        max_res = max(max_res, res)
+        if res > tol:
+            failures.append({"trial": t, "U": u_val, "V": v_val, "residual": res})
+    return max_res, failures
+
+
+def _assert_same_report(rep, max_res, failures):
+    assert [f["trial"] for f in rep.failures] == [f["trial"] for f in failures]
+    for got, want in zip(rep.failures, failures):
+        assert all(type(got[k]) is type(want[k]) for k in want)  # plain JSON values
+        assert got["U"] == pytest.approx(want["U"], rel=1e-12)
+        assert got["V"] == pytest.approx(want["V"], rel=1e-12)
+    if failures:
+        assert rep.max_residual == pytest.approx(max_res, rel=1e-10)
+    else:  # roundoff on both sides
+        assert max(rep.max_residual, max_res) <= 1e-12
+
+
+def _schedules(rng):
+    N = 7
+    u_amd, _ = _amd_weights(N, 1.4, 0.8)
+    yield amd_schedule(N, 1.4, 0.8), u_amd
+    for N in (1, 4, 9):
+        yield random_schedule(N, rng), np.cumsum(rng.uniform(0.1, 1.0, N + 1)).tolist()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("v_scale", [1.0, 1.1])
+def test_duality_check_matches_per_trial_loop(p, v_scale, rng):
+    for s, u in _schedules(rng):
+        N = s.N
+        v = [v_scale / u[N - i] for i in range(N + 1)]
+        kw = dict(L=1.4, sigma=0.8, trials=60, dim=3, norm=NormIndex(p), seed=5, v=v)
+        rep = check_mirror_duality(s, u, **kw)
+        max_res, failures = _per_trial_check(s, u, **kw)
+        assert rep.trials == 60
+        assert len(failures) == (0 if v_scale == 1.0 else 60)
+        _assert_same_report(rep, max_res, failures)
+
+
+def test_duality_check_is_independent_of_the_block(monkeypatch):
+    N, L, sigma = 6, 1.0, 1.0
+    s = amd_schedule(N, L, sigma)
+    u, _ = _amd_weights(N, L, sigma)
+    v = [1.1 / u[N - i] for i in range(N + 1)]
+    whole = check_mirror_duality(s, u, L, sigma, trials=50, dim=4, seed=3, v=v)
+    monkeypatch.setattr(certificates, "TRIAL_BLOCK", 7)
+    blocked = check_mirror_duality(s, u, L, sigma, trials=50, dim=4, seed=3, v=v)
+    _assert_same_report(blocked, whole.max_residual, whole.failures)
+    assert [f["residual"] for f in blocked.failures] == pytest.approx(
+        [f["residual"] for f in whole.failures], rel=1e-12)
+
+
+def test_duality_check_fails_overflowed_trials():
+    # ||A_k - A_{k+1}||^2 overflows: the residuals are nan and must not pass.
+    N = 4
+    s = amd_schedule(N, 1.0, 1.0)
+    u, _ = _amd_weights(N, 1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_mirror_duality(s, u, 1.0, 1.0, trials=5, dim=3, magnitude=1e160)
+    assert not rep.ok
+    assert [f["trial"] for f in rep.failures] == list(range(5))
+    assert np.isnan(rep.max_residual)
+
+
+@pytest.mark.parametrize("p", [None, 1.5])
+def test_batched_scenario_matches_single_scenarios(p, rng):
+    T, N, d = 5, 6, 3
+    s = random_schedule(N, rng)
+    u = np.cumsum(rng.uniform(0.1, 1.0, N + 1)).tolist()
+    v = rng.uniform(0.1, 1.0, N + 1).tolist()
+    norm = NormIndex(p) if p else None
+    A = rng.standard_normal((N + 1, T, d))
+    B = rng.standard_normal((N + 1, T, d))
+    batch = GradientScenario(A=list(A), B=list(B))
+    singles = [GradientScenario(A=list(A[:, t]), B=list(B[:, t])) for t in range(T)]
+    got_u = evaluate_U(s, u, 1.3, 0.7, batch, norm=norm)
+    got_v = evaluate_V(s, v, 1.3, 0.7, batch, norm=norm)
+    assert got_u.shape == got_v.shape == (T,)
+    assert got_u == pytest.approx([evaluate_U(s, u, 1.3, 0.7, sc, norm=norm) for sc in singles],
+                                  rel=1e-13)
+    assert got_v == pytest.approx([evaluate_V(s, v, 1.3, 0.7, sc, norm=norm) for sc in singles],
+                                  rel=1e-13)
+    for transform in (duality_transform, inverse_duality_transform):
+        out = transform(u, batch)
+        for t, sc in enumerate(singles):
+            one = transform(u, sc)
+            for x, y in zip(out.A + out.B, one.A + one.B):
+                assert np.allclose(x[t], y, rtol=1e-14, atol=1e-14)
+
+
+def test_single_scenario_values_are_floats(rng):
+    N = 4
+    s = random_schedule(N, rng)
+    u = np.cumsum(rng.uniform(0.1, 1.0, N + 1)).tolist()
+    sc = GradientScenario(A=list(rng.standard_normal((N + 1, 3))),
+                          B=list(rng.standard_normal((N + 1, 3))))
+    assert type(evaluate_U(s, u, 1.0, 1.0, sc)) is float
+    assert type(evaluate_V(s, u, 1.0, 1.0, duality_transform(u, sc))) is float
 
 
 def test_scenario_validation():

@@ -109,6 +109,35 @@ def test_dual_amd_shifted_dgf_trace_certifies(tmp_path):
     assert main(["certify", "--trace", str(out), "--config", cfg]) == 0
 
 
+# The OT dual has no "n" or "b" from which a zero start could be sized.
+OT_DUAL_OBJECTIVE = {"kind": "ot-dual", "C": [[0.0, 1.0], [1.0, 0.0]],
+                     "mu": [0.5, 0.5], "nu": [0.3, 0.7], "r": 0.1}
+
+
+@pytest.mark.parametrize("method, key", [
+    ("amd", "y0"), ("dual-amd", "q0"), ("md", "y0"), ("dual-md", "q0"),
+])
+def test_run_and_certify_from_explicit_start(tmp_path, method, key):
+    doc = {"method": method, "objective": OT_DUAL_OBJECTIVE, "N": 10, key: [0.1, 0.0, -0.1, 0.2],
+           "alpha": 0.05}
+    cfg = _write(tmp_path / "cfg.json", doc)
+    out = str(tmp_path / "trace.csv")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    assert main(["certify", "--trace", out, "--config", cfg]) == 0
+
+
+def test_run_without_inferable_start_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"method": "amd", "objective": OT_DUAL_OBJECTIVE, "N": 5})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+    assert "cannot infer dimension" in capsys.readouterr().err
+
+
+def test_run_unknown_method_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", dict(AMD_CONFIG, method="newton"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+    assert "unknown method 'newton'" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exits_4(tmp_path, capsys):
     # L far below the true constant 4: AMD diverges (non-finite y at k = 80).

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,17 @@ def test_mirror_maps_are_homogeneous_outside_norm_range(p, t, y):
             got = f(t * y)
             assert np.all(np.isfinite(got))
             assert np.allclose(got, t * f(y), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+def test_mirror_maps_do_not_warn_on_norm_overflow(p):
+    """The overflowed norm is rescaled, so no RuntimeWarning reaches the caller."""
+    g = squared_lp(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (g.conjugate_grad, g.grad):
+            assert np.allclose(f(np.array([1e300, -1e300])), 1e300 * f(np.array([1.0, -1.0])),
+                               rtol=1e-13, atol=0.0)
 
 
 def test_grad_examples():
