@@ -13,16 +13,18 @@ feasibility yields a plan whose cost is within epsilon of optimal.
 
 The Gibbs kernel is separable, exp((u_i + v_j - c_ij) / r) =
 e^{u_i/r} K_ij e^{v_j/r} with K = exp(-C/r), so the gradient and the
-plan are taken in this scaling form: K once per objective, then two
+plan are taken in this scaling form: K once per solve, then two
 matrix-vector products and m + n exponentials per gradient.  The log
 domain (shift by the max, exponentiate, normalize) is kept where K
 would lose floats: when C.max()/r exceeds -log(tiny) (some K_ij would
 not be a normal float), and, as a backstop, when the scaled total is
 not finite or so small that entries within 2^-52 of the largest could
 underflow.  Both rules depend only on (C, r, u, v), so the gradient is a
-pure function of the point.  A tiny exact LP oracle (basic-solution
-enumeration up to 12 cells) supplies the reference optimum for the
-accuracy checks.
+pure function of the point.  The rounding and suboptimality bounds use
+only the gradient at the returned point, so the solver stops at the
+first gradient it evaluates within tolerance.  A tiny exact LP oracle
+(basic-solution enumeration up to 12 cells) supplies the reference
+optimum for the accuracy checks.
 """
 
 from __future__ import annotations
@@ -177,18 +179,26 @@ def _marginals(
     v: Vector,
     K: Optional[np.ndarray],
     buffer: Callable[[], np.ndarray],
-) -> Tuple[Vector, Vector]:
-    """Row and column sums of the normalized Gibbs kernel at (u, v).
+) -> Vector:
+    """Row sums, then column sums, of the normalized Gibbs kernel at (u, v), in one array.
 
     Scaling form when _scaling allows it, else the log-domain kernel in
     buffer(), which is called only then.
     """
+    m = u.size
+    out = np.empty(m + v.size)
     s = _scaling(r, u, v, K)
     if s is None:
         P = _gibbs(inst, r, u, v, buffer())
-        return P.sum(axis=1), P.sum(axis=0)
+        P.sum(axis=1, out=out[:m])
+        P.sum(axis=0, out=out[m:])
+        return out
     a, b, row, tot = s
-    return row / tot, b * (a @ K) / tot
+    np.divide(row, tot, out=out[:m])
+    cols = np.matmul(a, K, out=out[m:])
+    cols *= b
+    cols /= tot
+    return out
 
 
 def ot_dual_grad(inst: OTInstance, r: float, u: Vector, v: Vector) -> Tuple[Vector, Vector]:
@@ -197,8 +207,9 @@ def ot_dual_grad(inst: OTInstance, r: float, u: Vector, v: Vector) -> Tuple[Vect
         raise ValueError("temperature r must be positive")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    rows, cols = _marginals(inst, r, u, v, _scaling_kernel(inst, r), lambda: np.empty(inst.shape))
-    return rows - inst.mu, cols - inst.nu
+    g = _marginals(inst, r, u, v, _scaling_kernel(inst, r), lambda: np.empty(inst.shape))
+    g -= np.concatenate([inst.mu, inst.nu])
+    return g[: u.size], g[u.size:]
 
 
 def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> TransportPlan:
@@ -207,15 +218,19 @@ def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> Transpor
         raise ValueError("temperature r must be positive")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    K = _scaling_kernel(inst, r)
+    return _plan(inst, r, u, v, _scaling_kernel(inst, r))
+
+
+def _plan(inst: OTInstance, r: float, u: Vector, v: Vector, K: Optional[np.ndarray]) -> TransportPlan:
+    """plan_from_dual with the scaling kernel K (None above the gate) supplied; K is not modified."""
     s = _scaling(r, u, v, K)
     if s is None:
         return TransportPlan(X=_gibbs(inst, r, u, v, np.empty(inst.shape)))
     a, b, _, tot = s
-    K *= a[:, None]
-    K *= b[None, :]
-    K /= tot
-    return TransportPlan(X=K)
+    X = K * a[:, None]
+    X *= b[None, :]
+    X /= tot
+    return TransportPlan(X=X)
 
 
 def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
@@ -266,6 +281,7 @@ class OTDualObjective(SmoothObjective):
         self.f_star = None
         self._m, self._n = self.inst.shape
         self._K = _scaling_kernel(self.inst, self.r)
+        self._mu_nu = np.concatenate([self.inst.mu, self.inst.nu])
         self._buffer = None  # log-domain kernel, reused once allocated
 
     def split(self, z: Vector) -> Tuple[Vector, Vector]:
@@ -278,8 +294,9 @@ class OTDualObjective(SmoothObjective):
 
     def grad(self, z: Vector) -> Vector:
         u, v = self.split(z)
-        rows, cols = _marginals(self.inst, self.r, u, v, self._K, self._log_buffer)
-        return np.concatenate([rows - self.inst.mu, cols - self.inst.nu])
+        g = _marginals(self.inst, self.r, u, v, self._K, self._log_buffer)
+        g -= self._mu_nu
+        return g
 
     def _log_buffer(self) -> np.ndarray:
         if self._buffer is None:
@@ -293,24 +310,52 @@ class OTDualObjective(SmoothObjective):
         return d
 
 
-class _CountingObjective(SmoothObjective):
-    """Wrapper that counts gradient evaluations for the solver budget."""
+class _Certified(Exception):
+    """Raised by _CountingObjective at the first gradient within tolerance."""
 
-    def __init__(self, base: SmoothObjective):
+
+class _CountingObjective(SmoothObjective):
+    """The wrapper every gradient of solve_ot goes through: it counts, caps and certifies.
+
+    Call eval_cap + 1 raises RuntimeError before evaluating.  The first
+    gradient g with ||g||_1 <= grad_tol certifies its own point: the point
+    and that norm are kept in z and grad_l1, and _Certified ends the
+    search.  Since ||g||_2 <= ||g||_1, the one-dot screen g @ g <= tol^2
+    (looser by 1e-9, more than the rounding of both sums for m + n below
+    10^6) skips the l1 norm on almost every gradient; nan passes neither.
+    """
+
+    def __init__(self, base: SmoothObjective, grad_tol: float, eval_cap: int):
         self.base = base
         self.kind = base.kind
         self.L = base.L
         self.norm_p = base.norm_p
         self.x_star = base.x_star
         self.f_star = base.f_star
+        self.grad_tol = grad_tol
+        self.eval_cap = eval_cap
+        self._screen = grad_tol * grad_tol * (1.0 + 1e-9)
         self.grad_evals = 0
+        self.z: Optional[Vector] = None
+        self.grad_l1 = math.inf
 
     def value(self, x):
         return self.base.value(x)
 
     def grad(self, x):
+        if self.grad_evals >= self.eval_cap:
+            raise RuntimeError(
+                f"gradient-evaluation budget {self.eval_cap} exhausted before a gradient "
+                f"reached l1 norm {self.grad_tol:.3e}"
+            )
         self.grad_evals += 1
-        return self.base.grad(x)
+        g = self.base.grad(x)
+        if g @ g <= self._screen:
+            grad_l1 = float(np.sum(np.abs(g)))
+            if grad_l1 <= self.grad_tol:
+                self.z, self.grad_l1 = x, grad_l1
+                raise _Certified
+        return g
 
 
 @dataclass
@@ -332,15 +377,17 @@ class OTResult:
 def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> OTResult:
     """Accuracy-epsilon transport plan via the smoothed-dual pipeline.
 
-    Sets r = eps / (2 log mn), runs the value-stage/gradient-stage
-    concatenation on h from (0, 0), doubling N until
-    ||grad h||_1 <= eps / (8 ||C||_inf), then rounds the softmax plan.
-    The AMD stage's iterates before x_N do not depend on N, so every
-    attempt reads its x_N off one shared AMDPath and only the dual-AMD
-    stage reruns.  The floats are those of a fresh run_concat per N;
-    report["grad_evals"] is N + sum(N_j + 1) over the attempts N_j.  An
-    attempt that would take the evaluations past eval_cap is not started:
-    RuntimeError, with at most eval_cap gradients spent.
+    Sets r = eps / (2 log mn) and runs the value-stage/gradient-stage
+    concatenation on h from (0, 0), doubling N, until a gradient with
+    ||grad h||_1 <= eps / (8 ||C||_inf) is evaluated; the softmax plan at
+    that gradient's point is rounded.  The AMD stage's iterates before x_N
+    do not depend on N, so every attempt reads its x_N off one shared
+    AMDPath and only the dual-AMD stage reruns.  Gradients are scanned in
+    the order they are evaluated (the path's x_0 .. x_{N-1}, then the
+    attempt's q_0 .. q_N), and the first within tolerance ends the search:
+    report["N"] is that attempt's horizon and report["grad_evals"] the
+    exact count of gradient calls.  The call past eval_cap is refused:
+    RuntimeError, with exactly eval_cap gradients spent.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -351,27 +398,20 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     c_max = float(np.max(np.abs(inst.C)))
     grad_tol = math.inf if c_max == 0.0 else eps / (8.0 * c_max)
 
-    h = _CountingObjective(OTDualObjective(inst, r=r))
+    h = _CountingObjective(OTDualObjective(inst, r=r), grad_tol, eval_cap)
     phi = euclidean()
     path = AMDPath(h, phi, np.zeros(m + n), L=h.L, sigma=1.0)
-    N, grad_l1 = 1, math.inf
-    while True:
-        # The path's extension to N plus the N + 1 gradients of dual-AMD.
-        if h.grad_evals + max(0, N - len(path.f_grads)) + N + 1 > eval_cap:
-            raise RuntimeError(
-                f"gradient-evaluation budget {eval_cap} exhausted at N={N} "
-                f"(grad l1 = {grad_l1:.3e}, tol = {grad_tol:.3e})"
-            )
-        run = run_dual_amd(h, phi, path.output(N), N, L=h.L, sigma=1.0)
-        z = run.final_x
-        # grad h(q_N), already evaluated by the run; no uncounted extra call.
-        grad_l1 = float(np.sum(np.abs(run.dual_traj.f_grads[-1])))
-        if grad_l1 <= grad_tol:
-            break
-        N *= 2
+    N = 1
+    try:
+        while True:
+            run_dual_amd(h, phi, path.output(N), N, L=h.L, sigma=1.0)
+            N *= 2
+    except _Certified:
+        pass
 
-    u, v = h.base.split(z)
-    raw = plan_from_dual(inst, r, u, v)
+    grad_l1 = h.grad_l1
+    u, v = h.base.split(h.z)
+    raw = _plan(inst, r, u, v, h.base._K)
     rounded = round_plan(inst, raw)
     cost = float(np.sum(inst.C * rounded.X))
     report = {

@@ -148,6 +148,31 @@ def test_ot_dual_constants_against_sampled_hessian(rng):
     assert top_l2 >= 0.95 * L2 and top_sup >= 0.95 * Linf
 
 
+@pytest.mark.parametrize("p, reached", [(1.5, 2.0 ** (-4.0 / 3.0)), (2.0, 0.5), (np.inf, 1.0)])
+def test_log_sum_exp_constant_per_norm_against_sampled_hessian(rng, p, reached):
+    """d^T H d <= smoothness_constant(f, p) ||d||_p^2 along sampled directions.
+
+    H = (1/r)(diag(s) - s s^T), so d^T H d = (1/r) Var_s(d) <= (1/r) ||d||_inf^2
+    <= (1/r) ||d||_p^2: the constant 1/r holds for every p and is reached
+    only in the sup norm.  The softmax split evenly over two coordinates
+    with d = (1, -1, 0, ...) gives the sampled maximum, which is
+    (1/r) ||d||_inf^2 / ||d||_p^2 = reached / r.
+    """
+    r, n, step = 0.1, 5, 1e-6
+    f = LogSumExp(r=r, n=n)
+    L = smoothness_constant(f, p)
+    points = [r * rng.standard_normal(n) for _ in range(60)] + [np.array([0.0, 0.0, -5.0, -5.0, -5.0])]
+    directions = [rng.standard_normal(n) for _ in range(30)] + [rng.choice([-1.0, 1.0], n) for _ in range(30)]
+    directions.append(np.array([1.0, -1.0, 0.0, 0.0, 0.0]))
+    top = 0.0
+    for x in points:
+        for d in directions:
+            curvature = float(d @ (f.grad(x + step * d) - f.grad(x - step * d))) / (2.0 * step)
+            top = max(top, curvature / lp_norm(d, p) ** 2)
+    assert top <= L * (1 + 1e-6)
+    assert top >= 0.99 * reached * L
+
+
 def test_dense_quadratic_validation():
     with pytest.raises(ValueError):
         DenseQuadratic(A=[[1.0, 2.0], [0.0, 1.0]], b=[0.0, 0.0])

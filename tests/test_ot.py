@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirropt import ot
 from mirropt.ot import (
     OTDualObjective,
     OTInstance,
     TransportPlan,
+    _Certified,
+    _CountingObjective,
     _gibbs,
     _LOG_TINY,
     _scaling,
@@ -227,6 +231,33 @@ def test_round_plan_exact_marginals(rng):
         assert out.marginal_residual(inst) <= 1e-12
 
 
+@st.composite
+def _marginal(draw, k):
+    """A probability vector of length k with some entries near 1e-12 (not all of them)."""
+    w = np.array(draw(st.lists(
+        st.one_of(st.floats(0.5, 1.5), st.floats(0.1, 10.0).map(lambda f: 1e-12 * f)),
+        min_size=k, max_size=k)))
+    w[draw(st.integers(0, k - 1))] = 1.0
+    return w / w.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_round_plan_feasible_with_marginals_near_1e_12(data):
+    """Rounding any nonnegative plan meets both marginals to a few ulps of the total mass."""
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 6))
+    mu, nu = data.draw(_marginal(m)), data.draw(_marginal(n))
+    inst = OTInstance(C=np.zeros((m, n)), mu=mu, nu=nu)
+    cells = st.one_of(st.just(0.0), st.floats(1e-15, 1.0), st.floats(1e-13, 1e-11))
+    X = np.array(data.draw(st.lists(cells, min_size=m * n, max_size=m * n))).reshape(m, n)
+    out = round_plan(inst, TransportPlan(X=X))
+    ulp = np.finfo(np.float64).eps
+    assert out.feasible
+    assert np.max(np.abs(out.X.sum(axis=1) - mu)) <= 4 * ulp
+    assert np.max(np.abs(out.X.sum(axis=0) - nu)) <= 4 * ulp
+    assert out.X.min() >= -4 * ulp * max(mu.max(), nu.max())
+
+
 def test_round_plan_rejects_negative():
     with pytest.raises(ValueError):
         TransportPlan(X=np.array([[-0.1, 0.6], [0.3, 0.2]]))
@@ -279,66 +310,166 @@ def test_solve_ot_validation_and_cap():
         solve_ot(inst, 0.001, eval_cap=8)
 
 
-def test_solve_ot_counts_every_gradient_call(rng, monkeypatch):
+def _record_grads(monkeypatch):
+    """Patch OTDualObjective.grad to record every (point, gradient) pair it returns."""
     calls = []
     grad = OTDualObjective.grad
 
-    def counted(self, z):
-        calls.append(1)
-        return grad(self, z)
+    def recorded(self, z):
+        g = grad(self, z)
+        calls.append((np.array(z), g.copy()))
+        return g
 
-    monkeypatch.setattr(OTDualObjective, "grad", counted)
+    monkeypatch.setattr(OTDualObjective, "grad", recorded)
+    return calls
+
+
+def test_solve_ot_counts_every_gradient_call(rng, monkeypatch):
+    calls = _record_grads(monkeypatch)
     res = solve_ot(_random_instance(rng, 10, 10), 0.05)
-    assert res.report["N"] > 1  # several attempts, each one ending in a grad_l1
+    assert res.report["N"] > 1  # several attempts
+    assert res.report["grad_evals"] == len(calls)
+
+
+@pytest.mark.parametrize("seed, m, n, eps", [(5, 10, 10, 0.05), (6, 3, 7, 0.02), (7, 30, 20, 0.1)])
+def test_solve_ot_stops_at_first_gradient_within_tolerance(seed, m, n, eps, monkeypatch):
+    """Exactly the last gradient evaluated certifies, and its l1 norm is the reported one."""
+    calls = _record_grads(monkeypatch)
+    res = solve_ot(_random_instance(np.random.default_rng(seed), m, n), eps)
+    tol = res.report["grad_tol"]
+    l1 = [float(np.sum(np.abs(g))) for _, g in calls]
+    assert [x <= tol for x in l1] == [False] * (len(l1) - 1) + [True]
+    assert l1[-1] == res.report["grad_l1"]
     assert res.report["grad_evals"] == len(calls)
 
 
 def test_solve_ot_never_passes_eval_cap(rng, monkeypatch):
-    """The budget is checked before each attempt, not only between them."""
-    calls = []
-    grad = OTDualObjective.grad
-
-    def counted(self, z):
-        calls.append(1)
-        return grad(self, z)
-
-    monkeypatch.setattr(OTDualObjective, "grad", counted)
+    """The budget is checked before each evaluation, not before each attempt."""
+    calls = _record_grads(monkeypatch)
     with pytest.raises(RuntimeError, match="budget 60 exhausted"):
         solve_ot(_random_instance(rng, 30, 30), 0.001, eval_cap=60)
-    assert 0 < len(calls) <= 60
+    assert len(calls) == 60
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 133])
+def test_solve_ot_spends_exactly_eval_cap(rng, monkeypatch, cap):
+    """eval_cap = k evaluates k gradients, then refuses the next one."""
+    calls = _record_grads(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"budget {cap} exhausted"):
+        solve_ot(_random_instance(rng, 8, 9), 0.001, eval_cap=cap)
+    assert len(calls) == cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solve_ot_past_log_domain_gate_returns_or_exhausts_budget(data):
+    """At eps 1e-6 a solve returns a certified plan or raises the budget RuntimeError (CLI
+    exit 4), and never overflows; C.max()/r is past the log-domain gate once C.max() > 5.2e-4."""
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    costs = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=m * n, max_size=m * n)
+    inst = OTInstance(C=scale * np.array(data.draw(costs)).reshape(m, n),
+                      mu=data.draw(_marginal(m)), nu=data.draw(_marginal(n)))
+    cap = data.draw(st.integers(1, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = solve_ot(inst, 1e-6, eval_cap=cap)
+        except RuntimeError as e:
+            assert f"budget {cap} exhausted" in str(e)
+            return
+    assert res.report["grad_evals"] <= cap
+    assert res.report["grad_l1"] <= res.report["grad_tol"]
+    assert res.plan.marginal_residual(inst) <= 1e-10
+    assert res.cost <= lp_oracle(inst) + 1e-6 * (1 + 1e-9)
+
+
+class _FixedGradients(OTDualObjective):
+    """The OT dual on _uniform2 whose gradients are read off a list, in call order."""
+
+    def __init__(self, grads):
+        super().__init__(_uniform2(), r=0.1)
+        self.grads = iter(grads)
+
+    def grad(self, z):
+        return np.array(next(self.grads))
+
+
+def test_counting_objective_certifies_first_l1_within_tolerance():
+    """l2 <= tol is not enough, l1 = tol exactly is; nan never certifies, even with tol = inf."""
+    tol = 0.1
+    counted = _CountingObjective(_FixedGradients([
+        [np.nan, 0.0, 0.0, 0.0], [0.03, -0.03, 0.03, -0.0301], [tol, 0.0, 0.0, 0.0]]), tol, eval_cap=5)
+    for _ in range(2):
+        counted.grad(np.zeros(4))
+    assert counted.z is None
+    with pytest.raises(_Certified):
+        counted.grad(np.ones(4))
+    assert counted.grad_l1 == tol and np.array_equal(counted.z, np.ones(4))
+    assert counted.grad_evals == 3
+    nan_only = _CountingObjective(_FixedGradients([[np.nan] * 4]), math.inf, eval_cap=1)
+    assert np.isnan(nan_only.grad(np.zeros(4))).all() and nan_only.z is None
+    with pytest.raises(RuntimeError, match="budget 1 exhausted"):
+        nan_only.grad(np.zeros(4))
+
+
+@pytest.mark.parametrize("eps, above_gate", [(0.05, False), (0.004, True)])
+def test_solve_ot_plan_is_plan_from_dual_at_stop_point(monkeypatch, eps, above_gate):
+    """The plan built from the objective's own kernel equals plan_from_dual's, bit for bit."""
+    inst = OTInstance(C=[[0.0, 1.0, 0.6], [0.9, 0.0, 0.3]], mu=[0.45, 0.55], nu=[0.2, 0.5, 0.3])
+    calls = _record_grads(monkeypatch)
+    raws = []
+
+    def spy(inst, plan):
+        raws.append(plan)
+        return round_plan(inst, plan)
+
+    monkeypatch.setattr(ot, "round_plan", spy)
+    res = solve_ot(inst, eps)
+    r = res.report["r"]
+    assert (inst.C.max() / r > _LOG_TINY) == above_gate
+    z = calls[-1][0]
+    assert np.array_equal(raws[0].X, plan_from_dual(inst, r, z[:2], z[2:]).X)
+    assert np.array_equal(res.plan.X, round_plan(inst, raws[0]).X)
 
 
 def _restart_reference(inst, eps):
-    """solve_ot as a fresh AMD + dual-AMD concatenation from 0 per doubling of N."""
+    """solve_ot as a fresh AMD + dual-AMD concatenation from 0 per doubling of N.
+
+    Gradients are scanned in the order solve_ot evaluates them: per
+    attempt N, the AMD path's new ones at x_{N/2} .. x_{N-1} (x_0 at
+    N = 1), then dual-AMD's at q_0 .. q_N.  The first with l1 norm <= tol
+    ends the search at its point.
+    """
     m, n = inst.shape
     r = eps / (2.0 * math.log(m * n))
     tol = eps / (8.0 * float(np.max(np.abs(inst.C))))
     h = OTDualObjective(inst, r=r)
-    N = 1
+    N, evals = 1, 0
     while True:
         run = run_concat(h, euclidean(), euclidean(), np.zeros(m + n), N, L=h.L, sigma1=1.0, sigma2=1.0)
-        grad_l1 = float(np.sum(np.abs(run.dual_amd.dual_traj.f_grads[-1])))
-        if grad_l1 <= tol:
-            break
+        amd, dual = run.amd.traj, run.dual_amd.dual_traj
+        path = [(amd.xs[k], amd.f_grads[k]) for k in range(N // 2, N)]
+        for z, g in path + list(zip(dual.qs, dual.f_grads)):
+            evals += 1
+            grad_l1 = float(np.sum(np.abs(g)))
+            if grad_l1 <= tol:
+                plan = round_plan(inst, plan_from_dual(inst, r, z[:m], z[m:]))
+                return plan, float(np.sum(inst.C * plan.X)), N, grad_l1, evals
         N *= 2
-    u, v = h.split(run.final_x)
-    plan = round_plan(inst, plan_from_dual(inst, r, u, v))
-    return plan, float(np.sum(inst.C * plan.X)), N, grad_l1
 
 
 @pytest.mark.parametrize("seed, m, n, eps", [(1, 4, 5, 0.1), (2, 6, 6, 0.05), (3, 9, 4, 0.08), (4, 3, 12, 0.2)])
 def test_solve_ot_matches_restart_reference(seed, m, n, eps):
-    """Sharing one AMD path across the doubling of N leaves every output float unchanged."""
+    """Sharing one AMD path and stopping at the first certified gradient gives the reference's floats."""
     inst = _random_instance(np.random.default_rng(seed), m, n)
     res = solve_ot(inst, eps)
-    plan, cost, N, grad_l1 = _restart_reference(inst, eps)
+    plan, cost, N, grad_l1, evals = _restart_reference(inst, eps)
     assert res.report["N"] == N > 1
     assert res.plan.X.tobytes() == plan.X.tobytes()
     assert res.cost == cost
     assert res.report["grad_l1"] == grad_l1
-    # N gradients along the shared AMD path, N_j + 1 per dual-AMD attempt.
-    attempts = [2 ** j for j in range(N.bit_length())]
-    assert res.report["grad_evals"] == N + sum(N_j + 1 for N_j in attempts)
+    assert res.report["grad_evals"] == evals
 
 
 def test_lp_oracle_examples():
