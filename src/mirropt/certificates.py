@@ -25,7 +25,7 @@ import numpy as np
 from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, anti_transpose
 from .dgf import DGF
 from .objectives import SmoothObjective
-from .spaces import NormIndex, Vector, lp_norm, pairing
+from .spaces import NormIndex, Vector, lp_norm, lp_norms, pairing, pairings
 
 __all__ = [
     "GradientScenario",
@@ -37,11 +37,38 @@ __all__ = [
     "duality_transform",
     "check_mirror_duality",
     "DualityReport",
+    "by_row_block",
 ]
 
 # Trials drawn and evaluated together by check_mirror_duality, so that its
 # memory is bounded by the block, whatever the number of trials.
 TRIAL_BLOCK = 1024
+# Trajectory rows stacked and evaluated together by the energy traces and
+# the CLI trace rows, so that their memory is bounded by the block, whatever N.
+ROW_BLOCK = 16
+
+
+def by_row_block(fn, *families) -> list:
+    """fn on stacked blocks of ROW_BLOCK rows, as one list of Python floats.
+
+    The families are equally long sequences of vectors; fn takes one
+    (rows, d) stack of each and returns one value per row.
+    """
+    out = []
+    for start in range(0, len(families[0]), ROW_BLOCK):
+        out += fn(*(np.asarray(fam[start:start + ROW_BLOCK], dtype=np.float64)
+                    for fam in families)).tolist()
+    return out
+
+
+def _by_step_block(fn, *families) -> list:
+    """by_row_block for the steps k -> k+1 of families of N+1 rows: fn takes
+    stacks of ROW_BLOCK + 1 consecutive rows and returns one value per step."""
+    out = []
+    for start in range(0, len(families[0]) - 1, ROW_BLOCK):
+        out += fn(*(np.asarray(fam[start:start + ROW_BLOCK + 1], dtype=np.float64)
+                    for fam in families)).tolist()
+    return out
 
 
 @dataclass
@@ -89,31 +116,26 @@ class EnergyTrace:
         return float(np.max(e[1:] - e[:-1])) if len(e) > 1 else 0.0
 
 
-def _d_f(fx: float, fx2: float, g2: Vector, x: Vector, x2: Vector) -> float:
-    """D_f(x, x2) from precomputed values f(x), f(x2) and grad f(x2)."""
-    return fx - fx2 - pairing(g2, x - x2)
-
-
 def _coco_brackets(pts, duals, traj, f_vals, conj_vals, L: float, sigma: float, g: DGF) -> list:
     """(coco_f, coco_conjugate) for each step k -> k+1 of a primal or dual run.
 
     pts/duals are (xs, ys) or (qs, rs) and conj_vals the conjugate DGF at
-    duals.  The float operations are those of every emitted energy trace,
-    in the same order, so traces keep their bytes.
+    duals.  The vector terms are evaluated on blocks of rows; the float
+    operations are those of every emitted energy trace, in the same
+    order, so traces keep their bytes.
     """
-    out = []
-    for k in range(len(pts) - 1):
-        coco_f = (
-            _d_f(f_vals[k], f_vals[k + 1], traj.f_grads[k + 1], pts[k], pts[k + 1])
-            - lp_norm(traj.f_grads[k] - traj.f_grads[k + 1], g.q) ** 2 / (2.0 * L)
-        )
-        coco_conj = (
-            conj_vals[k] - conj_vals[k + 1]
-            - pairing(duals[k] - duals[k + 1], traj.mirrors[k + 1])
-            - sigma / 2.0 * lp_norm(traj.mirrors[k + 1] - traj.mirrors[k], g.p) ** 2
-        )
-        out.append((coco_f, coco_conj))
-    return out
+    grads, mirrors = traj.f_grads, traj.mirrors
+    # <grad f(x_{k+1}), x_k - x_{k+1}> and ||grad f(x_k) - grad f(x_{k+1})||_q.
+    pair_f = _by_step_block(lambda G, X: pairings(G[1:], X[:-1] - X[1:]), grads, pts)
+    norm_f = _by_step_block(lambda G: lp_norms(G[:-1] - G[1:], g.q), grads)
+    # <y_k - y_{k+1}, grad phi*(y_{k+1})> and ||grad phi*(y_{k+1}) - grad phi*(y_k)||_p.
+    pair_c = _by_step_block(lambda Y, M: pairings(Y[:-1] - Y[1:], M[1:]), duals, mirrors)
+    norm_c = _by_step_block(lambda M: lp_norms(M[1:] - M[:-1], g.p), mirrors)
+    return [
+        (f_vals[k] - f_vals[k + 1] - pair_f[k] - norm_f[k] ** 2 / (2.0 * L),
+         conj_vals[k] - conj_vals[k + 1] - pair_c[k] - sigma / 2.0 * norm_c[k] ** 2)
+        for k in range(len(pts) - 1)
+    ]
 
 
 def primal_energy_trace(
@@ -141,16 +163,18 @@ def primal_energy_trace(
         raise ValueError("u must have length N+1")
     x = np.asarray(x, dtype=np.float64)
     fx = f.value(x)
-    f_vals = [f.value(xi) for xi in traj.xs]
-    phi_conj = [g.conjugate_value(yi) for yi in traj.ys]
+    f_vals = by_row_block(f.values, traj.xs)
+    phi_conj = by_row_block(g.conjugate_values, traj.ys)
     brackets = _coco_brackets(traj.xs, traj.ys, traj, f_vals, phi_conj, L, sigma, g)
+    # <grad f(x_{k+1}), x - x_{k+1}>, the pairing in D_f(x, x_{k+1}).
+    pair_x = _by_step_block(lambda G, X: pairings(G[1:], x - X[1:]), traj.f_grads, traj.xs)
 
     e0 = g.value(x) + phi_conj[0] - pairing(traj.ys[0], x)
-    e0 -= u[0] * _d_f(fx, f_vals[0], traj.f_grads[0], x, traj.xs[0])
+    e0 -= u[0] * (fx - f_vals[0] - pairing(traj.f_grads[0], x - traj.xs[0]))  # u_0 D_f(x, x_0)
     energies = [e0]
     decrements = []
     for k, (coco_f, coco_conj) in enumerate(brackets):
-        cvx = _d_f(fx, f_vals[k + 1], traj.f_grads[k + 1], x, traj.xs[k + 1])
+        cvx = fx - f_vals[k + 1] - pair_x[k]
         decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
         energies.append(energies[-1] - (u[k + 1] - u[k]) * cvx - u[k] * coco_f - coco_conj)
 
@@ -194,14 +218,17 @@ def dual_energy_trace(
     v = [float(x) for x in v]
     if len(v) != N + 1:
         raise ValueError("v must have length N+1")
-    f_vals = [f.value(qi) for qi in traj.qs]
-    psi_conj = [g.conjugate_value(ri) for ri in traj.rs]
+    f_vals = by_row_block(f.values, traj.qs)
+    psi_conj = by_row_block(g.conjugate_values, traj.rs)
     brackets = _coco_brackets(traj.qs, traj.rs, traj, f_vals, psi_conj, L, sigma, g)
+    # <grad f(q_k), q_N - q_k>, the pairing in D_f(q_N, q_k).
+    q_N = np.asarray(traj.qs[N], dtype=np.float64)
+    pair_q = _by_step_block(lambda G, Q: pairings(G[:-1], q_N - Q[:-1]), traj.f_grads, traj.qs)
 
     energies = [v[0] * (f_vals[0] - f_vals[N])]
     decrements = []
     for k, (coco_f, coco_conj) in enumerate(brackets):
-        cvx = _d_f(f_vals[N], f_vals[k], traj.f_grads[k], traj.qs[N], traj.qs[k])
+        cvx = f_vals[N] - f_vals[k] - pair_q[k]
         decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
         energies.append(energies[-1] - (v[k + 1] - v[k]) * cvx - v[k + 1] * coco_f - coco_conj)
 

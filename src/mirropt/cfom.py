@@ -23,8 +23,8 @@ anti-diagonal transposes of each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,11 +60,18 @@ class CoefficientSchedule:
     0 <= i <= k <= N.  b[0, 0] is -1 for a primal schedule; a mirror
     dual schedule stores b_{N,N} of its primal there, which encodes the
     r_0 initialization of the dual iteration.
+
+    tail, when given, is the generator form of a semiseparable schedule:
+    a has only its subdiagonal, and below its subdiagonal b is rank 1,
+    b[k+1, i] = tail[0][k] * tail[1][i] for i < k, with both factors of
+    length N.  It is checked against the dense arrays exactly, and lets
+    the executor take O(d) per step instead of O(k d).
     """
 
     N: int
     a: np.ndarray
     b: np.ndarray
+    tail: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -80,10 +87,29 @@ class CoefficientSchedule:
             raise ValueError("coefficients outside the triangular index range")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if self.tail is not None:
+            object.__setattr__(self, "tail", _checked_tail(self.N, a, b, self.tail))
+
+
+def _checked_tail(N: int, a: np.ndarray, b: np.ndarray, tail) -> tuple:
+    """The factors as float arrays, if they and a bidiagonal a reproduce a and b exactly."""
+    row, col = (np.asarray(t, dtype=np.float64) for t in tail)
+    if row.shape != (N,) or col.shape != (N,):
+        raise ValueError(f"tail factors must have shape ({N},)")
+    if not (np.all(np.isfinite(row)) and np.all(np.isfinite(col))):
+        raise ValueError("non-finite tail factor")
+    # a is strictly lower triangular already, so a count settles "subdiagonal only".
+    if np.count_nonzero(a) != np.count_nonzero(np.diagonal(a, -1)):
+        raise ValueError("a generator-form schedule needs a on its subdiagonal only")
+    if np.any((np.outer(row, col) != b[1:, :N]) & np.tri(N, k=-1, dtype=bool)):
+        raise ValueError("tail factors do not reproduce b below its subdiagonal")
+    return row, col
 
 
 def schedule_from_entries(N: int, a_entries, b_entries, b00: Optional[float] = None) -> CoefficientSchedule:
     """Build a schedule from sparse (k, i, value) triples; omitted entries are zero."""
+    if N < 1:
+        raise ValueError("N >= 1 required")
     a = np.zeros((N + 1, N + 1))
     b = np.zeros((N + 1, N + 1))
     b[0, 0] = -1.0
@@ -148,13 +174,45 @@ def _check_finite(v: Vector, what: str, k: int) -> Vector:
     return v
 
 
+def _dense_steps(s: CoefficientSchedule, FU: np.ndarray, GW: np.ndarray):
+    """The two sums of step k as rows of a and b times the oracle outputs so far."""
+    def step_u(k):
+        return s.a[k + 1, : k + 1] @ GW[: k + 1]
+
+    def step_w(k):
+        return s.b[k + 1, : k + 2] @ FU[: k + 2]
+
+    return step_u, step_w
+
+
+def _generator_steps(s: CoefficientSchedule, FU: np.ndarray, GW: np.ndarray):
+    """The same sums from the generator form: a diagonal and a subdiagonal
+    term, and the rank-1 tail row[k] * sum_{i<k} col[i] F(u_i) kept as a
+    running sum, so a step costs O(d) whatever k."""
+    row, col = s.tail
+    a_sub, b_diag, b_sub = np.diagonal(s.a, -1), np.diagonal(s.b), np.diagonal(s.b, -1)
+    tail_sum = np.zeros(FU.shape[1:])
+
+    def step_u(k):
+        return a_sub[k] * GW[k]
+
+    def step_w(k):
+        out = b_diag[k + 1] * FU[k + 1] + b_sub[k] * FU[k] + row[k] * tail_sum
+        tail_sum[...] += col[k] * FU[k]
+        return out
+
+    return step_u, step_w
+
+
 def _run_coupled(s: CoefficientSchedule, F, G, u0: Vector, u_label: str, w_label: str):
     """The one recurrence behind both executors, read with s as stored:
 
         u_{k+1} = u_k - sum_{i<=k}   a[k+1, i] G(w_i)
         w_{k+1} = w_k - sum_{i<=k+1} b[k+1, i] F(u_i),   w_0 = -b[0, 0] F(u_0).
 
-    Returns the (N+1, d) arrays of u, w, F(u) and G(w).
+    The sums are dense row products, or O(d) generator-form updates when
+    s carries its tail factors.  Returns the (N+1, d) arrays of u, w, F(u)
+    and G(w).
     """
     N = s.N
     u0 = np.asarray(u0, dtype=np.float64)
@@ -164,10 +222,11 @@ def _run_coupled(s: CoefficientSchedule, F, G, u0: Vector, u_label: str, w_label
     U[0], FU[0] = u0, F0
     W[0] = -s.b[0, 0] * F0
     GW[0] = G(W[0])
+    step_u, step_w = (_dense_steps if s.tail is None else _generator_steps)(s, FU, GW)
     for k in range(N):
-        U[k + 1] = _check_finite(U[k] - s.a[k + 1, : k + 1] @ GW[: k + 1], u_label, k + 1)
+        _check_finite(np.subtract(U[k], step_u(k), out=U[k + 1]), u_label, k + 1)
         FU[k + 1] = F(U[k + 1])
-        W[k + 1] = _check_finite(W[k] - s.b[k + 1, : k + 2] @ FU[: k + 2], w_label, k + 1)
+        _check_finite(np.subtract(W[k], step_w(k), out=W[k + 1]), w_label, k + 1)
         GW[k + 1] = G(W[k + 1])
     return U, W, FU, GW
 
@@ -193,8 +252,11 @@ def mirror_dual_schedule(s: CoefficientSchedule) -> CoefficientSchedule:
 
     The returned schedule's b[0, 0] equals the input's b[N, N]: read
     directly by the dual executor, its negation is the r_0 coefficient.
+    Tail factors map with them: the dual's b[k+1, i] = col[N-1-k] *
+    row[N-1-i] below the subdiagonal, so they are reversed and swapped.
     """
-    return CoefficientSchedule(N=s.N, a=anti_transpose(s.a), b=anti_transpose(s.b))
+    tail = None if s.tail is None else (s.tail[1][::-1].copy(), s.tail[0][::-1].copy())
+    return CoefficientSchedule(N=s.N, a=anti_transpose(s.a), b=anti_transpose(s.b), tail=tail)
 
 
 def run_dual_cfom(
@@ -271,17 +333,51 @@ def save_schedule(s: CoefficientSchedule, path: str) -> None:
         fh.write("\n")
 
 
+def _json_int(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _json_entries(doc: dict, key: str) -> list:
+    """The (k, i, value) triples under key, checked: integer indices, a real value."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"schedule {key!r} must be a list of [k, i, value] entries")
+    out = []
+    for e in entries:
+        if not (isinstance(e, list) and len(e) == 3):
+            raise ValueError(f"schedule {key!r} entry {e!r} is not [k, i, value]")
+        k, i, v = e
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"schedule {key!r} entry {e!r} has a non-numeric value")
+        try:
+            v = float(v)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"schedule {key!r} entry [{k}, {i}, ...] has a value beyond the float range") from None
+        out.append((_json_int(k, f"{key} index"), _json_int(i, f"{key} index"), v))
+    return out
+
+
 def load_schedule(path_or_dict) -> CoefficientSchedule:
-    """Load the JSON schedule format; an omitted b(0,0) defaults to -1."""
+    """Load the JSON schedule format; an omitted b(0,0) defaults to -1.
+
+    Raises ValueError on a document that is not a schedule: not an object,
+    a non-integer N or index, or an entry that is not [k, i, number].
+    """
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
     else:
         with open(path_or_dict) as fh:
             doc = json.load(fh)
-    N = int(doc["N"])
-    b_entries = doc.get("b", [])
+    if not isinstance(doc, dict):
+        raise ValueError("a schedule document must be a JSON object")
+    if "N" not in doc:
+        raise ValueError("schedule document has no N")
+    N = _json_int(doc["N"], "N")
+    b_entries = _json_entries(doc, "b")
     b00 = None
     for k, i, v in b_entries:
-        if int(k) == 0 and int(i) == 0:
-            b00 = float(v)
-    return schedule_from_entries(N, doc.get("a", []), b_entries, b00=b00)
+        if k == 0 and i == 0:
+            b00 = v
+    return schedule_from_entries(N, _json_entries(doc, "a"), b_entries, b00=b00)

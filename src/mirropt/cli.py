@@ -15,6 +15,7 @@ iterate, or the OT gradient-evaluation budget exhausted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import certificates, cfom, methods, ot
 from .dgf import dgf_from_descriptor, euclidean
 from .objectives import objective_from_descriptor
-from .spaces import lp_norm
+from .spaces import lp_norms
 
 BOUND_SLACK = 1e-9
 
@@ -81,45 +82,31 @@ def _dim(cfg: dict) -> int:
 
 
 def _trace_rows(run, f, g):
-    """Rows of (k, f, grad-q-norm, psi*(r_k) or None, energy or None, bound)."""
-    q = g.q
-    rows = []
+    """Rows of (k, f, grad-q-norm, psi*(r_k) or None, energy or None, bound).
+
+    The per-row values are evaluated on blocks of rows (certificates.ROW_BLOCK).
+    """
+    energies = None
     if run.traj is not None:
         tr = run.traj
-        energies = None
+        pts, psi = tr.xs, [None] * len(tr.xs)
         if run.method == "amd" and f.x_star is not None:
             th = run.theta
             u = [(run.sigma / run.L) * th.sq(i) for i in range(th.N + 1)]
-            et = certificates.primal_energy_trace(tr, f.x_star, u, f, g, L=run.L, sigma=run.sigma)
-            energies = et.energies
-        for k in range(len(tr.xs)):
-            rows.append((
-                k,
-                f.value(tr.xs[k]),
-                lp_norm(tr.f_grads[k], q),
-                None,
-                energies[k] if energies is not None else None,
-                run.bound,
-            ))
+            energies = certificates.primal_energy_trace(
+                tr, f.x_star, u, f, g, L=run.L, sigma=run.sigma).energies
     else:
         tr = run.dual_traj
-        energies = None
+        pts, psi = tr.qs, certificates.by_row_block(g.conjugate_values, tr.rs)
         # Dual energies need psi*(0) = 0; a shifted DGF leaves the column empty.
         if run.method == "dual-amd" and not g.shifted:
             th = run.theta
             v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
-            et = certificates.dual_energy_trace(tr, v, f, g, L=run.L, sigma=run.sigma)
-            energies = et.energies
-        for k in range(len(tr.qs)):
-            rows.append((
-                k,
-                f.value(tr.qs[k]),
-                lp_norm(tr.f_grads[k], q),
-                g.conjugate_value(tr.rs[k]),
-                energies[k] if energies is not None else None,
-                run.bound,
-            ))
-    return rows
+            energies = certificates.dual_energy_trace(tr, v, f, g, L=run.L, sigma=run.sigma).energies
+    n = len(pts)
+    f_vals = certificates.by_row_block(f.values, pts)
+    norms = certificates.by_row_block(lambda G: lp_norms(G, g.q), tr.f_grads)
+    return list(zip(range(n), f_vals, norms, psi, energies or [None] * n, [run.bound] * n))
 
 
 def _write_trace(path, cfg, run, f, g, seed):
@@ -176,6 +163,8 @@ def cmd_certify(args) -> int:
     prev_energy = None
     for ln, row in zip(data, rows):
         parts = ln.split(",")
+        if len(parts) != len(row):
+            raise UsageError(f"trace row has {len(parts)} columns, expected {len(row)}")
         vals = [float(p) if p else None for p in parts]
         for got, want in zip(vals, row):
             if (got is None) != (want is None):
@@ -183,11 +172,11 @@ def cmd_certify(args) -> int:
             # Relative, not 1e-9 (1 + |want|): values below 1e-9 must match
             # too.  Written as "not <=" so that a nan in the trace fails.
             if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
-                print(f"trace mismatch at k={int(vals[0])}", file=sys.stderr)
+                print(f"trace mismatch at k={row[0]}", file=sys.stderr)
                 return 2
         energy = vals[4]
         if energy is not None and prev_energy is not None and energy > prev_energy + BOUND_SLACK:
-            print(f"energy increased at k={int(vals[0])}", file=sys.stderr)
+            print(f"energy increased at k={row[0]}", file=sys.stderr)
             return 2
         prev_energy = energy
     if _bound_violated(run, f, g):
@@ -261,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn="cmd_run")
 
     p = sub.add_parser("certify", help="verify a trace file against its config")
     p.add_argument("--trace", required=True)
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_certify)
+    p.set_defaults(fn="cmd_certify")
 
     p = sub.add_parser("duality-check", help="sample the energy-duality identity")
     p.add_argument("--schedule", required=True, help="schedule JSON path or the keyword 'amd'")
@@ -278,29 +267,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--perturb-v", type=float, default=0.0,
                    help="relative perturbation of the conjugate weights (breaks the identity)")
-    p.set_defaults(fn=cmd_duality_check)
+    p.set_defaults(fn="cmd_duality_check")
 
     p = sub.add_parser("dualize", help="write the mirror dual of a schedule")
     p.add_argument("--schedule", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_dualize)
+    p.set_defaults(fn="cmd_dualize")
 
     p = sub.add_parser("ot", help="solve a transport instance to accuracy eps")
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_ot)
+    p.set_defaults(fn="cmd_ot")
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first command: building it
+    costs more than most commands' own work.  It names each handler,
+    looked up in this module when a command runs, so that a wrapper set
+    on a cmd_* function (as a profiler sets) runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

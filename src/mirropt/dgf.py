@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DualVector, NormIndex, PrimalVector, Vector, lp_norm, pairing
+from .spaces import DualVector, NormIndex, PrimalVector, Vector, lp_norm, lp_norms, pairing, pairings
 
 __all__ = ["DGF", "euclidean", "squared_lp", "dgf_from_descriptor"]
 
@@ -103,6 +103,16 @@ class DGF:
         if self.x0 is not None:
             val += pairing(y, self.x0)
         return val
+
+    def conjugate_values(self, Y: np.ndarray) -> np.ndarray:
+        """phi* at each row of an (n, d) stack, equal to conjugate_value row by row.
+
+        The square of each norm is a scalar power, as in conjugate_value.
+        """
+        vals = np.array([0.5 * nq ** 2 for nq in lp_norms(Y, self.q).tolist()], dtype=np.float64)
+        if self.x0 is not None:
+            vals = vals + pairings(Y, np.broadcast_to(self.x0, np.shape(Y)))
+        return vals
 
     def conjugate_grad(self, y: DualVector) -> PrimalVector:
         """grad phi*(y) = ||y||_q^{2-q} sign(y) |y|^{q-1} + x0.

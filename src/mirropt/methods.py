@@ -282,13 +282,13 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     b = np.zeros((N + 1, N + 1))
     b[0, 0] = -1.0
     a[k + 1, k] = (sigma / L) * (sq_k - sq_km1)
-    # b[k+1, s] for 1 <= s < k: (theta_{s-1}^2 - theta_{s-2}^2)(1/theta_k^2 - 1/theta_{k+1}^2).
-    inner = np.outer(1.0 / sq_k - 1.0 / sq_kp1, sq_km1 - sq_km2)
-    inner[:, 0] = 0.0
-    b[1:, :N] = np.tril(inner, -1)
+    # b[k+1, s] for s < k: (1/theta_k^2 - 1/theta_{k+1}^2)(theta_{s-1}^2 - theta_{s-2}^2),
+    # a rank-1 tail whose factors the schedule keeps (its column factor is 0 at s = 0).
+    row, col = 1.0 / sq_k - 1.0 / sq_kp1, sq_km1 - sq_km2
+    b[1:, :N] = np.tril(np.outer(row, col), -1)
     b[k + 1, k] = (sq_k - sq_km2) / sq_k - (sq_km1 - sq_km2) / sq_kp1
     b[k + 1, k + 1] = -(sq_kp1 - sq_km1) / sq_kp1
-    return CoefficientSchedule(N=N, a=a, b=b)
+    return CoefficientSchedule(N=N, a=a, b=b, tail=(row, col))
 
 
 def run_dual_amd(

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DualVector, PrimalVector, Vector
+from .spaces import DualVector, PrimalVector, Vector, pairings
 
 __all__ = [
     "SmoothObjective",
@@ -40,6 +40,14 @@ class SmoothObjective:
     def grad(self, x: PrimalVector) -> DualVector:
         raise NotImplementedError
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """value at each row of an (n, d) stack, float for float.
+
+        Objectives whose value is a few array operations evaluate the
+        stack at once; the others evaluate it row by row.
+        """
+        return np.array([self.value(x) for x in X], dtype=np.float64)
+
     def to_descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -48,6 +56,12 @@ class SmoothObjective:
         if x.shape != (n,):
             raise ValueError(f"dimension mismatch: expected ({n},), got {x.shape}")
         return x
+
+    def _check_rows(self, X: np.ndarray, n: int) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != n:
+            raise ValueError(f"dimension mismatch: expected (rows, {n}), got {X.shape}")
+        return X
 
 
 @dataclass
@@ -77,6 +91,10 @@ class DiagQuadratic(SmoothObjective):
     def value(self, x: PrimalVector) -> float:
         z = self._check_dim(x, self.b.size) - self.b
         return 0.5 * float(z @ (self.d * z))
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        Z = self._check_rows(X, self.b.size) - self.b
+        return 0.5 * pairings(Z, self.d * Z)
 
     def grad(self, x: PrimalVector) -> DualVector:
         z = self._check_dim(x, self.b.size) - self.b
@@ -117,6 +135,11 @@ class DenseQuadratic(SmoothObjective):
     def value(self, x: PrimalVector) -> float:
         z = self._check_dim(x, self.b.size) - self.b
         return 0.5 * float(z @ (self.A @ z))
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        Z = self._check_rows(X, self.b.size) - self.b
+        # A @ z per row (one matrix-vector product each, as in value), not Z @ A.
+        return 0.5 * pairings(Z, (self.A @ Z[:, :, None])[:, :, 0])
 
     def grad(self, x: PrimalVector) -> DualVector:
         z = self._check_dim(x, self.b.size) - self.b

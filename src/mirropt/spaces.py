@@ -25,7 +25,9 @@ __all__ = [
     "NormIndex",
     "as_vector",
     "pairing",
+    "pairings",
     "lp_norm",
+    "lp_norms",
     "bregman",
     "finite_difference_gradient",
 ]
@@ -67,6 +69,19 @@ def pairing(u: DualVector, x: PrimalVector) -> float:
     return float(u @ x)
 
 
+def pairings(U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row-wise pairings <U_k, X_k> of two (n, d) stacks.
+
+    Each row is one dot product, as in pairing, so every value equals
+    pairing(U[k], X[k]) bit for bit.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if U.shape != X.shape or U.ndim != 2:
+        raise ValueError(f"pairings needs two (n, d) stacks of one shape: {U.shape} vs {X.shape}")
+    return (U[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
 def lp_norm(x: Vector, p: float) -> float:
     """l_p norm for p in [1, inf]; p = inf gives the max norm."""
     x = np.asarray(x, dtype=np.float64)
@@ -79,6 +94,27 @@ def lp_norm(x: Vector, p: float) -> float:
     if p == 2:
         return float(np.linalg.norm(x))
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+
+
+def lp_norms(X: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise lp_norm of an (n, d) stack, equal to lp_norm row by row bit for bit.
+
+    The sums run over the last axis, row by row as lp_norm's; the root
+    1/p is taken per scalar, since numpy's array power may round it
+    differently from the scalar power lp_norm uses.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"lp_norms needs an (n, d) stack, got shape {X.shape}")
+    if p == np.inf:
+        return np.max(np.abs(X), axis=-1)
+    if p < 1:
+        raise ValueError(f"lp_norm requires p >= 1, got {p}")
+    if p == 1:
+        return np.sum(np.abs(X), axis=-1)
+    if p == 2:
+        return np.sqrt(pairings(X, X))
+    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(X) ** p, axis=-1)])
 
 
 def bregman(

@@ -265,3 +265,96 @@ def test_nonfinite_iterate_raises(rng):
     s = schedule_from_entries(2, [[1, 0, 1e160], [2, 0, 1e160]], [])
     with pytest.raises(FloatingPointError):
         run_cfom(s, f, euclidean(), np.array([1.0, 1.0]))
+
+
+def _dense(s):
+    """The same coefficients without the generator form: the dense reference path."""
+    return CoefficientSchedule(N=s.N, a=s.a, b=s.b)
+
+
+def _rel_err(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 57, 200])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_generator_executor_matches_dense_path(N, p, rng):
+    f = _quadratic(rng, n=7, p=p)
+    g = squared_lp(p)
+    s = amd_schedule(N, f.L, g.sigma)
+    assert s.tail is not None
+    start = rng.standard_normal(7)
+    for got, want in [(run_cfom(s, f, g, start), run_cfom(_dense(s), f, g, start)),
+                      (run_mirror_dual(s, f, g, start), run_mirror_dual(_dense(s), f, g, start))]:
+        for name in ("xs", "ys", "qs", "rs", "f_grads", "mirrors"):
+            if hasattr(want, name):
+                assert _rel_err(getattr(got, name), getattr(want, name)) <= 1e-12, name
+
+
+def test_generator_form_only_from_amd_schedule(rng, tmp_path):
+    s = amd_schedule(6, 2.0, 1.0)
+    path = tmp_path / "s.json"
+    save_schedule(s, str(path))
+    assert "tail" not in json.loads(path.read_text())
+    assert load_schedule(str(path)).tail is None
+    assert random_valid_schedule(6, rng).tail is None
+    assert schedule_from_entries(2, [], []).tail is None
+
+
+def test_tail_factors_must_reproduce_b(rng):
+    s = amd_schedule(8, 2.0, 1.0)
+    row, col = s.tail
+    # The tail starts two below the diagonal: row[0] and col[N-1] multiply nothing.
+    CoefficientSchedule(N=8, a=s.a, b=s.b, tail=(row + np.eye(8)[0], col + np.eye(8)[7]))
+    for bad in [(row * 1.5, col), (row, col + np.eye(8)[3] * 1e-15), (row[:-1], col),
+                (row, np.where(np.arange(8) == 7, np.inf, col))]:
+        with pytest.raises(ValueError):
+            CoefficientSchedule(N=8, a=s.a, b=s.b, tail=bad)
+    b = s.b.copy()
+    b[6, 2] += 1e-12
+    with pytest.raises(ValueError, match="do not reproduce"):
+        CoefficientSchedule(N=8, a=s.a, b=b, tail=s.tail)
+    a = s.a.copy()
+    a[5, 2] = 0.25  # a second subdiagonal has no generator form
+    with pytest.raises(ValueError, match="subdiagonal only"):
+        CoefficientSchedule(N=8, a=a, b=s.b, tail=s.tail)
+
+
+def test_mirror_dual_maps_tail_factors():
+    s = amd_schedule(9, 3.0, 0.5)
+    d = mirror_dual_schedule(s)
+    assert np.array_equal(d.tail[0], s.tail[1][::-1])
+    assert np.array_equal(d.tail[1], s.tail[0][::-1])
+    dd = mirror_dual_schedule(d)
+    assert np.array_equal(dd.tail[0], s.tail[0]) and np.array_equal(dd.tail[1], s.tail[1])
+    assert np.array_equal(dd.a, s.a) and np.array_equal(dd.b, s.b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generator_executor_reports_divergence(rng):
+    f = DiagQuadratic(d=[1.0, 4.0], b=[0.0, 0.0])
+    s = amd_schedule(200, 0.001, 1.0)  # L far below the true 4
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        run_cfom(s, f, euclidean(), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                  # not an object
+    {"N": 2, "a": 5},                        # entries not a list
+    {"N": 2, "a": [[1, 0, None]]},           # null value
+    {"N": 2, "b": [None]},                   # null entry
+    {"N": 3.7},                              # non-integer N, not truncated to 3
+    {"N": True},
+    {"a": []},                               # no N
+    {"N": -3},
+    {"N": 2, "b": [[1, 0.5, 1.0]]},          # non-integer index
+    {"N": 2, "a": [[1, 0, "0.5"]]},
+    {"N": 2, "a": [[1, 0]]},
+    {"N": 2, "a": [[1, 0, 10 ** 400]]},      # beyond the float range: no OverflowError
+])
+def test_load_schedule_rejects_malformed_documents(doc, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_schedule(str(path))

@@ -1,8 +1,12 @@
 import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirropt import ot
 from mirropt.cfom import load_schedule, run_dual_cfom, save_schedule
@@ -107,6 +111,37 @@ def test_dual_amd_shifted_dgf_trace_certifies(tmp_path):
     assert len(rows) == 11
     assert all(row[4] == "" and row[3] != "" for row in rows)  # no energies; psi* kept
     assert main(["certify", "--trace", str(out), "--config", cfg]) == 0
+
+
+def _trace_with_row(tmp_path, edit):
+    """A certified AMD trace whose last data row is replaced by edit(its cells)."""
+    cfg = _write(tmp_path / "cfg.json", AMD_CONFIG)
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[-1] = ",".join(edit(lines[-1].split(",")))
+    out.write_text("\n".join(lines) + "\n")
+    return cfg, str(out)
+
+
+def test_certify_rejects_a_cut_row(tmp_path, capsys):
+    cfg, trace = _trace_with_row(tmp_path, lambda cells: cells[:2])
+    assert main(["certify", "--trace", trace, "--config", cfg]) == 1
+    assert "2 columns, expected 6" in capsys.readouterr().err
+
+
+def test_certify_rejects_a_seventh_column(tmp_path, capsys):
+    cfg, trace = _trace_with_row(tmp_path, lambda cells: cells + ["0"])
+    assert main(["certify", "--trace", trace, "--config", cfg]) == 1
+    assert "7 columns, expected 6" in capsys.readouterr().err
+
+
+def test_certify_mismatch_in_k_column_exits_2(tmp_path, capsys):
+    # Reported at the row's own k, so inf or nan in the k column is no traceback.
+    for k in ("inf", "nan", "3"):
+        cfg, trace = _trace_with_row(tmp_path, lambda cells: [k] + cells[1:])
+        assert main(["certify", "--trace", trace, "--config", cfg]) == 2
+        assert "trace mismatch at k=20" in capsys.readouterr().err
 
 
 # The OT dual has no "n" or "b" from which a zero start could be sized.
@@ -272,3 +307,140 @@ def test_ot_rejects_non_finite_cost(tmp_path, capsys):
 
 def test_unknown_subcommand_exits_1():
     assert main(["frobnicate"]) == 1
+
+
+# Malformed inputs: every one is a usage error (exit 1), never a traceback.
+
+VALID_SCHEDULE = {"N": 3, "a": [[1, 0, 0.5], [3, 1, -0.25]],
+                  "b": [[0, 0, -1.0], [1, 0, 1.0], [1, 1, -1.0], [3, 0, 0.5]]}
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10, 10),
+                         st.floats(allow_nan=True), st.text(max_size=4))
+# Anything JSON reads back as other than an int: floats stay floats (3.0 too).
+NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                    st.lists(st.integers(0, 3), max_size=3))
+NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                       st.lists(st.floats(), max_size=2), st.just(float("nan")),
+                       st.integers(2 ** 1024, 2 ** 1100), st.integers(-2 ** 1100, -2 ** 1024))
+
+
+def _outside(key, N):
+    """(k, i) outside the a (0 <= i < k <= N) or b (0 <= i <= k <= N) triangle."""
+    inside = (lambda k, i: 0 <= i < k <= N) if key == "a" else (lambda k, i: 0 <= i <= k <= N)
+    return st.tuples(st.integers(-3, N + 3), st.integers(-3, N + 3)).filter(lambda ki: not inside(*ki))
+
+
+@st.composite
+def malformed_schedules(draw):
+    doc = json.loads(json.dumps(VALID_SCHEDULE))
+    key = draw(st.sampled_from(["a", "b"]))
+    kind = draw(st.sampled_from(["top", "N", "no-N", "small-N", "entries", "entry",
+                                 "index", "value", "triangle"]))
+    if kind == "top":
+        return draw(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3)))
+    if kind == "N":
+        doc["N"] = draw(NOT_INT)
+    elif kind == "no-N":
+        del doc["N"]
+    elif kind == "small-N":
+        doc["N"] = draw(st.integers(-5, 0))
+    elif kind == "entries":
+        doc[key] = draw(st.one_of(JSON_SCALARS, st.dictionaries(st.text(max_size=2), JSON_SCALARS)))
+    else:
+        j = draw(st.integers(0, len(doc[key]) - 1))
+        k, i, v = doc[key][j]
+        if kind == "entry":
+            doc[key][j] = draw(st.one_of(JSON_SCALARS, st.lists(st.integers(0, 3), max_size=5)
+                                         .filter(lambda e: len(e) != 3)))
+        elif kind == "index":
+            doc[key][j] = [draw(NOT_INT), i, v] if draw(st.booleans()) else [k, draw(NOT_INT), v]
+        elif kind == "value":
+            doc[key][j] = [k, i, draw(NOT_NUMBER)]
+        else:
+            doc[key][j] = [*draw(_outside(key, doc["N"])), v]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_schedules())
+def test_malformed_schedules_exit_1(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dualize", "--schedule", str(path), "--out", str(Path(tmp) / "d.json")]) == 1
+        assert main(["duality-check", "--schedule", str(path), "--trials", "2", "--dim", "2"]) == 1
+
+
+def _not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _certified_trace(method):
+    """A config and the trace `run` writes for it (N = 4), as text."""
+    key = "q0" if method.startswith("dual") else "y0"
+    cfg = dict(AMD_CONFIG, method=method, N=4, alpha=0.2)
+    cfg[key] = cfg.pop("y0")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "t.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return cfg, out.read_text()
+
+
+TRACES = {m: _certified_trace(m) for m in ("amd", "dual-amd", "md", "dual-md")}
+# Tokens float() rejects, free of the separators "," and newline.
+BAD_TOKENS = st.text(alphabet="abcdefinstxyz+-._ ", min_size=1, max_size=6).filter(_not_a_float)
+
+
+@st.composite
+def malformed_traces(draw):
+    method = draw(st.sampled_from(sorted(TRACES)))
+    cfg, text = TRACES[method]
+    lines = text.splitlines()
+    data = [j for j, ln in enumerate(lines) if not ln.startswith(("#", "k,"))]
+    j = draw(st.sampled_from(data))
+    cells = lines[j].split(",")
+    kind = draw(st.sampled_from(["cut", "extend", "token", "drop", "repeat", "empty", "fill"]))
+    if kind == "cut":
+        lines[j] = ",".join(cells[:draw(st.integers(1, 5))])
+    elif kind == "extend":
+        lines[j] = ",".join(cells + draw(st.lists(st.sampled_from(["", "0", "1.5"]), min_size=1, max_size=3)))
+    elif kind == "token":
+        c = draw(st.integers(0, 5))
+        lines[j] = ",".join(cells[:c] + [draw(BAD_TOKENS)] + cells[c + 1:])
+    elif kind == "drop":
+        del lines[j]
+    elif kind == "repeat":
+        lines.insert(j, lines[j])
+    else:
+        # Empty a filled cell, or fill an empty one: the columns no longer match the config.
+        full = [c for c, v in enumerate(cells) if (v != "") == (kind == "empty")]
+        if not full:
+            lines[j] = ",".join(cells[:3])
+        else:
+            c = draw(st.sampled_from(full))
+            cells[c] = "" if kind == "empty" else "0.5"
+            lines[j] = ",".join(cells)
+    return cfg, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_traces())
+def test_malformed_traces_exit_1(case):
+    cfg, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, trace = Path(tmp) / "cfg.json", Path(tmp) / "t.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        trace.write_text(text)
+        assert main(["certify", "--trace", str(trace), "--config", str(cfg_path)]) == 1
+
+
+def test_non_utf8_trace_exits_1(tmp_path):
+    cfg, text = TRACES["amd"]
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(text.encode()[:-40] + b"\xff\xfe" + text.encode()[-40:])
+    assert main(["certify", "--trace", str(trace), "--config", cfg_path]) == 1
