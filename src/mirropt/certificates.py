@@ -100,12 +100,16 @@ class EnergyTrace:
 
     decrements[k] holds the brackets subtracted going from E_k to
     E_{k+1}; every entry is nonnegative up to roundoff when the run's
-    declared constants are correct.
+    declared constants are correct.  f_values and conjugate_values are
+    the f and conjugate-DGF values the energies were built from: f at
+    x_k (or q_k) and phi*(y_k) (or psi*(r_k)), k = 0..N.
     """
 
     energies: List[float]
     decrements: List[dict]
     final_terms: dict = field(default_factory=dict)
+    f_values: List[float] = field(default_factory=list)
+    conjugate_values: List[float] = field(default_factory=list)
 
     def min_labeled_term(self) -> float:
         vals = [t for d in self.decrements for t in d.values()]
@@ -194,7 +198,8 @@ def primal_energy_trace(
         "U_A": u_A,
         "certified_bound": (g.value(x) + phi_conj[0] - pairing(traj.ys[0], x)) / u[N],
     }
-    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms)
+    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
+                       f_values=f_vals, conjugate_values=phi_conj)
 
 
 def dual_energy_trace(
@@ -240,7 +245,8 @@ def dual_energy_trace(
         "V_B": v_B,
         "certified_bound": energies[0],
     }
-    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms)
+    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
+                       f_values=f_vals, conjugate_values=psi_conj)
 
 
 def _stacked(s: CoefficientSchedule, scenario: GradientScenario):

@@ -106,8 +106,9 @@ def _checked_tail(N: int, a: np.ndarray, b: np.ndarray, tail) -> tuple:
     return row, col
 
 
-def schedule_from_entries(N: int, a_entries, b_entries, b00: Optional[float] = None) -> CoefficientSchedule:
-    """Build a schedule from sparse (k, i, value) triples; omitted entries are zero."""
+def schedule_from_entries(N: int, a_entries, b_entries) -> CoefficientSchedule:
+    """Build a schedule from sparse (k, i, value) triples; omitted entries are
+    zero, except b(0,0), which defaults to -1."""
     if N < 1:
         raise ValueError("N >= 1 required")
     a = np.zeros((N + 1, N + 1))
@@ -123,8 +124,6 @@ def schedule_from_entries(N: int, a_entries, b_entries, b00: Optional[float] = N
         if not (0 <= i <= k <= N):
             raise ValueError(f"b index ({k},{i}) outside triangle")
         b[k, i] = float(v)
-    if b00 is not None:
-        b[0, 0] = b00
     return CoefficientSchedule(N=N, a=a, b=b)
 
 
@@ -312,19 +311,11 @@ def anti_transpose(H: np.ndarray) -> np.ndarray:
 
 
 def schedule_to_json_dict(s: CoefficientSchedule) -> dict:
-    a_entries = [
-        [k, i, s.a[k, i]]
-        for k in range(1, s.N + 1)
-        for i in range(k)
-        if s.a[k, i] != 0.0
-    ]
-    b_entries = [
-        [k, i, s.b[k, i]]
-        for k in range(s.N + 1)
-        for i in range(k + 1)
-        if s.b[k, i] != 0.0
-    ]
-    return {"N": s.N, "a": a_entries, "b": b_entries}
+    """The nonzero entries of both triangles as [k, i, value], row by row;
+    construction has checked that nothing lies outside the triangles."""
+    return {"N": s.N,
+            "a": [[int(k), int(i), s.a[k, i]] for k, i in np.argwhere(s.a)],
+            "b": [[int(k), int(i), s.b[k, i]] for k, i in np.argwhere(s.b)]}
 
 
 def save_schedule(s: CoefficientSchedule, path: str) -> None:
@@ -375,9 +366,4 @@ def load_schedule(path_or_dict) -> CoefficientSchedule:
     if "N" not in doc:
         raise ValueError("schedule document has no N")
     N = _json_int(doc["N"], "N")
-    b_entries = _json_entries(doc, "b")
-    b00 = None
-    for k, i, v in b_entries:
-        if k == 0 and i == 0:
-            b00 = v
-    return schedule_from_entries(N, _json_entries(doc, "a"), b_entries, b00=b00)
+    return schedule_from_entries(N, _json_entries(doc, "a"), _json_entries(doc, "b"))

@@ -85,28 +85,31 @@ def _trace_rows(run, f, g):
     """Rows of (k, f, grad-q-norm, psi*(r_k) or None, energy or None, bound).
 
     The per-row values are evaluated on blocks of rows (certificates.ROW_BLOCK).
+    Where the run has an energy trace, f and psi* are the values it was
+    built from, so each is evaluated once per row.
     """
-    energies = None
+    trace = None
     if run.traj is not None:
-        tr = run.traj
-        pts, psi = tr.xs, [None] * len(tr.xs)
+        tr, pts = run.traj, run.traj.xs
         if run.method == "amd" and f.x_star is not None:
             th = run.theta
             u = [(run.sigma / run.L) * th.sq(i) for i in range(th.N + 1)]
-            energies = certificates.primal_energy_trace(
-                tr, f.x_star, u, f, g, L=run.L, sigma=run.sigma).energies
+            trace = certificates.primal_energy_trace(tr, f.x_star, u, f, g, L=run.L, sigma=run.sigma)
     else:
-        tr = run.dual_traj
-        pts, psi = tr.qs, certificates.by_row_block(g.conjugate_values, tr.rs)
+        tr, pts = run.dual_traj, run.dual_traj.qs
         # Dual energies need psi*(0) = 0; a shifted DGF leaves the column empty.
         if run.method == "dual-amd" and not g.shifted:
             th = run.theta
             v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
-            energies = certificates.dual_energy_trace(tr, v, f, g, L=run.L, sigma=run.sigma).energies
+            trace = certificates.dual_energy_trace(tr, v, f, g, L=run.L, sigma=run.sigma)
     n = len(pts)
-    f_vals = certificates.by_row_block(f.values, pts)
+    psi = [None] * n
+    if run.dual_traj is not None:
+        psi = certificates.by_row_block(g.conjugate_values, tr.rs) if trace is None else trace.conjugate_values
+    f_vals = certificates.by_row_block(f.values, pts) if trace is None else trace.f_values
+    energies = [None] * n if trace is None else trace.energies
     norms = certificates.by_row_block(lambda G: lp_norms(G, g.q), tr.f_grads)
-    return list(zip(range(n), f_vals, norms, psi, energies or [None] * n, [run.bound] * n))
+    return list(zip(range(n), f_vals, norms, psi, energies, [run.bound] * n))
 
 
 def _write_trace(path, cfg, run, f, g, seed):

@@ -19,7 +19,7 @@ import numpy as np
 from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, _check_finite
 from .dgf import DGF
 from .objectives import SmoothObjective
-from .spaces import DualVector, PrimalVector, Vector
+from .spaces import DualVector, PrimalVector, Vector, bregman
 
 __all__ = [
     "ThetaSequence",
@@ -122,6 +122,32 @@ class MethodRun:
         return self.traj.xs[-1]
 
 
+def _md_loop(F, G, alpha: float, u0: Vector, N: int, u_label: str):
+    """The one recurrence behind MD and its mirror dual:
+
+        u_{k+1} = u_k - alpha G(w_k),   w_{k+1} = F(u_{k+1}),   w_0 = F(u_0).
+
+    MD runs it with (F, G) = (grad phi*, grad f), dual-MD with
+    (grad f, grad psi*).  Returns the lists of u, w and G(w).
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    us = [np.asarray(u0, dtype=np.float64)]
+    ws = [F(us[0])]
+    gs = [G(ws[0])]
+    for k in range(N):
+        us.append(_check_finite(us[k] - alpha * gs[k], u_label, k + 1))
+        ws.append(F(us[-1]))
+        gs.append(G(ws[-1]))
+    return us, ws, gs
+
+
+def _f_grad(f: SmoothObjective):
+    return lambda x: np.asarray(f.grad(x), dtype=np.float64)
+
+
 def run_md(
     f: SmoothObjective,
     g: DGF,
@@ -130,24 +156,10 @@ def run_md(
     N: int,
 ) -> MethodRun:
     """Mirror descent: y_{k+1} = y_k - alpha grad f(x_k), x_{k+1} = grad phi*(y_{k+1})."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    y0 = np.asarray(y0, dtype=np.float64)
-    ys = [y0]
-    xs = [g.conjugate_grad(y0)]
-    f_grads = [np.asarray(f.grad(xs[0]), dtype=np.float64)]
-    for k in range(N):
-        y_next = ys[k] - alpha * f_grads[k]
-        _check_finite(y_next, "dual iterate y", k + 1)
-        ys.append(y_next)
-        xs.append(g.conjugate_grad(y_next))
-        f_grads.append(np.asarray(f.grad(xs[-1]), dtype=np.float64))
+    ys, xs, f_grads = _md_loop(g.conjugate_grad, _f_grad(f), alpha, y0, N, "dual iterate y")
     bound = None
     if f.x_star is not None:
-        d0 = g.value(f.x_star) - g.value(xs[0]) - float(g.grad(xs[0]) @ (f.x_star - xs[0]))
-        bound = d0 / (alpha * N)
+        bound = bregman(g.value, g.grad, f.x_star, xs[0]) / (alpha * N)
     traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=list(xs))
     return MethodRun(method="md", traj=traj, bound=bound)
 
@@ -160,26 +172,11 @@ def run_dual_md(
     N: int,
 ) -> MethodRun:
     """Dual mirror descent: q_{k+1} = q_k - alpha grad psi*(r_k), r_{k+1} = grad f(q_{k+1})."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    q0 = np.asarray(q0, dtype=np.float64)
-    qs = [q0]
-    f_grads = [np.asarray(f.grad(q0), dtype=np.float64)]
-    rs = [f_grads[0]]
-    mirrors = [g.conjugate_grad(rs[0])]
-    for k in range(N):
-        q_next = qs[k] - alpha * mirrors[k]
-        _check_finite(q_next, "primal iterate q", k + 1)
-        qs.append(q_next)
-        f_grads.append(np.asarray(f.grad(q_next), dtype=np.float64))
-        rs.append(f_grads[-1])
-        mirrors.append(g.conjugate_grad(rs[-1]))
+    qs, f_grads, mirrors = _md_loop(_f_grad(f), g.conjugate_grad, alpha, q0, N, "primal iterate q")
     bound = None
     if f.f_star is not None:
         bound = (f.value(qs[0]) - f.f_star) / (alpha * N)
-    dual_traj = DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
+    dual_traj = DualTrajectory(qs=qs, rs=list(f_grads), f_grads=f_grads, mirrors=mirrors)
     return MethodRun(method="dual-md", dual_traj=dual_traj, bound=bound)
 
 
@@ -262,8 +259,7 @@ def run_amd(
     L, sigma, th = path.L, path.sigma, theta_sequence(N)
     bound = None
     if f.x_star is not None:
-        d0 = g.value(f.x_star) - g.value(xs[0]) - float(g.grad(xs[0]) @ (f.x_star - xs[0]))
-        bound = L * d0 / (sigma * th.sq(N))
+        bound = L * bregman(g.value, g.grad, f.x_star, xs[0]) / (sigma * th.sq(N))
     traj = Trajectory(xs=xs, ys=path.ys[: N + 1], f_grads=f_grads, mirrors=path.mirrors[: N + 1])
     return MethodRun(method="amd", traj=traj, bound=bound, theta=th, L=L, sigma=sigma)
 
@@ -369,8 +365,6 @@ def run_concat(
     second = run_dual_amd(f, psi, first.traj.xs[-1], N, L=L, sigma=sigma2)
     bound = None
     if f.x_star is not None:
-        x0 = first.traj.xs[0]
-        d0 = phi.value(f.x_star) - phi.value(x0) - float(phi.grad(x0) @ (f.x_star - x0))
-        th = first.theta
-        bound = L * L * d0 / (sigma1 * sigma2 * th.sq(N) ** 2)
+        d0 = bregman(phi.value, phi.grad, f.x_star, first.traj.xs[0])
+        bound = L * L * d0 / (sigma1 * sigma2 * first.theta.sq(N) ** 2)
     return ConcatRun(amd=first, dual_amd=second, bound=bound)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirropt.cfom import run_cfom, run_mirror_dual, validate_schedule
+from mirropt.cfom import CoefficientSchedule, run_cfom, run_mirror_dual, validate_schedule
 from mirropt.dgf import euclidean, squared_lp
 from mirropt.methods import (
     AMDPath,
@@ -278,6 +278,39 @@ def test_dual_amd_equals_mirror_dual_of_amd(N, p, seed):
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
     for a, b in zip(dt.rs, closed.dual_traj.rs):
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
+
+
+def _md_schedule(N, alpha):
+    """MD as a CFOM: a[k+1, k] = alpha, b diagonal -1 and subdiagonal +1, so x_k = grad phi*(y_k)."""
+    k = np.arange(N)
+    a, b = np.zeros((N + 1, N + 1)), -np.eye(N + 1)
+    a[k + 1, k] = alpha
+    b[k + 1, k] = 1.0
+    return CoefficientSchedule(N=N, a=a, b=b)
+
+
+def _max_rel_err(got, want):
+    got, want = np.array(got), np.array(want)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("N", [1, 2, 9, 40])
+def test_md_runners_equal_executor_on_md_schedule(rng, p, N):
+    """The paper's MD <-> dual-MD correspondence: the closed-form dual-MD runs
+    the mirror dual (anti-transpose) of MD's schedule, and MD runs the schedule."""
+    f = _quadratic(rng, p=p)
+    g = euclidean() if p == 2.0 else squared_lp(p)
+    alpha = g.sigma / f.L
+    s = _md_schedule(N, alpha)
+    assert validate_schedule(s).ok
+    start = rng.standard_normal(5)
+    dual, closed = run_mirror_dual(s, f, g, start), run_dual_md(f, g, alpha, start, N).dual_traj
+    for got, want in ((dual.qs, closed.qs), (dual.rs, closed.rs), (dual.mirrors, closed.mirrors)):
+        assert _max_rel_err(got, want) <= 1e-12
+    primal, closed = run_cfom(s, f, g, start), run_md(f, g, alpha, start, N).traj
+    for got, want in ((primal.ys, closed.ys), (primal.xs, closed.xs), (primal.f_grads, closed.f_grads)):
+        assert _max_rel_err(got, want) <= 1e-12
 
 
 def test_dual_amd_stationary_start():

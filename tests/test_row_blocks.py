@@ -13,7 +13,7 @@ import pytest
 
 from mirropt import certificates, cli, methods
 from mirropt.cfom import run_cfom, run_mirror_dual
-from mirropt.dgf import euclidean, squared_lp
+from mirropt.dgf import DGF, euclidean, squared_lp
 from mirropt.objectives import DenseQuadratic, DiagQuadratic
 from mirropt.spaces import lp_norm, lp_norms, pairing, pairings
 
@@ -156,6 +156,29 @@ def test_trace_rows_equal_per_row_reference(method, kind, p, shifted, monkeypatc
         for block in BLOCKS:
             monkeypatch.setattr(certificates, "ROW_BLOCK", block)
             assert cli._trace_rows(run, f, g) == want, (N, block)
+
+
+@pytest.mark.parametrize("method, conj_rows", [("amd", 1), ("dual-amd", 1), ("md", 0), ("dual-md", 1)])
+def test_trace_rows_evaluate_each_row_once(method, conj_rows, monkeypatch):
+    """f, and the conjugate DGF (phi* in AMD's energies, psi* on dual runs),
+    see each of the N + 1 rows once: the rows reuse the energy trace's values."""
+    N = 20
+    run, f, g = _runs(method, "diag", 1.5, False, N, seed=4)
+    rows = {"f": 0, "conj": 0}
+    f_values, conj_values = type(f).values, DGF.conjugate_values
+
+    def counted_f(self, X):
+        rows["f"] += len(X)
+        return f_values(self, X)
+
+    def counted_conj(self, Y):
+        rows["conj"] += len(Y)
+        return conj_values(self, Y)
+
+    monkeypatch.setattr(type(f), "values", counted_f)
+    monkeypatch.setattr(DGF, "conjugate_values", counted_conj)
+    cli._trace_rows(run, f, g)
+    assert rows == {"f": N + 1, "conj": conj_rows * (N + 1)}
 
 
 def _schedule_trajectories(kind, p, shifted, N, seed):
