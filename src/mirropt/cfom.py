@@ -111,8 +111,11 @@ def schedule_from_entries(N: int, a_entries, b_entries) -> CoefficientSchedule:
     zero, except b(0,0), which defaults to -1."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    a = np.zeros((N + 1, N + 1))
-    b = np.zeros((N + 1, N + 1))
+    try:
+        a = np.zeros((N + 1, N + 1))
+        b = np.zeros((N + 1, N + 1))
+    except MemoryError:
+        raise ValueError(f"schedule with N = {N} is too large") from None
     b[0, 0] = -1.0
     for k, i, v in a_entries:
         k, i = int(k), int(i)
@@ -168,7 +171,9 @@ class DualTrajectory:
 
 
 def _check_finite(v: Vector, what: str, k: int) -> Vector:
-    if not np.isfinite(v).all():
+    # The ufunc reduce is ndarray.all without its Python-level wrapper;
+    # the runners call this twice per step.
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise FloatingPointError(f"non-finite {what} at iteration {k}")
     return v
 

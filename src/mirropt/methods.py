@@ -57,13 +57,24 @@ class ThetaSequence:
         return t * t
 
 
+# theta_0, theta_1, ... of the recurrence, as far as any call has needed.
+# An extension is built aside and published by rebinding, never appended
+# in place, so concurrent callers each see a consistent prefix.
+_THETA_PREFIX = np.ones(1)
+
+
 def theta_sequence(N: int) -> ThetaSequence:
+    global _THETA_PREFIX
     if N < 1:
         raise ValueError("N >= 1 required")
+    prefix = _THETA_PREFIX
+    if prefix.size < N:
+        ext = prefix.tolist()
+        for _ in range(prefix.size, N):
+            ext.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ext[-1] ** 2)))
+        prefix = _THETA_PREFIX = np.array(ext)
     vals = np.empty(N + 1)
-    vals[0] = 1.0
-    for i in range(1, N):
-        vals[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * vals[i - 1] ** 2))
+    vals[:N] = prefix[:N]
     vals[N] = vals[N - 1]
     return ThetaSequence(N=N, values=vals)
 
@@ -213,11 +224,12 @@ class AMDPath:
     def _x(self, k: int, sq_k: float) -> Vector:
         """x_k from x_{k-1} and the mirrors, with theta_k^2 = sq_k."""
         sq, m = self._sq, self.mirrors
-        x = (
-            sq[k] / sq_k * self.xs[k - 1]
-            + (sq_k - sq[k]) / sq_k * m[k]
-            + (sq[k] - sq[k - 1]) / sq_k * (m[k] - m[k - 1])
-        )
+        x = np.multiply(sq[k] / sq_k, self.xs[k - 1])
+        t = np.multiply((sq_k - sq[k]) / sq_k, m[k])
+        x += t
+        np.subtract(m[k], m[k - 1], out=t)
+        t *= (sq[k] - sq[k - 1]) / sq_k
+        x += t
         return _check_finite(x, "primal iterate x", k)
 
     def output(self, N: int) -> PrimalVector:
@@ -231,13 +243,17 @@ class AMDPath:
             vals = theta_sequence(max(N, 2 * len(self._sq))).values[:-1]
             self._sq = [0.0] + (vals * vals).tolist()
         sq, step = self._sq, self.sigma / self.L
-        for k in range(len(self.ys) - 1, N):
-            if k == len(self.xs):
-                self.xs.append(self._x(k, sq[k + 1]))
-            self.f_grads.append(np.asarray(self.f.grad(self.xs[k]), dtype=np.float64))
-            y = self.ys[k] - step * (sq[k + 1] - sq[k]) * self.f_grads[k]
-            self.ys.append(_check_finite(y, "dual iterate y", k + 1))
-            self.mirrors.append(self.g.conjugate_grad(y))
+        xs, ys, f_grads, mirrors = self.xs, self.ys, self.f_grads, self.mirrors
+        grad, conjugate_grad = self.f.grad, self.g.conjugate_grad
+        for k in range(len(ys) - 1, N):
+            if k == len(xs):
+                xs.append(self._x(k, sq[k + 1]))
+            fg = np.asarray(grad(xs[k]), dtype=np.float64)
+            f_grads.append(fg)
+            y = np.multiply(step * (sq[k + 1] - sq[k]), fg)
+            np.subtract(ys[k], y, out=y)
+            ys.append(_check_finite(y, "dual iterate y", k + 1))
+            mirrors.append(conjugate_grad(y))
         return self._x(N, sq[N])
 
 
@@ -315,18 +331,30 @@ def run_dual_amd(
     rs = [(w[0] - w[2]) / w[0] * f_grads[0]]
     gk = f_grads[0] / w[1]
     mirrors = [g.conjugate_grad(rs[0])]
+    grad, conjugate_grad = f.grad, g.conjugate_grad
+    q, fg, mirror = q0, f_grads[0], mirrors[0]
     for k in range(N):
         w1, w2, w3 = w[k + 1], w[k + 2], w[k + 3]
-        q_next = qs[k] - step * (w1 - w2) * mirrors[k]
-        _check_finite(q_next, "primal iterate q", k + 1)
-        qs.append(q_next)
-        f_grads.append(np.asarray(f.grad(q_next), dtype=np.float64))
-        g_next = gk + (f_grads[k + 1] - f_grads[k]) / w1
-        r_next = rs[k] + (w1 - w2) * (g_next - gk) + (w2 - w3) * g_next
-        _check_finite(r_next, "dual iterate r", k + 1)
-        rs.append(r_next)
-        mirrors.append(g.conjugate_grad(r_next))
-        gk = g_next
+        # q_{k+1} = q_k - step (w1 - w2) mirror_k
+        t = np.multiply(step * (w1 - w2), mirror)
+        q = _check_finite(np.subtract(q, t, out=t), "primal iterate q", k + 1)
+        qs.append(q)
+        fg_next = np.asarray(grad(q), dtype=np.float64)
+        f_grads.append(fg_next)
+        # g_{k+1} = g_k + (grad f(q_{k+1}) - grad f(q_k)) / w1
+        g_next = np.subtract(fg_next, fg)
+        g_next /= w1
+        g_next += gk
+        # r_{k+1} = r_k + (w1 - w2)(g_{k+1} - g_k) + (w2 - w3) g_{k+1}
+        r = np.subtract(g_next, gk)
+        r *= w1 - w2
+        r += rs[k]
+        t = np.multiply(w2 - w3, g_next)
+        r += t
+        rs.append(_check_finite(r, "dual iterate r", k + 1))
+        mirror = conjugate_grad(r)
+        mirrors.append(mirror)
+        fg, gk = fg_next, g_next
     bound = None
     if f.f_star is not None:
         bound = (L / (sigma * th.sq(N))) * (f.value(qs[0]) - f.f_star)

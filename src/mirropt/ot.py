@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -152,85 +152,15 @@ def _scaling_kernel(inst: OTInstance, r: float) -> Optional[np.ndarray]:
     return np.exp(K, out=K)
 
 
-def _scaling(r: float, u: Vector, v: Vector, K: Optional[np.ndarray]):
-    """(a, b, row, tot) with Gibbs kernel a_i K_ij b_j / tot, or None for the log domain.
-
-    a = exp((u - max u)/r), b = exp((v - max v)/r), row = a * (K @ b) and
-    tot = row.sum().  None when K is None (the gate) or tot is not finite
-    or below m n 2^52 tiny (the backstop): above that floor every entry
-    within 2^-52 of the largest is a normal float, and the terms lost to
-    underflow sum to at most 2^-52 tot.
-    """
-    if K is None:
-        return None
-    a = np.exp((u - u.max()) / r)
-    b = np.exp((v - v.max()) / r)
-    row = a * (K @ b)
-    tot = row.sum()
-    if not K.size * 2.0 ** 52 * _TINY <= tot < math.inf:
-        return None
-    return a, b, row, tot
-
-
-def _marginals(
-    inst: OTInstance,
-    r: float,
-    u: Vector,
-    v: Vector,
-    K: Optional[np.ndarray],
-    buffer: Callable[[], np.ndarray],
-) -> Vector:
-    """Row sums, then column sums, of the normalized Gibbs kernel at (u, v), in one array.
-
-    Scaling form when _scaling allows it, else the log-domain kernel in
-    buffer(), which is called only then.
-    """
-    m = u.size
-    out = np.empty(m + v.size)
-    s = _scaling(r, u, v, K)
-    if s is None:
-        P = _gibbs(inst, r, u, v, buffer())
-        P.sum(axis=1, out=out[:m])
-        P.sum(axis=0, out=out[m:])
-        return out
-    a, b, row, tot = s
-    np.divide(row, tot, out=out[:m])
-    cols = np.matmul(a, K, out=out[m:])
-    cols *= b
-    cols /= tot
-    return out
-
-
 def ot_dual_grad(inst: OTInstance, r: float, u: Vector, v: Vector) -> Tuple[Vector, Vector]:
     """(softmax-plan marginals) minus (mu, nu); both blocks sum to zero."""
-    if r <= 0:
-        raise ValueError("temperature r must be positive")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    g = _marginals(inst, r, u, v, _scaling_kernel(inst, r), lambda: np.empty(inst.shape))
-    g -= np.concatenate([inst.mu, inst.nu])
-    return g[: u.size], g[u.size:]
+    g = OTDualObjective(inst, r=r).grad(np.concatenate([u, v]))
+    return g[: inst.shape[0]], g[inst.shape[0]:]
 
 
 def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> TransportPlan:
     """Normalized Gibbs kernel X = B / sum(B); entries sum to 1."""
-    if r <= 0:
-        raise ValueError("temperature r must be positive")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return _plan(inst, r, u, v, _scaling_kernel(inst, r))
-
-
-def _plan(inst: OTInstance, r: float, u: Vector, v: Vector, K: Optional[np.ndarray]) -> TransportPlan:
-    """plan_from_dual with the scaling kernel K (None above the gate) supplied; K is not modified."""
-    s = _scaling(r, u, v, K)
-    if s is None:
-        return TransportPlan(X=_gibbs(inst, r, u, v, np.empty(inst.shape)))
-    a, b, _, tot = s
-    X = K * a[:, None]
-    X *= b[None, :]
-    X /= tot
-    return TransportPlan(X=X)
+    return OTDualObjective(inst, r=r)._plan(np.concatenate([u, v]))
 
 
 def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
@@ -282,6 +212,9 @@ class OTDualObjective(SmoothObjective):
         self._m, self._n = self.inst.shape
         self._K = _scaling_kernel(self.inst, self.r)
         self._mu_nu = np.concatenate([self.inst.mu, self.inst.nu])
+        self._blocks = np.array([0, self._m])  # where u and v start in z
+        self._block_of = np.repeat([0, 1], [self._m, self._n])
+        self._floor = self._m * self._n * 2.0 ** 52 * _TINY
         self._buffer = None  # log-domain kernel, reused once allocated
 
     def split(self, z: Vector) -> Tuple[Vector, Vector]:
@@ -293,15 +226,61 @@ class OTDualObjective(SmoothObjective):
         return ot_dual_value(self.inst, self.r, u, v)
 
     def grad(self, z: Vector) -> Vector:
-        u, v = self.split(z)
-        g = _marginals(self.inst, self.r, u, v, self._K, self._log_buffer)
+        """Row sums, then column sums, of the normalized Gibbs kernel at z, minus (mu, nu)."""
+        z = self._check_dim(z, self._m + self._n)
+        g = np.empty(z.size)
+        if self._scaling(z, g) is None:
+            m = self._m
+            if self._buffer is None:
+                self._buffer = np.empty(self.inst.shape)
+            P = _gibbs(self.inst, self.r, z[:m], z[m:], self._buffer)
+            P.sum(axis=1, out=g[:m])
+            P.sum(axis=0, out=g[m:])
         g -= self._mu_nu
         return g
 
-    def _log_buffer(self) -> np.ndarray:
-        if self._buffer is None:
-            self._buffer = np.empty(self.inst.shape)
-        return self._buffer
+    def _scaling(self, z: Vector, g: Vector) -> Optional[Tuple[Vector, float]]:
+        """The scaling form at z = (u, v): marginals into g, and (e, tot); None for the log domain.
+
+        e = exp((z - block max)/r) stacks a = exp((u - max u)/r) and
+        b = exp((v - max v)/r), one exp over m + n entries; the Gibbs
+        kernel is a_i K_ij b_j / tot.  g gets the row sums a * (K @ b),
+        then the column sums (a @ K) * b, both divided by their total tot.
+        None when K is None (the gate) or tot is not finite or below
+        m n 2^52 tiny (the backstop): above that floor every entry within
+        2^-52 of the largest is a normal float, and the terms lost to
+        underflow sum to at most 2^-52 tot.  g is then left part-written.
+        """
+        K, m = self._K, self._m
+        if K is None:
+            return None
+        e = np.maximum.reduceat(z, self._blocks)[self._block_of]
+        np.subtract(z, e, out=e)
+        e /= self.r
+        np.exp(e, out=e)
+        a, b = e[:m], e[m:]
+        row = np.matmul(K, b, out=g[:m])
+        row *= a
+        tot = np.add.reduce(row)
+        if not self._floor <= tot < math.inf:
+            return None
+        col = np.matmul(a, K, out=g[m:])
+        col *= b
+        g /= tot
+        return e, tot
+
+    def _plan(self, z: Vector) -> TransportPlan:
+        """plan_from_dual at z = (u, v), in the form the gradient at z takes."""
+        z = self._check_dim(z, self._m + self._n)
+        m = self._m
+        s = self._scaling(z, np.empty(z.size))
+        if s is None:
+            return TransportPlan(X=_gibbs(self.inst, self.r, z[:m], z[m:], np.empty(self.inst.shape)))
+        e, tot = s
+        X = self._K * e[:m, None]
+        X *= e[None, m:]
+        X /= tot
+        return TransportPlan(X=X)
 
     def to_descriptor(self) -> dict:
         d = self.inst.to_descriptor()
@@ -410,8 +389,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
         pass
 
     grad_l1 = h.grad_l1
-    u, v = h.base.split(h.z)
-    raw = _plan(inst, r, u, v, h.base._K)
+    raw = h.base._plan(h.z)
     rounded = round_plan(inst, raw)
     cost = float(np.sum(inst.C * rounded.X))
     report = {

@@ -256,6 +256,28 @@ def test_dualize_empty_schedule(tmp_path):
     assert doc["b"] == [[3, 3, -1.0]]  # the carried b(0,0) = -1 lands at (N,N)
 
 
+def test_schedule_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys):
+    """A schedule whose dense arrays cannot be allocated is a usage error, not a traceback.
+
+    np.zeros is made to fail on the (N+1)^2 arrays, so nothing large is allocated.
+    """
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"N": 100000, "a": [], "b": []}))
+    zeros = np.zeros
+
+    def no_memory(shape, *args, **kwargs):
+        if shape == (100001, 100001):
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    assert main(["dualize", "--schedule", str(path), "--out", str(tmp_path / "d.json")]) == 1
+    assert main(["duality-check", "--schedule", str(path), "--trials", "2", "--dim", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: schedule with N = 100000 is too large") == 2
+    assert not (tmp_path / "d.json").exists()
+
+
 OT_INSTANCE = {"C": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5]}
 
 

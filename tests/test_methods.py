@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirropt.cfom import CoefficientSchedule, run_cfom, run_mirror_dual, validate_schedule
+from mirropt import methods
 from mirropt.dgf import euclidean, squared_lp
 from mirropt.methods import (
     AMDPath,
@@ -50,6 +53,63 @@ def test_theta_last_repeats_and_recursion():
 def test_theta_rejects_n_zero():
     with pytest.raises(ValueError):
         theta_sequence(0)
+
+
+def _theta_direct(N):
+    vals = np.empty(N + 1)
+    vals[0] = 1.0
+    for i in range(1, N):
+        vals[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * vals[i - 1] ** 2))
+    vals[N] = vals[N - 1]
+    return vals
+
+
+def test_theta_prefix_equals_direct_recurrence_in_any_order(monkeypatch):
+    """theta_sequence serves every N from one shared prefix, with the recurrence's floats.
+
+    The prefix starts at theta_0 alone and grows as shuffled horizons ask
+    for it.  Each call returns its own array: writing into one changes no
+    later call.
+    """
+    monkeypatch.setattr(methods, "_THETA_PREFIX", np.ones(1))
+    horizons = np.random.default_rng(7).permutation(np.arange(1, 1101)).tolist()
+    direct = {N: _theta_direct(N) for N in horizons}
+    for N in horizons:
+        th = theta_sequence(N)
+        assert th.N == N and np.array_equal(th.values, direct[N])
+        th.values[:] = -1.0
+    for N in (1, 2, 640, 1100):
+        assert np.array_equal(theta_sequence(N).values, direct[N])
+
+
+def test_theta_prefix_under_concurrent_extension(monkeypatch):
+    """Threads that extend the shared prefix at once each get the recurrence's floats.
+
+    Every thread asks for N = 1, 2, ..., so nearly every call races the
+    others to extend the prefix by one entry.
+    """
+    monkeypatch.setattr(methods, "_THETA_PREFIX", np.ones(1))
+    direct = _theta_direct(2000)
+    wrong = []
+
+    def work():
+        for N in range(1, 2001):
+            vals = theta_sequence(N).values
+            if not (np.array_equal(vals[:N], direct[:N]) and vals[N] == vals[N - 1]):
+                wrong.append(N)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_md_equals_gradient_descent(rng):
@@ -352,6 +412,40 @@ def test_step_size_validation():
         run_dual_md(f, euclidean(), -1.0, np.zeros(1), 3)
     with pytest.raises(ValueError):
         run_amd(f, euclidean(), np.zeros(1), 0)
+
+
+class _ConstantGradient:
+    """A one-dimensional objective whose gradient is the constant c."""
+
+    x_star = f_star = None
+    L = 1.0
+
+    def __init__(self, c):
+        self.c = c
+
+    def grad(self, x):
+        return np.array([self.c])
+
+
+@pytest.mark.parametrize("run, start, L, message", [
+    (run_amd, [1.0, 1.0], 1e-3, "non-finite dual iterate y at iteration 80"),
+    (run_dual_amd, [1.0, -1.0], 1e-3, "non-finite dual iterate r at iteration 79"),
+    (run_dual_amd, [1.0, -1.0], 1e-6, "non-finite primal iterate q at iteration 45"),
+])
+def test_diverging_amd_runners_name_the_iterate(run, start, L, message):
+    """L far below the true constant 4: the runners stop at the first non-finite iterate."""
+    f = DiagQuadratic(d=[1.0, 4.0], b=[0.0, 0.0])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+        run(f, euclidean(), np.array(start), 400, L=L, sigma=1.0)
+    assert str(err.value) == message
+
+
+def test_amd_primal_iterate_check_names_x():
+    """y_0 = 0 and y_1 = 5e307 are finite, but the shifted mirror y_1 + 1.5e308 is not."""
+    f = _ConstantGradient(-5e307)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+        run_amd(f, euclidean(x0=np.array([1.5e308])), np.zeros(1), 3, sigma=1.0)
+    assert str(err.value) == "non-finite primal iterate x at iteration 1"
 
 
 def test_relative_convexity_sampler(rng):

@@ -15,7 +15,6 @@ from mirropt.ot import (
     _CountingObjective,
     _gibbs,
     _LOG_TINY,
-    _scaling,
     lp_oracle,
     ot_dual_grad,
     ot_dual_value,
@@ -153,7 +152,7 @@ def test_scaling_form_matches_log_domain_below_gate(rng, m, n, cost):
     h = OTDualObjective(inst, r=r)
     for spread in (1.0, 30.0, 300.0):
         z = spread * r * rng.standard_normal(m + n)
-        assert _scaling(r, z[:m], z[m:], h._K) is not None
+        assert h._scaling(z, np.empty(m + n)) is not None
         grad, P = _log_domain(inst, r, z)
         marginals = grad + np.concatenate([inst.mu, inst.nu])
         assert np.max(np.abs(h.grad(z) - grad)) <= 1e-13 * np.max(marginals)
@@ -170,6 +169,7 @@ def test_above_gate_is_log_domain_bit_for_bit(rng):
         z = 30.0 * r * rng.standard_normal(15)
         grad, P = _log_domain(inst, r, z)
         assert np.array_equal(h.grad(z), grad)
+        assert np.array_equal(np.concatenate(ot_dual_grad(inst, r, z[:6], z[6:])), grad)
         assert np.array_equal(plan_from_dual(inst, r, z[:6], z[6:]).X, P)
 
 
@@ -183,14 +183,53 @@ def test_backstop_takes_log_domain_when_scaled_total_is_tiny():
     inst = OTInstance(C=[[7.0, 0.0], [0.0, 7.0]], mu=[0.5, 0.5], nu=[0.5, 0.5])
     z = np.array([0.0, -10.0, 0.0, -10.0])  # |u|/r spread 1000
     h = OTDualObjective(inst, r=r)
-    assert h._K is not None and _scaling(r, z[:2], z[2:], h._K) is None
+    assert h._K is not None and h._scaling(z, np.empty(4)) is None
     grad, P = _log_domain(inst, r, z)
     assert np.array_equal(h.grad(z), grad)
+    assert np.array_equal(np.concatenate(ot_dual_grad(inst, r, z[:2], z[2:])), grad)
     assert np.array_equal(plan_from_dual(inst, r, z[:2], z[2:]).X, P)
     assert P[0, 0] == 1.0
     assert h._buffer is not None
     with np.errstate(invalid="ignore"):
         assert np.isnan(h.grad(np.full(4, np.nan))).all()  # nan input reaches the log domain
+
+
+def _two_block(inst, r, u, v):
+    """The scaling form written out block by block: (gradient, plan), or None past the backstop.
+
+    A reference for the fused kernel on the stacked (u, v): the same
+    operations on the same operands, so the floats must agree exactly.
+    """
+    K = np.exp(np.divide(inst.C, -r))
+    a = np.exp((u - u.max()) / r)
+    b = np.exp((v - v.max()) / r)
+    row = a * (K @ b)
+    tot = row.sum()
+    if not K.size * 2.0 ** 52 * ot._TINY <= tot < math.inf:
+        return None
+    cols = (a @ K) * b
+    grad = np.concatenate([row / tot, cols / tot]) - np.concatenate([inst.mu, inst.nu])
+    X = K * a[:, None]
+    X *= b[None, :]
+    X /= tot
+    return grad, X
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (3, 3), (7, 5), (16, 31), (32, 32), (60, 40)])
+def test_fused_kernel_equals_two_block_arithmetic(m, n):
+    """Below the gate, the gradient, ot_dual_grad and the plan are the two-block floats."""
+    rng = np.random.default_rng([m, n])
+    inst = _random_instance(rng, m, n)
+    for r in (0.5, 0.05, 0.005):
+        assert inst.C.max() / r <= _LOG_TINY
+        h = OTDualObjective(inst, r=r)
+        for spread in (0.1, 3.0, 30.0):
+            z = spread * r * rng.standard_normal(m + n)
+            grad, X = _two_block(inst, r, z[:m], z[m:])
+            assert np.array_equal(h.grad(z), grad)
+            assert np.array_equal(np.concatenate(ot_dual_grad(inst, r, z[:m], z[m:])), grad)
+            assert np.array_equal(plan_from_dual(inst, r, z[:m], z[m:]).X, X)
+        assert h._buffer is None
 
 
 def test_plan_from_dual_uniform_and_normalized(rng):
