@@ -22,7 +22,11 @@ not finite or so small that entries within 2^-52 of the largest could
 underflow.  Both rules depend only on (C, r, u, v), so the gradient is a
 pure function of the point.  The rounding and suboptimality bounds use
 only the gradient at the returned point, so the solver stops at the
-first gradient it evaluates within tolerance.  A tiny exact LP oracle
+first gradient it evaluates within tolerance, whatever path led there:
+it doubles dual-AMD's horizon and restarts each attempt from the last
+one's final iterate, and switches to the AMD + dual-AMD concatenation
+at a horizon computed from the instance, where the concatenation's
+bound certifies (solve_ot, _fallback_horizon).  A tiny exact LP oracle
 (basic-solution enumeration up to 12 cells) supplies the reference
 optimum for the accuracy checks.
 """
@@ -31,13 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .dgf import euclidean
-from .methods import AMDPath, run_dual_amd
+from .methods import AMDPath, run_dual_amd, theta_sequence
 from .objectives import SmoothObjective
 from .spaces import Vector
 
@@ -315,6 +320,7 @@ class _CountingObjective(SmoothObjective):
         self.eval_cap = eval_cap
         self._screen = grad_tol * grad_tol * (1.0 + 1e-9)
         self.grad_evals = 0
+        self.min_sq = math.inf  # smallest g @ g since the caller last reset it
         self.z: Optional[Vector] = None
         self.grad_l1 = math.inf
 
@@ -329,7 +335,10 @@ class _CountingObjective(SmoothObjective):
             )
         self.grad_evals += 1
         g = self.base.grad(x)
-        if g @ g <= self._screen:
+        sq = g @ g
+        if sq < self.min_sq:
+            self.min_sq = sq
+        if sq <= self._screen:
             grad_l1 = float(np.sum(np.abs(g)))
             if grad_l1 <= self.grad_tol:
                 self.z, self.grad_l1 = x, grad_l1
@@ -339,9 +348,19 @@ class _CountingObjective(SmoothObjective):
 
 @dataclass
 class OTResult:
+    """The rounded plan, its cost and the report; history has one row per attempt.
+
+    Each history row is a dict: N, start ("path" or "restart"), grad_evals
+    (the attempt's gradient calls, the path's included), min_grad_l2 (the
+    smallest l2 norm among them), seconds, and certified (true on the last
+    row only).  The history is kept out of to_json_dict, whose bytes are
+    deterministic.
+    """
+
     plan: TransportPlan
     cost: float
     report: dict
+    history: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,20 +372,67 @@ class OTResult:
         }
 
 
+def _fallback_horizon(inst: OTInstance, r: float, grad_tol: float, L: float, limit: int) -> int:
+    """N_c: the smallest power of two N with theta_N^2 >= sqrt(m + n) L R_z / grad_tol.
+
+    At N_c the concatenation from z = 0 certifies, whatever the instance:
+    1. At a minimizer z* = (u, v) the softmax plan has marginals mu and
+       nu.  Row i's sum is e^{u_i/r} sum_j e^{(v_j - c_ij)/r} / Z, and the
+       sums for rows i and i' differ by a factor of at most
+       e^{(max C - min C)/r}, so |u_i - u_i'| <= s_u = (max C - min C) +
+       r log(max mu / min mu); likewise |v_j - v_j'| <= s_v with nu.
+    2. h is invariant under separate shifts of u and of v, so centring
+       each block at its midrange gives a minimizer with
+       ||z*||_2 <= R_z = sqrt(m (s_u/2)^2 + n (s_v/2)^2).
+    3. run_concat from y_0 = 0 (x_0 = 0, sigma = 1) bounds
+       (1/2)||grad h(q_N)||_2^2 <= L^2 (1/2)||z*||_2^2 / theta_N^4, and
+       ||g||_1 <= sqrt(m + n) ||g||_2, so ||grad h(q_N)||_1 <= grad_tol
+       once theta_N^2 reaches the threshold.
+    With grad_tol = inf every gradient certifies and N_c = 1.  The
+    recurrence gives theta_N = theta_{N-1} in [a, a + log a], a = (N+1)/2,
+    so the sequence itself is read only where these bounds do not settle
+    the comparison, and the search ends at the first power of two >= limit:
+    before an attempt at N solve_ot has spent at least N + log2 N
+    gradients, so with limit = eval_cap no attempt at N >= limit starts.
+    A wrong N_c would only change the worst-case count, never a
+    certificate.
+    """
+    if grad_tol == math.inf:
+        return 1
+    m, n = inst.shape
+    c_range = float(inst.C.max() - inst.C.min())
+    s_u = c_range + r * math.log(inst.mu.max() / inst.mu.min())
+    s_v = c_range + r * math.log(inst.nu.max() / inst.nu.min())
+    R_z = math.sqrt(m * (s_u / 2) ** 2 + n * (s_v / 2) ** 2)
+    target = math.sqrt(m + n) * L * R_z / grad_tol
+    N = 1
+    while N < limit:
+        a = (N + 1) / 2
+        if (a + math.log(a)) ** 2 >= target and (a * a >= target or theta_sequence(N).sq(N) >= target):
+            break
+        N *= 2
+    return N
+
+
 def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> OTResult:
     """Accuracy-epsilon transport plan via the smoothed-dual pipeline.
 
-    Sets r = eps / (2 log mn) and runs the value-stage/gradient-stage
-    concatenation on h from (0, 0), doubling N, until a gradient with
-    ||grad h||_1 <= eps / (8 ||C||_inf) is evaluated; the softmax plan at
-    that gradient's point is rounded.  The AMD stage's iterates before x_N
-    do not depend on N, so every attempt reads its x_N off one shared
-    AMDPath and only the dual-AMD stage reruns.  Gradients are scanned in
-    the order they are evaluated (the path's x_0 .. x_{N-1}, then the
-    attempt's q_0 .. q_N), and the first within tolerance ends the search:
-    report["N"] is that attempt's horizon and report["grad_evals"] the
-    exact count of gradient calls.  The call past eval_cap is refused:
-    RuntimeError, with exactly eval_cap gradients spent.
+    Sets r = eps / (2 log mn) and runs dual-AMD on h, doubling N, until a
+    gradient with ||grad h||_1 <= eps / (8 ||C||_inf) is evaluated; the
+    softmax plan at that gradient's point is rounded.  Attempt N = 1
+    starts from x_1 of AMD from (0, 0).  Each later attempt below the
+    fallback horizon N_c (_fallback_horizon) restarts from the previous
+    attempt's last iterate q_N: dual-AMD never increases h along an
+    attempt, since its energy V_0 = v_0 (h(q_0) - h(q_N)) dominates
+    V_N >= 0.  From N_c on each attempt is the value-stage/gradient-stage
+    concatenation, started from x_N of one shared AMDPath (the AMD
+    iterates before x_N do not depend on N), and the attempt at N_c
+    certifies: the chain keeps the concatenation's worst case.  Gradients
+    are scanned in the order they are evaluated, and the first within
+    tolerance ends the search: report["N"] is that attempt's horizon and
+    report["grad_evals"] the exact count of gradient calls.  The call
+    past eval_cap is refused: RuntimeError, with exactly eval_cap
+    gradients spent.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -378,15 +444,29 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     grad_tol = math.inf if c_max == 0.0 else eps / (8.0 * c_max)
 
     h = _CountingObjective(OTDualObjective(inst, r=r), grad_tol, eval_cap)
+    N_c = _fallback_horizon(inst, r, grad_tol, h.L, eval_cap)
     phi = euclidean()
     path = AMDPath(h, phi, np.zeros(m + n), L=h.L, sigma=1.0)
-    N = 1
-    try:
-        while True:
-            run_dual_amd(h, phi, path.output(N), N, L=h.L, sigma=1.0)
-            N *= 2
-    except _Certified:
-        pass
+    history = []
+    N, q = 1, None
+    while True:
+        restart, certified = 1 < N < N_c, False
+        t0, evals0, h.min_sq = time.perf_counter(), h.grad_evals, math.inf
+        try:
+            q = run_dual_amd(h, phi, q if restart else path.output(N), N, L=h.L, sigma=1.0).final_x
+        except _Certified:
+            certified = True
+        history.append({
+            "N": N,
+            "start": "restart" if restart else "path",
+            "grad_evals": h.grad_evals - evals0,
+            "min_grad_l2": math.sqrt(h.min_sq),
+            "seconds": time.perf_counter() - t0,
+            "certified": certified,
+        })
+        if certified:
+            break
+        N *= 2
 
     grad_l1 = h.grad_l1
     raw = h.base._plan(h.z)
@@ -403,7 +483,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
         "suboptimality_bound": r * math.log(m * n) + 2.0 * c_max * grad_l1,
         "marginal_residual": rounded.marginal_residual(inst),
     }
-    return OTResult(plan=rounded, cost=cost, report=report)
+    return OTResult(plan=rounded, cost=cost, report=report, history=history)
 
 
 def _lp_oracle_enumerate(inst: OTInstance) -> float:

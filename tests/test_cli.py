@@ -257,7 +257,8 @@ def test_dualize_empty_schedule(tmp_path):
 
 
 def test_schedule_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys):
-    """A schedule whose dense arrays cannot be allocated is a usage error, not a traceback.
+    """A schedule whose dense arrays cannot be allocated is a usage error, not a traceback,
+    whether read from a file or built by the amd keyword.
 
     np.zeros is made to fail on the (N+1)^2 arrays, so nothing large is allocated.
     """
@@ -273,8 +274,9 @@ def test_schedule_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np, "zeros", no_memory)
     assert main(["dualize", "--schedule", str(path), "--out", str(tmp_path / "d.json")]) == 1
     assert main(["duality-check", "--schedule", str(path), "--trials", "2", "--dim", "2"]) == 1
+    assert main(["duality-check", "--schedule", "amd", "--N", "100000", "--trials", "2", "--dim", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error: schedule with N = 100000 is too large") == 2
+    assert err.count("error: schedule with N = 100000 is too large") == 3
     assert not (tmp_path / "d.json").exists()
 
 

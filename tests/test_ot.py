@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirropt import ot
+from mirropt import methods, ot
 from mirropt.ot import (
     OTDualObjective,
     OTInstance,
@@ -23,7 +24,7 @@ from mirropt.ot import (
     solve_ot,
 )
 from mirropt.dgf import euclidean
-from mirropt.methods import run_concat
+from mirropt.methods import run_concat, run_dual_amd, theta_sequence
 from mirropt.objectives import smoothness_constant
 from mirropt.spaces import bregman, finite_difference_gradient, lp_norm
 
@@ -499,8 +500,10 @@ def _restart_reference(inst, eps):
 
 
 @pytest.mark.parametrize("seed, m, n, eps", [(1, 4, 5, 0.1), (2, 6, 6, 0.05), (3, 9, 4, 0.08), (4, 3, 12, 0.2)])
-def test_solve_ot_matches_restart_reference(seed, m, n, eps):
-    """Sharing one AMD path and stopping at the first certified gradient gives the reference's floats."""
+def test_solve_ot_matches_restart_reference(seed, m, n, eps, monkeypatch):
+    """With the fallback horizon forced to 1, every attempt is the concatenation: sharing one
+    AMD path and stopping at the first certified gradient gives the reference's floats."""
+    monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: 1)
     inst = _random_instance(np.random.default_rng(seed), m, n)
     res = solve_ot(inst, eps)
     plan, cost, N, grad_l1, evals = _restart_reference(inst, eps)
@@ -509,6 +512,153 @@ def test_solve_ot_matches_restart_reference(seed, m, n, eps):
     assert res.cost == cost
     assert res.report["grad_l1"] == grad_l1
     assert res.report["grad_evals"] == evals
+
+
+def _chain_reference(inst, eps):
+    """solve_ot below its fallback horizon: dual-AMD restarted from its own last iterate.
+
+    Attempt 1 is the concatenation at N = 1 from 0: AMD's gradient at x_0,
+    then dual-AMD's at q_0, q_1.  Each later attempt doubles N and runs
+    dual-AMD from the previous attempt's q_N.  The first gradient with l1
+    norm <= tol ends the search at its point.
+    """
+    m, n = inst.shape
+    r = eps / (2.0 * math.log(m * n))
+    tol = eps / (8.0 * float(np.max(np.abs(inst.C))))
+    h = OTDualObjective(inst, r=r)
+    first = run_concat(h, euclidean(), euclidean(), np.zeros(m + n), 1, L=h.L, sigma1=1.0, sigma2=1.0)
+    grads = [(first.amd.traj.xs[0], first.amd.traj.f_grads[0])]
+    dual = first.dual_amd.dual_traj
+    N, evals = 1, 0
+    while True:
+        for z, g in grads + list(zip(dual.qs, dual.f_grads)):
+            evals += 1
+            grad_l1 = float(np.sum(np.abs(g)))
+            if grad_l1 <= tol:
+                plan = round_plan(inst, plan_from_dual(inst, r, z[:m], z[m:]))
+                return plan, float(np.sum(inst.C * plan.X)), N, grad_l1, evals
+        grads, N = [], 2 * N
+        dual = run_dual_amd(h, euclidean(), dual.qs[-1], N, L=h.L, sigma=1.0).dual_traj
+
+
+@pytest.mark.parametrize("seed, m, n, eps", [
+    (1, 4, 5, 0.1), (2, 6, 6, 0.05), (3, 9, 4, 0.08), (4, 3, 12, 0.2), (5, 20, 15, 0.03)])
+def test_solve_ot_matches_chain_reference(seed, m, n, eps):
+    """Below the fallback horizon solve_ot is the restart chain, float for float."""
+    inst = _random_instance(np.random.default_rng(seed), m, n)
+    res = solve_ot(inst, eps)
+    plan, cost, N, grad_l1, evals = _chain_reference(inst, eps)
+    assert res.report["N"] == N > 1
+    assert N < ot._fallback_horizon(inst, res.report["r"], res.report["grad_tol"], 1 / res.report["r"], 2 ** 20)
+    assert res.plan.X.tobytes() == plan.X.tobytes()
+    assert res.cost == cost
+    assert res.report["grad_l1"] == grad_l1
+    assert res.report["grad_evals"] == evals
+
+
+@pytest.mark.parametrize("N_c", [None, 4])
+def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
+    """Rows split the gradient calls by attempt, each with its smallest l2 norm; the attempts
+    restart below N_c and read the AMD path from N_c on; only the last row certifies."""
+    if N_c is not None:
+        monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: N_c)
+    calls = _record_grads(monkeypatch)
+    res = solve_ot(_random_instance(np.random.default_rng(8), 10, 10), 0.05)
+    rows = res.history
+    assert [row["N"] for row in rows] == [2 ** k for k in range(len(rows))]
+    assert rows[-1]["N"] == res.report["N"]
+    limit = N_c or math.inf
+    assert [row["start"] for row in rows] == ["restart" if 1 < row["N"] < limit else "path" for row in rows]
+    assert sum(row["grad_evals"] for row in rows) == res.report["grad_evals"] == len(calls)
+    assert [row["certified"] for row in rows] == [False] * (len(rows) - 1) + [True]
+    ends = np.cumsum([row["grad_evals"] for row in rows])
+    for row, hi in zip(rows, ends):
+        lo = hi - row["grad_evals"]
+        assert row["min_grad_l2"] == min(math.sqrt(g @ g) for _, g in calls[lo:hi])
+        assert row["seconds"] >= 0.0
+    assert rows[-1]["min_grad_l2"] <= res.report["grad_l1"]
+    assert "history" not in res.to_json_dict()
+
+
+def test_solve_ot_history_minimum_is_per_attempt(monkeypatch):
+    """A row's smallest norm is its own attempt's, not a running minimum: attempt 1's three
+    gradients are shrunk tenfold, so its row's minimum falls below the next row's."""
+    grad, calls = OTDualObjective.grad, itertools.count()
+    monkeypatch.setattr(OTDualObjective, "grad", lambda self, z: grad(self, z) * (0.1 if next(calls) < 3 else 1.0))
+    res = solve_ot(_random_instance(np.random.default_rng(8), 10, 10), 0.05)
+    assert res.history[0]["grad_evals"] == 3
+    assert res.history[1]["min_grad_l2"] > res.history[0]["min_grad_l2"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dual_amd_attempt_never_increases_h(data):
+    """h(q_N) <= h(q_0) along every attempt of a restart chain, from any start: dual-AMD's
+    energy V_0 = v_0 (h(q_0) - h(q_N)) dominates V_N >= 0.  This is what makes restarting
+    from the last iterate safe."""
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+    costs = st.lists(st.floats(0.0, 1.0), min_size=m * n, max_size=m * n)
+    inst = OTInstance(C=np.array(data.draw(costs)).reshape(m, n),
+                      mu=data.draw(_marginal(m)), nu=data.draw(_marginal(n)))
+    h = OTDualObjective(inst, r=data.draw(st.sampled_from([0.005, 0.05, 0.5])))
+    scale = data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    q = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m + n, max_size=m + n)))
+    for N in (1, 2, 4, 8, 16, 32, 64):
+        q_N = run_dual_amd(h, euclidean(), q, N, L=h.L, sigma=1.0).final_x
+        h0 = h.value(q)
+        assert h.value(q_N) <= h0 + 1e-12 * (1.0 + abs(h0))
+        q = q_N
+
+
+def _sinkhorn(inst, r):
+    """A minimizer of the dual h by log-domain Sinkhorn, run until ||grad h||_1 <= 1e-12."""
+    h = OTDualObjective(inst, r=r)
+    u, v = np.zeros(inst.shape[0]), np.zeros(inst.shape[1])
+    for _ in range(10000):
+        u = r * np.log(inst.mu) - r * np.log(np.exp((v[None, :] - inst.C) / r).sum(axis=1))
+        v = r * np.log(inst.nu) - r * np.log(np.exp((u[:, None] - inst.C) / r).sum(axis=0))
+        z = np.concatenate([u, v])
+        if np.sum(np.abs(h.grad(z))) <= 1e-12:
+            return z
+    raise AssertionError("Sinkhorn did not converge")
+
+
+@pytest.mark.parametrize("seed, m, n, eps, skew", [
+    (1, 3, 4, 0.5, 1.0), (2, 4, 3, 0.3, 1.0), (3, 2, 5, 1.0, 0.2), (4, 5, 5, 0.5, 0.2), (5, 3, 3, 0.2, 1.0)])
+def test_fallback_horizon_certifies_the_concatenation(seed, m, n, eps, skew):
+    """R_z bounds the centred minimizer, and run_concat at N_c (the smallest such power of two)
+    certifies; skew < 1 spreads the marginals, so the log(max mu / min mu) terms count."""
+    rng = np.random.default_rng(seed)
+    inst = OTInstance(C=rng.uniform(0, 1, (m, n)), mu=rng.dirichlet(np.ones(m) * skew),
+                      nu=rng.dirichlet(np.ones(n) * skew))
+    r = eps / (2.0 * math.log(m * n))
+    tol = eps / (8.0 * inst.C.max())
+    u, v = np.split(_sinkhorn(inst, r), [m])
+    c_range = inst.C.max() - inst.C.min()
+    s_u = c_range + r * math.log(inst.mu.max() / inst.mu.min())
+    s_v = c_range + r * math.log(inst.nu.max() / inst.nu.min())
+    R_z = math.sqrt(m * (s_u / 2) ** 2 + n * (s_v / 2) ** 2)
+    assert np.ptp(u) <= s_u and np.ptp(v) <= s_v
+    assert np.linalg.norm(np.concatenate([u - u.mean(), v - v.mean()])) <= R_z
+    h = OTDualObjective(inst, r=r)
+    N_c = ot._fallback_horizon(inst, r, tol, h.L, 2 ** 20)
+    target = math.sqrt(m + n) * h.L * R_z / tol
+    assert theta_sequence(N_c).sq(N_c) >= target > theta_sequence(N_c // 2).sq(N_c // 2)
+    run = run_concat(h, euclidean(), euclidean(), np.zeros(m + n), N_c, L=h.L, sigma1=1.0, sigma2=1.0)
+    assert np.sum(np.abs(run.dual_amd.dual_traj.f_grads[-1])) <= tol
+
+
+def test_fallback_horizon_edges():
+    """tol = inf gives 1; the search stops at the first power of two >= limit; a horizon
+    that the bounds on theta settle is found without extending the theta sequence."""
+    inst = _uniform2()  # R_z = 1, so the threshold is 2 L / tol
+    assert ot._fallback_horizon(inst, 0.1, math.inf, 10.0, 2 ** 20) == 1
+    assert ot._fallback_horizon(inst, 1e-9, 1e-12, 1e9, 1000) == 1024
+    theta_sequence(8)
+    before = methods._THETA_PREFIX.size
+    # 2^36 has theta <= 3.44e10 + 25 < sqrt(2e21) <= 2^37 / 2 <= theta at 2^37
+    assert ot._fallback_horizon(inst, 1e-9, 1e-12, 1e9, 2 ** 60) == 2 ** 37
+    assert methods._THETA_PREFIX.size == before
 
 
 def test_lp_oracle_examples():
