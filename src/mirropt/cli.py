@@ -52,6 +52,13 @@ _METHODS = {"amd": (methods.run_amd, "y0"), "dual-amd": (methods.run_dual_amd, "
             "md": (methods.run_md, "y0"), "dual-md": (methods.run_dual_md, "q0")}
 
 
+def _number(x) -> float:
+    """A JSON number as a float; a string, boolean or list is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def _run_from_config(cfg: dict):
     """Execute the configured method; returns (run, f, g)."""
     try:
@@ -59,7 +66,8 @@ def _run_from_config(cfg: dict):
         f = objective_from_descriptor(cfg["objective"])
         g = dgf_from_descriptor(cfg.get("dgf", {"kind": "euclidean"}))
         N = int(cfg["N"])
-    except (KeyError, ValueError, TypeError) as e:
+        L, sigma = (None if cfg.get(k) is None else _number(cfg[k]) for k in ("L", "sigma"))
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise UsageError(f"bad config: {e}")
     if N < 1:
         raise UsageError("N >= 1 required")
@@ -69,7 +77,7 @@ def _run_from_config(cfg: dict):
     start = np.asarray(cfg[key] if key in cfg else np.zeros(_dim(cfg)), dtype=np.float64)
     if method in ("md", "dual-md"):
         return runner(f, g, float(cfg["alpha"]), start, N), f, g
-    return runner(f, g, start, N, L=cfg.get("L"), sigma=cfg.get("sigma")), f, g
+    return runner(f, g, start, N, L=L, sigma=sigma), f, g
 
 
 def _dim(cfg: dict) -> int:

@@ -25,7 +25,6 @@ __all__ = [
     "ThetaSequence",
     "theta_sequence",
     "MethodRun",
-    "AMDPath",
     "run_md",
     "run_dual_md",
     "run_amd",
@@ -191,70 +190,45 @@ def run_dual_md(
     return MethodRun(method="dual-md", dual_traj=dual_traj, bound=bound)
 
 
-class AMDPath:
-    """AMD from y0 for every horizon N at once.
+def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[float]):
+    """(L, sigma), defaulting to f.L and g.sigma; each must be positive and finite."""
+    L = f.L if L is None else L
+    sigma = g.sigma if sigma is None else sigma
+    if not (0 < L < math.inf and 0 < sigma < math.inf):
+        raise ValueError("L and sigma must be positive and finite")
+    return L, sigma
 
-    With theta_N = theta_{N-1}, the iterates y_0..y_N and x_0..x_{N-1} of
-    an N-step AMD run do not depend on N; only the last primal step x_N
-    does.  The path keeps one run, extends it when a longer horizon is
-    asked for, and forms x_N on demand, so output(N) gives the floats of
-    an N-step run from y0 for any N, asked for in any order.  Reaching
-    horizon N costs N gradient evaluations in all (at x_0..x_{N-1}).
+
+def _amd_iterates(f: SmoothObjective, g: DGF, y0: DualVector, N: int, L: float, sigma: float):
+    """AMD's recurrence from y0: x_0..x_N, y_0..y_N, grad phi*(y_0..y_N), grad f(x_0..x_{N-1}).
+
+    theta_N = theta_{N-1}; no gradient is taken at x_N.
     """
-
-    def __init__(
-        self,
-        f: SmoothObjective,
-        g: DGF,
-        y0: DualVector,
-        L: Optional[float] = None,
-        sigma: Optional[float] = None,
-    ):
-        self.f, self.g = f, g
-        self.L = f.L if L is None else L
-        self.sigma = g.sigma if sigma is None else sigma
-        y0 = np.asarray(y0, dtype=np.float64)
-        # K is the longest horizon reached so far.
-        self.ys = [y0]  # y_0 .. y_K
-        self.mirrors = [g.conjugate_grad(y0)]  # grad phi*(y_k), k <= K
-        self.xs = [self.mirrors[0]]  # x_k, k < K, each formed with its own theta_k
-        self.f_grads: List[Vector] = []  # grad f(x_k), k < K
-        self._sq = [0.0]  # _sq[j + 1] = theta_j^2, theta_{-1} = 0
-
-    def _x(self, k: int, sq_k: float) -> Vector:
-        """x_k from x_{k-1} and the mirrors, with theta_k^2 = sq_k."""
-        sq, m = self._sq, self.mirrors
-        x = np.multiply(sq[k] / sq_k, self.xs[k - 1])
-        t = np.multiply((sq_k - sq[k]) / sq_k, m[k])
+    vals = theta_sequence(N).values
+    sq = [0.0] + (vals * vals).tolist()  # sq[j + 1] = theta_j^2, theta_{-1} = 0
+    step = sigma / L
+    ys = [np.asarray(y0, dtype=np.float64)]
+    mirrors = [g.conjugate_grad(ys[0])]
+    xs = [mirrors[0]]
+    f_grads: List[Vector] = []
+    grad, conjugate_grad = f.grad, g.conjugate_grad
+    for k in range(N):
+        fg = np.asarray(grad(xs[k]), dtype=np.float64)
+        f_grads.append(fg)
+        y = np.multiply(step * (sq[k + 1] - sq[k]), fg)
+        np.subtract(ys[k], y, out=y)
+        ys.append(_check_finite(y, "dual iterate y", k + 1))
+        mirrors.append(conjugate_grad(y))
+        # x_{k+1} from x_k and the mirrors, with theta_{k+1}^2 = sq[k + 2]
+        sq_next = sq[k + 2]
+        x = np.multiply(sq[k + 1] / sq_next, xs[k])
+        t = np.multiply((sq_next - sq[k + 1]) / sq_next, mirrors[k + 1])
         x += t
-        np.subtract(m[k], m[k - 1], out=t)
-        t *= (sq[k] - sq[k - 1]) / sq_k
+        np.subtract(mirrors[k + 1], mirrors[k], out=t)
+        t *= (sq[k + 1] - sq[k]) / sq_next
         x += t
-        return _check_finite(x, "primal iterate x", k)
-
-    def output(self, N: int) -> PrimalVector:
-        """x_N of the N-step run (theta_N = theta_{N-1}), extending the path to y_N.
-
-        No gradient is taken at x_N.
-        """
-        if N < 1:
-            raise ValueError("N >= 1 required")
-        if len(self._sq) <= N:
-            vals = theta_sequence(max(N, 2 * len(self._sq))).values[:-1]
-            self._sq = [0.0] + (vals * vals).tolist()
-        sq, step = self._sq, self.sigma / self.L
-        xs, ys, f_grads, mirrors = self.xs, self.ys, self.f_grads, self.mirrors
-        grad, conjugate_grad = self.f.grad, self.g.conjugate_grad
-        for k in range(len(ys) - 1, N):
-            if k == len(xs):
-                xs.append(self._x(k, sq[k + 1]))
-            fg = np.asarray(grad(xs[k]), dtype=np.float64)
-            f_grads.append(fg)
-            y = np.multiply(step * (sq[k + 1] - sq[k]), fg)
-            np.subtract(ys[k], y, out=y)
-            ys.append(_check_finite(y, "dual iterate y", k + 1))
-            mirrors.append(conjugate_grad(y))
-        return self._x(N, sq[N])
+        xs.append(_check_finite(x, "primal iterate x", k + 1))
+    return xs, ys, mirrors, f_grads
 
 
 def run_amd(
@@ -266,24 +240,19 @@ def run_amd(
     sigma: Optional[float] = None,
 ) -> MethodRun:
     """Accelerated mirror descent with the equality theta sequence."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    path = AMDPath(f, g, y0, L=L, sigma=sigma)
-    x_N = path.output(N)
-    xs = path.xs[:N] + [x_N]
-    f_grads = path.f_grads[:N] + [np.asarray(f.grad(x_N), dtype=np.float64)]
-    L, sigma, th = path.L, path.sigma, theta_sequence(N)
+    L, sigma = _constants(f, g, L, sigma)
+    xs, ys, mirrors, f_grads = _amd_iterates(f, g, y0, N, L, sigma)
+    f_grads.append(np.asarray(f.grad(xs[N]), dtype=np.float64))
+    th = theta_sequence(N)
     bound = None
     if f.x_star is not None:
         bound = L * bregman(g.value, g.grad, f.x_star, xs[0]) / (sigma * th.sq(N))
-    traj = Trajectory(xs=xs, ys=path.ys[: N + 1], f_grads=f_grads, mirrors=path.mirrors[: N + 1])
+    traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
     return MethodRun(method="amd", traj=traj, bound=bound, theta=th, L=L, sigma=sigma)
 
 
 def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     """The CFOM coefficient families whose execution reproduces run_amd."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
     # sq[j + 2] = theta_j^2, with theta_j = 0 for j <= -1.  Entry k of the
     # vectors below belongs to step k -> k+1, which fills row k + 1 of a and b.
     vals = theta_sequence(N).values
@@ -320,10 +289,7 @@ def run_dual_amd(
     r_0 = (theta_N^2 - theta_{N-2}^2) / theta_N^2 * grad f(q_0) is the
     one forced by r_0 = -b_{N,N} grad f(q_0) of the mirror dual.
     """
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    L = f.L if L is None else L
-    sigma = g.sigma if sigma is None else sigma
+    L, sigma = _constants(f, g, L, sigma)
     th = theta_sequence(N)
     # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
     w = (th.values * th.values)[::-1].tolist() + [0.0, 0.0, 0.0]

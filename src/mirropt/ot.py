@@ -25,7 +25,7 @@ only the gradient at the returned point, so the solver stops at the
 first gradient it evaluates within tolerance, whatever path led there:
 it doubles dual-AMD's horizon and restarts each attempt from the last
 one's final iterate, and switches to the AMD + dual-AMD concatenation
-at a horizon computed from the instance, where the concatenation's
+from 0 at a horizon computed from the instance, where the concatenation's
 bound certifies (solve_ot, _fallback_horizon).  A tiny exact LP oracle
 (basic-solution enumeration up to 12 cells) supplies the reference
 optimum for the accuracy checks.
@@ -42,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dgf import euclidean
-from .methods import AMDPath, run_dual_amd, theta_sequence
+from .methods import _amd_iterates, run_dual_amd, theta_sequence
 from .objectives import SmoothObjective
 from .spaces import Vector
 
@@ -350,11 +350,13 @@ class _CountingObjective(SmoothObjective):
 class OTResult:
     """The rounded plan, its cost and the report; history has one row per attempt.
 
-    Each history row is a dict: N, start ("path" or "restart"), grad_evals
-    (the attempt's gradient calls, the path's included), min_grad_l2 (the
+    Each history row is a dict: N, start ("path": x_N of an N-step AMD run
+    from 0, or "restart": the previous attempt's q_N), grad_evals (the
+    attempt's gradient calls, its AMD run's included), min_grad_l2 (the
     smallest l2 norm among them), seconds, and certified (true on the last
-    row only).  The history is kept out of to_json_dict, whose bytes are
-    deterministic.
+    row of a solve only).  The history is kept out of to_json_dict, whose
+    bytes are deterministic.  When the budget runs out, the RuntimeError
+    carries the rows so far, the interrupted attempt's last, as .history.
     """
 
     plan: TransportPlan
@@ -395,7 +397,9 @@ def _fallback_horizon(inst: OTInstance, r: float, grad_tol: float, L: float, lim
     before an attempt at N solve_ot has spent at least N + log2 N
     gradients, so with limit = eval_cap no attempt at N >= limit starts.
     A wrong N_c would only change the worst-case count, never a
-    certificate.
+    certificate.  The fallback attempt reruns AMD from 0, so its AMD stage
+    spends N gradients, at x_0 .. x_{N-1}: one more than extending attempt
+    1's AMD run would, since the gradient at x_0 is taken again.
     """
     if grad_tol == math.inf:
         return 1
@@ -425,14 +429,14 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     attempt's last iterate q_N: dual-AMD never increases h along an
     attempt, since its energy V_0 = v_0 (h(q_0) - h(q_N)) dominates
     V_N >= 0.  From N_c on each attempt is the value-stage/gradient-stage
-    concatenation, started from x_N of one shared AMDPath (the AMD
-    iterates before x_N do not depend on N), and the attempt at N_c
-    certifies: the chain keeps the concatenation's worst case.  Gradients
-    are scanned in the order they are evaluated, and the first within
-    tolerance ends the search: report["N"] is that attempt's horizon and
-    report["grad_evals"] the exact count of gradient calls.  The call
-    past eval_cap is refused: RuntimeError, with exactly eval_cap
-    gradients spent.
+    concatenation: N steps of AMD from (0, 0), then dual-AMD from their
+    x_N.  The attempt at N_c certifies, so the chain keeps the
+    concatenation's worst case.  Gradients are scanned in the order they
+    are evaluated, and the first within tolerance ends the search:
+    report["N"] is that attempt's horizon and report["grad_evals"] the
+    exact count of gradient calls.  The call past eval_cap is refused:
+    RuntimeError, with exactly eval_cap gradients spent and the history
+    so far as its history attribute.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -446,24 +450,29 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     h = _CountingObjective(OTDualObjective(inst, r=r), grad_tol, eval_cap)
     N_c = _fallback_horizon(inst, r, grad_tol, h.L, eval_cap)
     phi = euclidean()
-    path = AMDPath(h, phi, np.zeros(m + n), L=h.L, sigma=1.0)
     history = []
     N, q = 1, None
     while True:
         restart, certified = 1 < N < N_c, False
         t0, evals0, h.min_sq = time.perf_counter(), h.grad_evals, math.inf
         try:
-            q = run_dual_amd(h, phi, q if restart else path.output(N), N, L=h.L, sigma=1.0).final_x
+            if not restart:
+                q = _amd_iterates(h, phi, np.zeros(m + n), N, h.L, 1.0)[0][-1]
+            q = run_dual_amd(h, phi, q, N, L=h.L, sigma=1.0).final_x
         except _Certified:
             certified = True
-        history.append({
-            "N": N,
-            "start": "restart" if restart else "path",
-            "grad_evals": h.grad_evals - evals0,
-            "min_grad_l2": math.sqrt(h.min_sq),
-            "seconds": time.perf_counter() - t0,
-            "certified": certified,
-        })
+        except RuntimeError as e:
+            e.history = history  # the budget ran out; the finally clause adds this attempt's row
+            raise
+        finally:
+            history.append({
+                "N": N,
+                "start": "restart" if restart else "path",
+                "grad_evals": h.grad_evals - evals0,
+                "min_grad_l2": math.sqrt(h.min_sq),
+                "seconds": time.perf_counter() - t0,
+                "certified": certified,
+            })
         if certified:
             break
         N *= 2

@@ -394,6 +394,16 @@ def test_malformed_schedules_exit_1(doc):
         assert main(["duality-check", "--schedule", str(path), "--trials", "2", "--dim", "2"]) == 1
 
 
+@pytest.mark.parametrize("method", ["amd", "dual-amd"])
+@pytest.mark.parametrize("key, value", [("L", "4"), ("L", 0), ("sigma", 0), ("L", -4), ("sigma", -1)])
+def test_bad_smoothness_constants_exit_1(tmp_path, capsys, method, key, value):
+    """A non-numeric or non-positive L or sigma is refused before the run, not a
+    TypeError or ZeroDivisionError traceback, nor a violated-bound exit 2."""
+    cfg = dict(AMD_CONFIG, method=method, N=4, **{key: value})
+    assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _not_a_float(text):
     try:
         float(text)

@@ -11,7 +11,6 @@ from mirropt.cfom import CoefficientSchedule, run_cfom, run_mirror_dual, validat
 from mirropt import methods
 from mirropt.dgf import euclidean, squared_lp
 from mirropt.methods import (
-    AMDPath,
     amd_schedule,
     run_amd,
     run_concat,
@@ -222,20 +221,6 @@ def _amd_schedule_by_index(N, L, sigma):
     return a, b
 
 
-@pytest.mark.parametrize("p", [2.0, 1.5])
-@pytest.mark.parametrize("horizons", [[1, 2, 4, 8, 16, 32], [3, 4, 9, 10, 25]])
-def test_amd_path_output_equals_run_amd(rng, p, horizons):
-    f = _quadratic(rng, p=p)
-    g = euclidean() if p == 2.0 else squared_lp(p)
-    y0 = rng.standard_normal(5)
-    path = AMDPath(f, g, y0)
-    for N in horizons:
-        assert np.array_equal(path.output(N), run_amd(f, g, y0, N).traj.xs[-1])
-    assert len(path.f_grads) == horizons[-1]  # grad f at x_0 .. x_{N-1}, each once
-    with pytest.raises(ValueError):
-        path.output(0)
-
-
 def _reference_amd(f, g, y0, N, L, sigma):
     """AMD as one loop over theta_sequence(N): (ys, xs, f_grads, mirrors)."""
     th = theta_sequence(N)
@@ -412,6 +397,12 @@ def test_step_size_validation():
         run_dual_md(f, euclidean(), -1.0, np.zeros(1), 3)
     with pytest.raises(ValueError):
         run_amd(f, euclidean(), np.zeros(1), 0)
+    for runner in (run_amd, run_dual_amd):
+        for bad in (0.0, -4.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="L and sigma"):
+                runner(f, euclidean(), np.zeros(1), 3, L=bad)
+            with pytest.raises(ValueError, match="L and sigma"):
+                runner(f, euclidean(), np.zeros(1), 3, sigma=bad)
 
 
 class _ConstantGradient:

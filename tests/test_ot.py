@@ -386,9 +386,13 @@ def test_solve_ot_stops_at_first_gradient_within_tolerance(seed, m, n, eps, monk
 def test_solve_ot_never_passes_eval_cap(rng, monkeypatch):
     """The budget is checked before each evaluation, not before each attempt."""
     calls = _record_grads(monkeypatch)
-    with pytest.raises(RuntimeError, match="budget 60 exhausted"):
+    with pytest.raises(RuntimeError, match="budget 60 exhausted") as exc:
         solve_ot(_random_instance(rng, 30, 30), 0.001, eval_cap=60)
     assert len(calls) == 60
+    rows = exc.value.history  # the interrupted attempt's row included
+    assert [row["N"] for row in rows] == [2 ** k for k in range(len(rows))]
+    assert sum(row["grad_evals"] for row in rows) == 60
+    assert not any(row["certified"] for row in rows)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7, 133])
@@ -477,9 +481,8 @@ def _restart_reference(inst, eps):
     """solve_ot as a fresh AMD + dual-AMD concatenation from 0 per doubling of N.
 
     Gradients are scanned in the order solve_ot evaluates them: per
-    attempt N, the AMD path's new ones at x_{N/2} .. x_{N-1} (x_0 at
-    N = 1), then dual-AMD's at q_0 .. q_N.  The first with l1 norm <= tol
-    ends the search at its point.
+    attempt N, AMD's at x_0 .. x_{N-1}, then dual-AMD's at q_0 .. q_N.
+    The first with l1 norm <= tol ends the search at its point.
     """
     m, n = inst.shape
     r = eps / (2.0 * math.log(m * n))
@@ -489,8 +492,7 @@ def _restart_reference(inst, eps):
     while True:
         run = run_concat(h, euclidean(), euclidean(), np.zeros(m + n), N, L=h.L, sigma1=1.0, sigma2=1.0)
         amd, dual = run.amd.traj, run.dual_amd.dual_traj
-        path = [(amd.xs[k], amd.f_grads[k]) for k in range(N // 2, N)]
-        for z, g in path + list(zip(dual.qs, dual.f_grads)):
+        for z, g in list(zip(amd.xs[:N], amd.f_grads)) + list(zip(dual.qs, dual.f_grads)):
             evals += 1
             grad_l1 = float(np.sum(np.abs(g)))
             if grad_l1 <= tol:
@@ -501,8 +503,8 @@ def _restart_reference(inst, eps):
 
 @pytest.mark.parametrize("seed, m, n, eps", [(1, 4, 5, 0.1), (2, 6, 6, 0.05), (3, 9, 4, 0.08), (4, 3, 12, 0.2)])
 def test_solve_ot_matches_restart_reference(seed, m, n, eps, monkeypatch):
-    """With the fallback horizon forced to 1, every attempt is the concatenation: sharing one
-    AMD path and stopping at the first certified gradient gives the reference's floats."""
+    """With the fallback horizon forced to 1, every attempt is the concatenation from 0: stopping
+    at the first certified gradient gives the reference's floats and count."""
     monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: 1)
     inst = _random_instance(np.random.default_rng(seed), m, n)
     res = solve_ot(inst, eps)
@@ -559,12 +561,28 @@ def test_solve_ot_matches_chain_reference(seed, m, n, eps):
 @pytest.mark.parametrize("N_c", [None, 4])
 def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
     """Rows split the gradient calls by attempt, each with its smallest l2 norm; the attempts
-    restart below N_c and read the AMD path from N_c on; only the last row certifies."""
+    restart below N_c and run AMD from 0 from N_c on; only the last row certifies.  A row that
+    runs AMD spends N gradients on it (x_0 .. x_{N-1}), then its dual-AMD calls."""
     if N_c is not None:
         monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: N_c)
     calls = _record_grads(monkeypatch)
+    dual_calls = []
+
+    def counted_dual_amd(*args, **kwargs):
+        before = len(calls)
+        try:
+            return run_dual_amd(*args, **kwargs)
+        finally:
+            dual_calls.append(len(calls) - before)
+
+    monkeypatch.setattr(ot, "run_dual_amd", counted_dual_amd)
     res = solve_ot(_random_instance(np.random.default_rng(8), 10, 10), 0.05)
     rows = res.history
+    assert len(dual_calls) == len(rows)
+    for row, dual in zip(rows, dual_calls):
+        assert row["grad_evals"] == (row["N"] if row["start"] == "path" else 0) + dual
+    if N_c is not None:
+        assert rows[-1]["N"] > N_c  # at least two attempts from N_c on
     assert [row["N"] for row in rows] == [2 ** k for k in range(len(rows))]
     assert rows[-1]["N"] == res.report["N"]
     limit = N_c or math.inf
@@ -575,6 +593,8 @@ def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
     for row, hi in zip(rows, ends):
         lo = hi - row["grad_evals"]
         assert row["min_grad_l2"] == min(math.sqrt(g @ g) for _, g in calls[lo:hi])
+        if row["start"] == "path":
+            assert not calls[lo][0].any()  # AMD starts afresh from 0
         assert row["seconds"] >= 0.0
     assert rows[-1]["min_grad_l2"] <= res.report["grad_l1"]
     assert "history" not in res.to_json_dict()
