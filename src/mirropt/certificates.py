@@ -13,6 +13,9 @@ bijection
 maps one onto the other exactly, for any schedule, which is the
 identity realized numerically by check_mirror_duality.  The closed forms
 take scenarios with leading batch axes and evaluate them all at once.
+The public functions take per-step lists and stack them once; they and
+check_mirror_duality share one core on stacked (..., N+1, d) arrays, so
+the sampled check builds no per-step list.
 """
 
 from __future__ import annotations
@@ -261,14 +264,70 @@ def _per_scenario(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _norm_sums(w: np.ndarray, X: np.ndarray, Y: np.ndarray, L: float, sigma: float,
-               norm: Optional[NormIndex]) -> np.ndarray:
-    """sum_k w_k/(2L) ||X_k - X_{k+1}||_q^2 + sigma/2 ||Y_k - Y_{k+1}||_p^2."""
-    p = norm.p if norm is not None else 2.0
-    q = norm.q if norm is not None else 2.0
-    dX = np.sum(np.abs(np.diff(X, axis=-2)) ** q, axis=-1) ** (2.0 / q)
-    dY = np.sum(np.abs(np.diff(Y, axis=-2)) ** p, axis=-1) ** (2.0 / p)
-    return dX @ w / (2.0 * L) + sigma / 2.0 * np.sum(dY, axis=-1)
+def _sq_norms(dX: np.ndarray, r: float) -> np.ndarray:
+    """||dX_k||_r^2 for each step k of stacked differences dX, shape (..., N, d)."""
+    return np.add.reduce(np.abs(dX) ** r, axis=-1) ** (2.0 / r)
+
+
+def _steps(u: np.ndarray, A: np.ndarray):
+    """(A_{i+1} - A_i, u_i (A_i - A_{i+1})) for i = 0..N on stacked A, with A_{N+1} = 0."""
+    dA = np.empty(A.shape)
+    np.subtract(A[..., 1:, :], A[..., :-1, :], out=dA[..., :-1, :])
+    np.subtract(0.0, A[..., -1, :], out=dA[..., -1, :])
+    uA = np.multiply(u[:, None], dA)
+    return dA, np.negative(uA, out=uA)
+
+
+def _bijection(uA: np.ndarray) -> np.ndarray:
+    """C from uA = _steps(u, A)[1]: C_0 = u_N A_N, C_{N-i} = C_{N-i-1} + u_i (A_i - A_{i+1})."""
+    return uA[..., ::-1, :].cumsum(axis=-2)
+
+
+class _Stacked:
+    """U_A and V_B on stacked families, arrays of shape (..., N+1, d).
+
+    What depends only on the schedule, the weights and the norm is built
+    once, here, for every block of families: the weight arrays, the steps
+    of v, and the mirror dual of s read as stored.  u serves U_A, v V_B.
+    """
+
+    def __init__(self, s: CoefficientSchedule, L: float, sigma: float, norm: Optional[NormIndex],
+                 u: Optional[Sequence[float]] = None, v: Optional[Sequence[float]] = None):
+        self.s, self.L, self.sigma = s, L, sigma
+        self.p, self.q = (2.0, 2.0) if norm is None else (norm.p, norm.q)
+        if u is not None:
+            self.u = np.asarray(u, dtype=np.float64)
+        if v is not None:
+            v = np.asarray(v, dtype=np.float64)
+            self.v, self.v_col, self.dv_col = v[1:], v[1:, None], np.diff(v)[:, None]
+            # The mirror dual of s: r_{k-1} - r_k = (b_dual @ C)_k and
+            # q_k - q_{k+1} = (a_dual[1:] @ D)_k.
+            self.a_dual, self.b_dual = anti_transpose(s.a)[1:], anti_transpose(s.b)
+
+    def U(self, A: np.ndarray, B: np.ndarray):
+        """U_A(A, B), with what the bijection and V_B reuse: (U_A, uA, nB) where
+        uA is _steps(u, A)[1] and nB_k = ||B_{k+1} - B_k||_p^2."""
+        s = self.s
+        dA, uA = _steps(self.u, A)
+        nB = _sq_norms(B[..., 1:, :] - B[..., :-1, :], self.p)
+        # x_k as driven by the schedule when grad phi*(y_i) is replaced by B_i.
+        x0 = B[..., :1, :]
+        xs = np.concatenate([x0, x0 - (s.b[1:] @ B).cumsum(axis=-2)], axis=-2)
+        value = (_sq_norms(dA[..., :-1, :], self.q) @ self.u[:-1] / (2.0 * self.L)
+                 + self.sigma / 2.0 * np.add.reduce(nB, axis=-1)
+                 + np.add.reduce((s.a[1:] @ A) * B[..., 1:, :], axis=(-2, -1))
+                 - np.add.reduce(uA * xs, axis=(-2, -1)))
+        return value, uA, nB
+
+    def V(self, C: np.ndarray, D: np.ndarray, nD: Optional[np.ndarray] = None) -> np.ndarray:
+        """V_B(C, D) of the mirror dual of s; nD_k = ||D_{k+1} - D_k||_p^2 when already known."""
+        if nD is None:
+            nD = _sq_norms(D[..., 1:, :] - D[..., :-1, :], self.p)
+        bracket = self.v_col * C[..., 1:, :] - (self.dv_col * C[..., :-1, :]).cumsum(axis=-2)
+        return (_sq_norms(C[..., 1:, :] - C[..., :-1, :], self.q) @ self.v / (2.0 * self.L)
+                + self.sigma / 2.0 * np.add.reduce(nD, axis=-1)
+                + np.add.reduce((self.b_dual @ C) * D, axis=(-2, -1))
+                + np.add.reduce(bracket * (self.a_dual @ D), axis=(-2, -1)))
 
 
 def evaluate_U(
@@ -281,14 +340,7 @@ def evaluate_U(
 ):
     """Closed-form U_A from the gradient families alone, one value per scenario."""
     A, B = _stacked(s, scenario)
-    u = np.asarray(u, dtype=np.float64)
-    # x_k as driven by the schedule when grad phi*(y_i) is replaced by B_i.
-    x0 = B[..., :1, :]
-    xs = np.concatenate([x0, x0 - np.cumsum(s.b[1:] @ B, axis=-2)], axis=-2)
-    dA = -np.diff(A, axis=-2, append=0.0)  # A_k - A_{k+1}, A_{N+1} = 0
-    return _per_scenario(_norm_sums(u[:-1], A, B, L, sigma, norm)
-                         + np.sum((s.a[1:] @ A) * B[..., 1:, :], axis=(-2, -1))
-                         - np.sum(u[:, None] * dA * xs, axis=(-2, -1)))
+    return _per_scenario(_Stacked(s, L, sigma, norm, u=u).U(A, B)[0])
 
 
 def evaluate_V(
@@ -301,14 +353,7 @@ def evaluate_V(
 ):
     """Closed-form V_B of the mirror dual of s on (C, D), one value per scenario."""
     C, D = _stacked(s, scenario)
-    v = np.asarray(v, dtype=np.float64)
-    # The mirror dual of s, read as stored: r_{k-1} - r_k = (b_dual @ C)_k
-    # and q_k - q_{k+1} = (a_dual[1:] @ D)_k.
-    a_dual, b_dual = anti_transpose(s.a), anti_transpose(s.b)
-    bracket = v[1:, None] * C[..., 1:, :] - np.cumsum(np.diff(v)[:, None] * C[..., :-1, :], axis=-2)
-    return _per_scenario(_norm_sums(v[1:], C, D, L, sigma, norm)
-                         + np.sum((b_dual @ C) * D, axis=(-2, -1))
-                         + np.sum(bracket * (a_dual[1:] @ D), axis=(-2, -1)))
+    return _per_scenario(_Stacked(s, L, sigma, norm, v=v).V(C, D))
 
 
 def duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
@@ -316,9 +361,7 @@ def duality_transform(u: Sequence[float], scenario: GradientScenario) -> Gradien
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0):
         raise ValueError("u must be positive")
-    dA = -np.diff(np.stack(scenario.A, axis=-2), axis=-2, append=0.0)  # A_i - A_{i+1}, A_{N+1} = 0
-    # C_0 = u_N A_N and C_{N-i} = C_{N-i-1} + u_i (A_i - A_{i+1}).
-    C = np.cumsum((u[:, None] * dA)[..., ::-1, :], axis=-2)
+    C = _bijection(_steps(u, np.stack(scenario.A, axis=-2))[1])
     return GradientScenario(A=list(np.moveaxis(C, -2, 0)), B=scenario.B[::-1])
 
 
@@ -377,14 +420,18 @@ def check_mirror_duality(
     N = s.N
     if v is None:
         v = [1.0 / u[N - i] for i in range(N + 1)]
+    core = _Stacked(s, L, sigma, norm, u=u, v=v)
     max_res = 0.0
     failures = []
     for start in range(0, trials, TRIAL_BLOCK):
         # Trial by trial, A_0..A_N then B_0..B_N: the per-vector stream.
         AB = magnitude * rng.standard_normal((min(TRIAL_BLOCK, trials - start), 2, N + 1, dim))
-        sc = GradientScenario(A=list(AB[:, 0].swapaxes(0, 1)), B=list(AB[:, 1].swapaxes(0, 1)))
-        u_val = evaluate_U(s, u, L, sigma, sc, norm=norm)
-        v_val = evaluate_V(s, v, L, sigma, duality_transform(u, sc), norm=norm)
+        # Contiguous copies, as stacking per-step lists gives, so that every
+        # product and sum runs in the same order as in evaluate_U/evaluate_V.
+        A, B = np.ascontiguousarray(AB[:, 0]), np.ascontiguousarray(AB[:, 1])
+        u_val, uA, nB = core.U(A, B)
+        # D is B reversed along the steps, so its step norms are B's, reversed.
+        v_val = core.V(_bijection(uA), np.ascontiguousarray(B[:, ::-1]), np.ascontiguousarray(nB[:, ::-1]))
         res = np.abs(u_val - v_val) / (1.0 + np.abs(u_val))
         max_res = float(np.maximum(max_res, np.max(res)))
         # Written as "not <=" so that a nan residual fails.

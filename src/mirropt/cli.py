@@ -67,6 +67,7 @@ def _run_from_config(cfg: dict):
         g = dgf_from_descriptor(cfg.get("dgf", {"kind": "euclidean"}))
         N = int(cfg["N"])
         L, sigma = (None if cfg.get(k) is None else _number(cfg[k]) for k in ("L", "sigma"))
+        alpha = _number(cfg["alpha"]) if method in ("md", "dual-md") else None
     except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise UsageError(f"bad config: {e}")
     if N < 1:
@@ -76,7 +77,7 @@ def _run_from_config(cfg: dict):
     runner, key = _METHODS[method]
     start = np.asarray(cfg[key] if key in cfg else np.zeros(_dim(cfg)), dtype=np.float64)
     if method in ("md", "dual-md"):
-        return runner(f, g, float(cfg["alpha"]), start, N), f, g
+        return runner(f, g, alpha, start, N), f, g
     return runner(f, g, start, N, L=L, sigma=sigma), f, g
 
 

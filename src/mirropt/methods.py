@@ -140,8 +140,8 @@ def _md_loop(F, G, alpha: float, u0: Vector, N: int, u_label: str):
     MD runs it with (F, G) = (grad phi*, grad f), dual-MD with
     (grad f, grad psi*).  Returns the lists of u, w and G(w).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if N < 1:
         raise ValueError("N >= 1 required")
     us = [np.asarray(u0, dtype=np.float64)]

@@ -307,6 +307,12 @@ class _CountingObjective(SmoothObjective):
     search.  Since ||g||_2 <= ||g||_1, the one-dot screen g @ g <= tol^2
     (looser by 1e-9, more than the rounding of both sums for m + n below
     10^6) skips the l1 norm on almost every gradient; nan passes neither.
+
+    The last point and its gradient are kept: a call at that same point
+    object returns the gradient without evaluating, counting or screening
+    it again.  A restart attempt starts at the previous attempt's q_N, the
+    point of the last gradient evaluated.  The methods never write into an
+    iterate after passing it to grad, so a point is identified by identity.
     """
 
     def __init__(self, base: SmoothObjective, grad_tol: float, eval_cap: int):
@@ -323,11 +329,14 @@ class _CountingObjective(SmoothObjective):
         self.min_sq = math.inf  # smallest g @ g since the caller last reset it
         self.z: Optional[Vector] = None
         self.grad_l1 = math.inf
+        self._last = (None, None)  # (x, grad at x) of the last evaluation
 
     def value(self, x):
         return self.base.value(x)
 
     def grad(self, x):
+        if x is self._last[0]:
+            return self._last[1]
         if self.grad_evals >= self.eval_cap:
             raise RuntimeError(
                 f"gradient-evaluation budget {self.eval_cap} exhausted before a gradient "
@@ -343,6 +352,7 @@ class _CountingObjective(SmoothObjective):
             if grad_l1 <= self.grad_tol:
                 self.z, self.grad_l1 = x, grad_l1
                 raise _Certified
+        self._last = (x, g)
         return g
 
 
@@ -352,11 +362,15 @@ class OTResult:
 
     Each history row is a dict: N, start ("path": x_N of an N-step AMD run
     from 0, or "restart": the previous attempt's q_N), grad_evals (the
-    attempt's gradient calls, its AMD run's included), min_grad_l2 (the
-    smallest l2 norm among them), seconds, and certified (true on the last
-    row of a solve only).  The history is kept out of to_json_dict, whose
-    bytes are deterministic.  When the budget runs out, the RuntimeError
-    carries the rows so far, the interrupted attempt's last, as .history.
+    gradients the attempt evaluated, its AMD run's included), min_grad_l2
+    (the smallest l2 norm among them), seconds, and certified (true on the
+    last row of a solve only).  A "path" row evaluates N gradients for AMD
+    and N + 1 for dual-AMD; a "restart" row reuses the gradient at its start
+    point, the previous attempt's last, so it evaluates N, at q_1 .. q_N.
+    A certified row stops at its first gradient within tolerance.  The
+    history is kept out of to_json_dict, whose bytes are deterministic.
+    When the budget runs out, the RuntimeError carries the rows so far,
+    the interrupted attempt's last, as .history.
     """
 
     plan: TransportPlan

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirropt import certificates
+from mirropt.cfom import anti_transpose
 from mirropt.certificates import (
     GradientScenario,
     check_mirror_duality,
@@ -304,6 +307,117 @@ def test_duality_check_fails_overflowed_trials():
     assert not rep.ok
     assert [f["trial"] for f in rep.failures] == list(range(5))
     assert np.isnan(rep.max_residual)
+
+
+# The list-based closed forms that the stacked core replaced: each call
+# stacks its families from per-step lists, and the check goes through a
+# GradientScenario per block.  The core must match them byte for byte.
+def _ref_stacked(scenario):
+    return np.stack(scenario.A, axis=-2), np.stack(scenario.B, axis=-2)
+
+
+def _ref_norm_sums(w, X, Y, L, sigma, norm):
+    p = norm.p if norm is not None else 2.0
+    q = norm.q if norm is not None else 2.0
+    dX = np.sum(np.abs(np.diff(X, axis=-2)) ** q, axis=-1) ** (2.0 / q)
+    dY = np.sum(np.abs(np.diff(Y, axis=-2)) ** p, axis=-1) ** (2.0 / p)
+    return dX @ w / (2.0 * L) + sigma / 2.0 * np.sum(dY, axis=-1)
+
+
+def _ref_evaluate_U(s, u, L, sigma, scenario, norm=None):
+    A, B = _ref_stacked(scenario)
+    u = np.asarray(u, dtype=np.float64)
+    x0 = B[..., :1, :]
+    xs = np.concatenate([x0, x0 - np.cumsum(s.b[1:] @ B, axis=-2)], axis=-2)
+    dA = -np.diff(A, axis=-2, append=0.0)
+    return (_ref_norm_sums(u[:-1], A, B, L, sigma, norm)
+            + np.sum((s.a[1:] @ A) * B[..., 1:, :], axis=(-2, -1))
+            - np.sum(u[:, None] * dA * xs, axis=(-2, -1)))
+
+
+def _ref_evaluate_V(s, v, L, sigma, scenario, norm=None):
+    C, D = _ref_stacked(scenario)
+    v = np.asarray(v, dtype=np.float64)
+    a_dual, b_dual = anti_transpose(s.a), anti_transpose(s.b)
+    bracket = v[1:, None] * C[..., 1:, :] - np.cumsum(np.diff(v)[:, None] * C[..., :-1, :], axis=-2)
+    return (_ref_norm_sums(v[1:], C, D, L, sigma, norm)
+            + np.sum((b_dual @ C) * D, axis=(-2, -1))
+            + np.sum(bracket * (a_dual[1:] @ D), axis=(-2, -1)))
+
+
+def _ref_duality_transform(u, scenario):
+    u = np.asarray(u, dtype=np.float64)
+    dA = -np.diff(np.stack(scenario.A, axis=-2), axis=-2, append=0.0)
+    C = np.cumsum((u[:, None] * dA)[..., ::-1, :], axis=-2)
+    return GradientScenario(A=list(np.moveaxis(C, -2, 0)), B=scenario.B[::-1])
+
+
+def _ref_check(s, u, L, sigma, trials, dim, norm=None, magnitude=1.0, tol=1e-9, seed=0, v=None):
+    rng = np.random.default_rng(seed)
+    u = [float(x) for x in u]
+    N = s.N
+    v = [1.0 / u[N - i] for i in range(N + 1)] if v is None else v
+    max_res, failures = 0.0, []
+    for start in range(0, trials, certificates.TRIAL_BLOCK):
+        AB = magnitude * rng.standard_normal((min(certificates.TRIAL_BLOCK, trials - start), 2, N + 1, dim))
+        sc = GradientScenario(A=list(AB[:, 0].swapaxes(0, 1)), B=list(AB[:, 1].swapaxes(0, 1)))
+        u_val = _ref_evaluate_U(s, u, L, sigma, sc, norm=norm)
+        v_val = _ref_evaluate_V(s, v, L, sigma, _ref_duality_transform(u, sc), norm=norm)
+        res = np.abs(u_val - v_val) / (1.0 + np.abs(u_val))
+        max_res = float(np.maximum(max_res, np.max(res)))
+        failures += [{"trial": start + int(t), "U": float(u_val[t]), "V": float(v_val[t]),
+                      "residual": float(res[t])} for t in np.flatnonzero(~(res <= tol))]
+    return {"trials": trials, "max_residual": max_res, "failures": failures, "tol": tol}
+
+
+def _core_cases(rng):
+    """(schedule, u, v): AMD and random schedules at several N, with the conjugate v."""
+    for N in (1, 7, 20):
+        u, v = _amd_weights(N, 1.4, 0.8)
+        yield amd_schedule(N, 1.4, 0.8), u, v
+    for N in (1, 4, 9, 16):
+        u = np.cumsum(rng.uniform(0.1, 1.0, N + 1)).tolist()
+        yield random_schedule(N, rng), u, [1.0 / u[N - i] for i in range(N + 1)]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [None, 1.5])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_stacked_core_matches_list_reference(p, batch, rng):
+    """evaluate_U, evaluate_V and duality_transform equal the list-based forms byte for byte."""
+    norm = NormIndex(p) if p else None
+    d = 3
+    for s, u, v in _core_cases(rng):
+        N = s.N
+        sc = GradientScenario(A=list(rng.standard_normal((N + 1,) + batch + (d,))),
+                              B=list(rng.standard_normal((N + 1,) + batch + (d,))))
+        assert _same_bytes(evaluate_U(s, u, 1.4, 0.8, sc, norm=norm),
+                           _ref_evaluate_U(s, u, 1.4, 0.8, sc, norm=norm))
+        dual, ref = duality_transform(u, sc), _ref_duality_transform(u, sc)
+        assert all(_same_bytes(x, y) for x, y in zip(dual.A + dual.B, ref.A + ref.B))
+        assert len(dual.A) == len(ref.A) == N + 1
+        assert _same_bytes(evaluate_V(s, v, 1.4, 0.8, dual, norm=norm),
+                           _ref_evaluate_V(s, v, 1.4, 0.8, ref, norm=norm))
+
+
+@pytest.mark.parametrize("p", [None, 1.5])
+@pytest.mark.parametrize("v_scale", [1.0, 1.1])
+def test_duality_check_matches_list_reference(p, v_scale, rng, monkeypatch):
+    """check_mirror_duality's report is byte-identical to the list-based check's, in one
+    block and across several, with the conjugate v and with a perturbed one."""
+    norm = NormIndex(p) if p else None
+    for block in (certificates.TRIAL_BLOCK, 7):
+        monkeypatch.setattr(certificates, "TRIAL_BLOCK", block)
+        for s, u, v in _core_cases(rng):
+            v = [v_scale * x for x in v]
+            kw = dict(L=1.4, sigma=0.8, trials=30, dim=4, norm=norm, seed=11, v=v)
+            rep = check_mirror_duality(s, u, **kw).to_json_dict()
+            assert json.dumps(rep) == json.dumps(_ref_check(s, u, **kw))
+            assert len(rep["failures"]) == (0 if v_scale == 1.0 else 30)
 
 
 @pytest.mark.parametrize("p", [None, 1.5])

@@ -404,6 +404,18 @@ def test_bad_smoothness_constants_exit_1(tmp_path, capsys, method, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("method", ["md", "dual-md"])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "0.2", [1], 0, None])
+def test_bad_md_step_size_exits_1(tmp_path, capsys, method, alpha):
+    """A non-finite, non-positive, non-numeric or missing alpha is a usage error: not a
+    non-finite-iterate exit 4, an accepted string, nor a TypeError traceback."""
+    cfg = dict(AMD_CONFIG, method=method, N=4, alpha=alpha)
+    if alpha is None:
+        del cfg["alpha"]
+    assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _not_a_float(text):
     try:
         float(text)

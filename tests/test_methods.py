@@ -391,10 +391,10 @@ def test_concat_lq_geometry(rng):
 
 def test_step_size_validation():
     f = DiagQuadratic(d=[1.0], b=[0.0])
-    with pytest.raises(ValueError):
-        run_md(f, euclidean(), 0.0, np.zeros(1), 3)
-    with pytest.raises(ValueError):
-        run_dual_md(f, euclidean(), -1.0, np.zeros(1), 3)
+    for runner in (run_md, run_dual_md):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                runner(f, euclidean(), bad, np.zeros(1), 3)
     with pytest.raises(ValueError):
         run_amd(f, euclidean(), np.zeros(1), 0)
     for runner in (run_amd, run_dual_amd):

@@ -457,6 +457,24 @@ def test_counting_objective_certifies_first_l1_within_tolerance():
         nan_only.grad(np.zeros(4))
 
 
+def test_counting_objective_reuses_the_last_gradient():
+    """A call at the last evaluated point object returns its gradient without evaluating,
+    counting or screening it, even with the budget spent; an equal point in a new array
+    is evaluated."""
+    counted = _CountingObjective(_FixedGradients([[0.5, 0.0, 0.0, 0.0], [0.4, 0.0, 0.0, 0.0]]),
+                                 0.1, eval_cap=2)
+    x = np.zeros(4)
+    g = counted.grad(x)
+    counted.min_sq = math.inf
+    assert counted.grad(x) is g
+    assert counted.grad_evals == 1 and counted.min_sq == math.inf
+    y = np.zeros(4)
+    assert counted.grad(y)[0] == 0.4 and counted.grad_evals == 2
+    assert counted.grad(y)[0] == 0.4 and counted.grad_evals == 2
+    with pytest.raises(RuntimeError, match="budget 2 exhausted"):
+        counted.grad(x)
+
+
 @pytest.mark.parametrize("eps, above_gate", [(0.05, False), (0.004, True)])
 def test_solve_ot_plan_is_plan_from_dual_at_stop_point(monkeypatch, eps, above_gate):
     """The plan built from the objective's own kernel equals plan_from_dual's, bit for bit."""
@@ -521,26 +539,29 @@ def _chain_reference(inst, eps):
 
     Attempt 1 is the concatenation at N = 1 from 0: AMD's gradient at x_0,
     then dual-AMD's at q_0, q_1.  Each later attempt doubles N and runs
-    dual-AMD from the previous attempt's q_N.  The first gradient with l1
-    norm <= tol ends the search at its point.
+    dual-AMD from the previous attempt's q_N, whose gradient is that
+    attempt's last and is not evaluated again: N new gradients, at
+    q_1 .. q_N.  The first gradient with l1 norm <= tol ends the search
+    at its point.
     """
     m, n = inst.shape
     r = eps / (2.0 * math.log(m * n))
     tol = eps / (8.0 * float(np.max(np.abs(inst.C))))
     h = OTDualObjective(inst, r=r)
     first = run_concat(h, euclidean(), euclidean(), np.zeros(m + n), 1, L=h.L, sigma1=1.0, sigma2=1.0)
-    grads = [(first.amd.traj.xs[0], first.amd.traj.f_grads[0])]
     dual = first.dual_amd.dual_traj
+    grads = [(first.amd.traj.xs[0], first.amd.traj.f_grads[0])] + list(zip(dual.qs, dual.f_grads))
     N, evals = 1, 0
     while True:
-        for z, g in grads + list(zip(dual.qs, dual.f_grads)):
+        for z, g in grads:
             evals += 1
             grad_l1 = float(np.sum(np.abs(g)))
             if grad_l1 <= tol:
                 plan = round_plan(inst, plan_from_dual(inst, r, z[:m], z[m:]))
                 return plan, float(np.sum(inst.C * plan.X)), N, grad_l1, evals
-        grads, N = [], 2 * N
+        N *= 2
         dual = run_dual_amd(h, euclidean(), dual.qs[-1], N, L=h.L, sigma=1.0).dual_traj
+        grads = list(zip(dual.qs[1:], dual.f_grads[1:]))
 
 
 @pytest.mark.parametrize("seed, m, n, eps", [
@@ -562,7 +583,8 @@ def test_solve_ot_matches_chain_reference(seed, m, n, eps):
 def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
     """Rows split the gradient calls by attempt, each with its smallest l2 norm; the attempts
     restart below N_c and run AMD from 0 from N_c on; only the last row certifies.  A row that
-    runs AMD spends N gradients on it (x_0 .. x_{N-1}), then its dual-AMD calls."""
+    runs AMD spends N gradients on it (x_0 .. x_{N-1}), then its dual-AMD calls: N + 1 from
+    a path start, N from a restart, whose start gradient is the previous attempt's last."""
     if N_c is not None:
         monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: N_c)
     calls = _record_grads(monkeypatch)
@@ -581,6 +603,8 @@ def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
     assert len(dual_calls) == len(rows)
     for row, dual in zip(rows, dual_calls):
         assert row["grad_evals"] == (row["N"] if row["start"] == "path" else 0) + dual
+        if not row["certified"]:
+            assert row["grad_evals"] == (2 * row["N"] + 1 if row["start"] == "path" else row["N"])
     if N_c is not None:
         assert rows[-1]["N"] > N_c  # at least two attempts from N_c on
     assert [row["N"] for row in rows] == [2 ** k for k in range(len(rows))]
