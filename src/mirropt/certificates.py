@@ -20,7 +20,8 @@ the sampled check builds no per-step list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -123,14 +124,24 @@ class EnergyTrace:
         return float(np.max(e[1:] - e[:-1])) if len(e) > 1 else 0.0
 
 
-def _coco_brackets(pts, duals, traj, f_vals, conj_vals, L: float, sigma: float, g: DGF) -> list:
-    """(coco_f, coco_conjugate) for each step k -> k+1 of a primal or dual run.
+def _trace_inputs(pts, duals, traj, weights, name: str, f: SmoothObjective, g: DGF,
+                  L: Optional[float], sigma: Optional[float]):
+    """What both energy traces read from a run: (weights, f values, conjugate
+    values, brackets), with L and sigma defaulting to f.L and g.sigma.
 
-    pts/duals are (xs, ys) or (qs, rs) and conj_vals the conjugate DGF at
-    duals.  The vector terms are evaluated on blocks of rows; the float
-    operations are those of every emitted energy trace, in the same
-    order, so traces keep their bytes.
+    pts/duals are (xs, ys) or (qs, rs); the weights (u or v, named by name)
+    must number one per row.  brackets holds (coco_f, coco_conjugate) for
+    each step k -> k+1.  The vector terms are evaluated on blocks of rows;
+    the float operations are those of every emitted energy trace, in the
+    same order, so traces keep their bytes.
     """
+    L = f.L if L is None else L
+    sigma = g.sigma if sigma is None else sigma
+    weights = [float(w) for w in weights]
+    if len(weights) != len(pts):
+        raise ValueError(f"{name} must have length N+1")
+    f_vals = by_row_block(f.values, pts)
+    conj_vals = by_row_block(g.conjugate_values, duals)
     grads, mirrors = traj.f_grads, traj.mirrors
     # <grad f(x_{k+1}), x_k - x_{k+1}> and ||grad f(x_k) - grad f(x_{k+1})||_q.
     pair_f = _by_step_block(lambda G, X: pairings(G[1:], X[:-1] - X[1:]), grads, pts)
@@ -138,11 +149,12 @@ def _coco_brackets(pts, duals, traj, f_vals, conj_vals, L: float, sigma: float, 
     # <y_k - y_{k+1}, grad phi*(y_{k+1})> and ||grad phi*(y_{k+1}) - grad phi*(y_k)||_p.
     pair_c = _by_step_block(lambda Y, M: pairings(Y[:-1] - Y[1:], M[1:]), duals, mirrors)
     norm_c = _by_step_block(lambda M: lp_norms(M[1:] - M[:-1], g.p), mirrors)
-    return [
+    brackets = [
         (f_vals[k] - f_vals[k + 1] - pair_f[k] - norm_f[k] ** 2 / (2.0 * L),
          conj_vals[k] - conj_vals[k + 1] - pair_c[k] - sigma / 2.0 * norm_c[k] ** 2)
         for k in range(len(pts) - 1)
     ]
+    return weights, f_vals, conj_vals, brackets
 
 
 def primal_energy_trace(
@@ -162,17 +174,10 @@ def primal_energy_trace(
     isolate u_N (f(x_N) - f(x)), the Fenchel residual at (x, y_N), the
     pairing term, and the leftover U_A.
     """
-    L = f.L if L is None else L
-    sigma = g.sigma if sigma is None else sigma
     N = len(traj.xs) - 1
-    u = [float(v) for v in u]
-    if len(u) != N + 1:
-        raise ValueError("u must have length N+1")
+    u, f_vals, phi_conj, brackets = _trace_inputs(traj.xs, traj.ys, traj, u, "u", f, g, L, sigma)
     x = np.asarray(x, dtype=np.float64)
     fx = f.value(x)
-    f_vals = by_row_block(f.values, traj.xs)
-    phi_conj = by_row_block(g.conjugate_values, traj.ys)
-    brackets = _coco_brackets(traj.xs, traj.ys, traj, f_vals, phi_conj, L, sigma, g)
     # <grad f(x_{k+1}), x - x_{k+1}>, the pairing in D_f(x, x_{k+1}).
     pair_x = _by_step_block(lambda G, X: pairings(G[1:], x - X[1:]), traj.f_grads, traj.xs)
 
@@ -220,15 +225,8 @@ def dual_energy_trace(
     """
     if g.shifted:
         raise ValueError("dual energies require an unshifted DGF (psi*(0) = 0)")
-    L = f.L if L is None else L
-    sigma = g.sigma if sigma is None else sigma
     N = len(traj.qs) - 1
-    v = [float(x) for x in v]
-    if len(v) != N + 1:
-        raise ValueError("v must have length N+1")
-    f_vals = by_row_block(f.values, traj.qs)
-    psi_conj = by_row_block(g.conjugate_values, traj.rs)
-    brackets = _coco_brackets(traj.qs, traj.rs, traj, f_vals, psi_conj, L, sigma, g)
+    v, f_vals, psi_conj, brackets = _trace_inputs(traj.qs, traj.rs, traj, v, "v", f, g, L, sigma)
     # <grad f(q_k), q_N - q_k>, the pairing in D_f(q_N, q_k).
     q_N = np.asarray(traj.qs[N], dtype=np.float64)
     pair_q = _by_step_block(lambda G, Q: pairings(G[:-1], q_N - Q[:-1]), traj.f_grads, traj.qs)
@@ -385,12 +383,7 @@ class DualityReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "failures": self.failures,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def check_mirror_duality(
@@ -410,11 +403,13 @@ def check_mirror_duality(
 
     v defaults to the conjugate weights 1/u_{N-i}; passing anything else
     breaks the identity and is reported as failures.  At least one trial
-    in at least one dimension is required: with none, nothing is checked.
-    A nan residual, as when the magnitude overflows the norms, fails its trial.
+    in at least one dimension is required: with none, nothing is checked;
+    so is a tolerance 0 <= tol < inf, as a negative or nan one fails every
+    trial and an infinite one passes any.  A nan residual, as when the
+    magnitude overflows the norms, fails its trial.
     """
-    if trials < 1 or dim < 1:
-        raise ValueError("check_mirror_duality needs trials >= 1 and dim >= 1")
+    if not (trials >= 1 and dim >= 1 and 0 <= tol < math.inf):
+        raise ValueError("check_mirror_duality needs trials >= 1 and dim >= 1, and 0 <= tol < inf")
     rng = np.random.default_rng(seed)
     u = [float(x) for x in u]
     N = s.N

@@ -335,6 +335,16 @@ def _json_int(v, what: str) -> int:
     return v
 
 
+def _json_number(v, what: str) -> float:
+    """A JSON number as a float; a bool, string, other value or too large an integer is refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
+
+
 def _json_entries(doc: dict, key: str) -> list:
     """The (k, i, value) triples under key, checked: integer indices, a real value."""
     entries = doc.get(key, [])
@@ -345,13 +355,8 @@ def _json_entries(doc: dict, key: str) -> list:
         if not (isinstance(e, list) and len(e) == 3):
             raise ValueError(f"schedule {key!r} entry {e!r} is not [k, i, value]")
         k, i, v = e
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"schedule {key!r} entry {e!r} has a non-numeric value")
-        try:
-            v = float(v)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise ValueError(f"schedule {key!r} entry [{k}, {i}, ...] has a value beyond the float range") from None
-        out.append((_json_int(k, f"{key} index"), _json_int(i, f"{key} index"), v))
+        out.append((_json_int(k, f"{key} index"), _json_int(i, f"{key} index"),
+                    _json_number(v, f"{key} value")))
     return out
 
 

@@ -7,22 +7,30 @@ Subcommands:
     dualize        write the mirror-dual of a schedule file
     ot             solve a transport instance to accuracy eps
 
-Exit codes: 0 success, 1 usage or I/O error, 2 certified-bound violation,
-3 duality residual above tolerance, 4 numerical failure (a non-finite
-iterate, or the OT gradient-evaluation budget exhausted).
+`run` and `certify` judge a run by one rule (_verdict); every document
+is read through one boundary (_reading), where a malformed one is a
+usage error, and config numbers are read as schedule files' are.
+
+Exit codes: 0 success, 1 usage or I/O error, 2 energy increase or
+certified-bound violation, 3 duality residual above tolerance, 4
+numerical failure (a non-finite iterate or trace value, an overflow, or
+the OT gradient-evaluation budget exhausted).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import certificates, cfom, methods, ot
-from .dgf import dgf_from_descriptor, euclidean
+from .cfom import _json_int, _json_number
+from .dgf import dgf_from_descriptor
 from .objectives import objective_from_descriptor
 from .spaces import lp_norms
 
@@ -39,44 +47,40 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read {path}: {e}")
-
-
 # method -> (runner, key of its start point in the config)
 _METHODS = {"amd": (methods.run_amd, "y0"), "dual-amd": (methods.run_dual_amd, "q0"),
             "md": (methods.run_md, "y0"), "dual-md": (methods.run_dual_md, "q0")}
 
 
-def _number(x) -> float:
-    """A JSON number as a float; a string, boolean or list is refused."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError(f"expected a number, got {x!r}")
-    return float(x)
+@contextlib.contextmanager
+def _reading(what: str):
+    """The one read boundary: a document of the wrong shape or type is a usage error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as e:
+        raise UsageError(f"bad {what}: {e}") from None
+
+
+def _load_json(path: str):
+    with open(path) as fh, _reading(f"JSON in {path}"):
+        return json.load(fh)
 
 
 def _run_from_config(cfg: dict):
-    """Execute the configured method; returns (run, f, g)."""
-    try:
+    """Execute the configured method; returns (run, f, g).  The runners check N, L, sigma and alpha."""
+    with _reading("config"):
         method = cfg["method"]
+        if not isinstance(method, str) or method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        runner, key = _METHODS[method]
         f = objective_from_descriptor(cfg["objective"])
         g = dgf_from_descriptor(cfg.get("dgf", {"kind": "euclidean"}))
-        N = int(cfg["N"])
-        L, sigma = (None if cfg.get(k) is None else _number(cfg[k]) for k in ("L", "sigma"))
-        alpha = _number(cfg["alpha"]) if method in ("md", "dual-md") else None
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
-        raise UsageError(f"bad config: {e}")
-    if N < 1:
-        raise UsageError("N >= 1 required")
-    if method not in _METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    runner, key = _METHODS[method]
-    start = np.asarray(cfg[key] if key in cfg else np.zeros(_dim(cfg)), dtype=np.float64)
-    if method in ("md", "dual-md"):
+        N = _json_int(cfg["N"], "N")
+        L, sigma = (None if cfg.get(k) is None else _json_number(cfg[k], k) for k in ("L", "sigma"))
+        alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
+        start = (np.array([_json_number(x, key) for x in cfg[key]], dtype=np.float64)
+                 if key in cfg else np.zeros(_dim(cfg)))
+    if alpha is not None:
         return runner(f, g, alpha, start, N), f, g
     return runner(f, g, start, N, L=L, sigma=sigma), f, g
 
@@ -121,7 +125,7 @@ def _trace_rows(run, f, g):
     return list(zip(range(n), f_vals, norms, psi, energies, [run.bound] * n))
 
 
-def _write_trace(path, cfg, run, f, g, seed):
+def _write_trace(path, run, f, g, seed):
     rows = _trace_rows(run, f, g)
     lines = [
         f"# method={run.method}",
@@ -139,40 +143,48 @@ def _write_trace(path, cfg, run, f, g, seed):
     return rows
 
 
-def _bound_violated(run, f, g) -> bool:
-    if run.bound is None:
-        return False
-    if run.traj is not None:
-        final = f.value(run.traj.xs[-1]) - (f.f_star if f.f_star is not None else f.value(run.traj.xs[-1]))
-        return final > run.bound + BOUND_SLACK
-    final = g.conjugate_value(run.dual_traj.rs[-1])
-    return final > run.bound + BOUND_SLACK
-
-
-def cmd_run(args) -> int:
-    cfg = _load_json(args.config)
-    run, f, g = _run_from_config(cfg)
-    _write_trace(args.out, cfg, run, f, g, args.seed)
-    if _bound_violated(run, f, g):
+def _verdict(rows, f_star) -> int:
+    """The one judgment of a run, on trace rows as `run` writes them: 4 at a
+    non-finite value; 2 at an energy increase past BOUND_SLACK or a final
+    value (psi*(r_N), or f(x_N) - f_star) above the bound, reported on stderr."""
+    cols = list(zip(*rows))
+    finite = np.isfinite(np.array([c for c in cols if c[0] is not None], dtype=np.float64)).all(axis=0)
+    if not finite.all():
+        print(f"numerical failure: non-finite trace value at k={np.argmin(finite)}", file=sys.stderr)
+        return 4
+    energies = np.array(cols[4], dtype=np.float64)  # all nan, never increasing, when absent
+    rises = np.flatnonzero(energies[1:] > energies[:-1] + BOUND_SLACK)
+    if rises.size:
+        print(f"energy increased at k={rises[0] + 1}", file=sys.stderr)
+        return 2
+    _, f_N, _, psi_N, _, bound = rows[-1]
+    if bound is not None and (f_N - f_star if psi_N is None else psi_N) > bound + BOUND_SLACK:
         print("certified bound violated", file=sys.stderr)
         return 2
-    print(f"wrote {args.out}")
     return 0
 
 
+def cmd_run(args) -> int:
+    run, f, g = _run_from_config(_load_json(args.config))
+    code = _verdict(_write_trace(args.out, run, f, g, args.seed), f.f_star)
+    if code == 0:
+        print(f"wrote {args.out}")
+    return code
+
+
 def cmd_certify(args) -> int:
-    cfg = _load_json(args.config)
-    run, f, g = _run_from_config(cfg)
+    """Judge the recomputed rows as `run` does, then the file's rows once they match them."""
+    run, f, g = _run_from_config(_load_json(args.config))
     rows = _trace_rows(run, f, g)
-    try:
-        with open(args.trace) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as e:
-        raise UsageError(f"cannot read {args.trace}: {e}")
-    data = [ln for ln in lines if not ln.startswith("#") and not ln.startswith("k,")]
+    code = _verdict(rows, f.f_star)
+    if code:
+        return code
+    with open(args.trace) as fh:
+        lines = [ln.strip() for ln in fh]
+    data = [ln for ln in lines if ln and not ln.startswith(("#", "k,"))]
     if len(data) != len(rows):
         raise UsageError("trace row count does not match config")
-    prev_energy = None
+    file_rows = []
     for ln, row in zip(data, rows):
         parts = ln.split(",")
         if len(parts) != len(row):
@@ -186,30 +198,26 @@ def cmd_certify(args) -> int:
             if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
                 print(f"trace mismatch at k={row[0]}", file=sys.stderr)
                 return 2
-        energy = vals[4]
-        if energy is not None and prev_energy is not None and energy > prev_energy + BOUND_SLACK:
-            print(f"energy increased at k={row[0]}", file=sys.stderr)
-            return 2
-        prev_energy = energy
-    if _bound_violated(run, f, g):
-        print("certified bound violated", file=sys.stderr)
-        return 2
-    print("trace certified")
-    return 0
+        file_rows.append(vals)
+    code = _verdict(file_rows, f.f_star)
+    if code == 0:
+        print("trace certified")
+    return code
 
 
 def cmd_duality_check(args) -> int:
+    if not math.isfinite(args.perturb_v):
+        raise UsageError("--perturb-v must be finite")
     rng = np.random.default_rng(args.seed)
+    L, sigma = 1.0, 1.0
     if args.schedule == "amd":
         if args.N is None:
             raise UsageError("--N is required with the amd keyword")
-        L, sigma = 1.0, 1.0
         s = methods.amd_schedule(args.N, L, sigma)
         th = methods.theta_sequence(args.N)
         u = [(sigma / L) * th.sq(i) for i in range(args.N + 1)]
     else:
         s = cfom.load_schedule(args.schedule)
-        L, sigma = 1.0, 1.0
         u = np.cumsum(rng.uniform(0.1, 1.0, s.N + 1)).tolist()
     v = None
     if args.perturb_v:
@@ -218,8 +226,7 @@ def cmd_duality_check(args) -> int:
         s, u, L, sigma, trials=args.trials, dim=args.dim,
         tol=args.tol, seed=args.seed, v=v,
     )
-    doc = report.to_json_dict()
-    text = json.dumps(doc, indent=1)
+    text = json.dumps(report.to_json_dict(), indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -236,21 +243,14 @@ def cmd_dualize(args) -> int:
 
 def cmd_ot(args) -> int:
     doc = _load_json(args.instance)
-    if args.eps <= 0:
-        raise UsageError("eps must be positive")
-    try:
+    with _reading("instance"):
         inst = ot.instance_from_descriptor(doc)
-    except ValueError as e:
-        raise UsageError(f"bad instance: {e}")
     result = ot.solve_ot(inst, args.eps)
     with open(args.out, "w") as fh:
         json.dump(result.to_json_dict(), fh, indent=1)
         fh.write("\n")
-    if inst.C.size <= 12:
-        gap = result.cost - ot.lp_oracle(inst)
-        print(f"cost={_fmt(result.cost)} N={result.report['N']} gap={_fmt(gap)}")
-    else:
-        print(f"cost={_fmt(result.cost)} N={result.report['N']}")
+    gap = f" gap={_fmt(result.cost - ot.lp_oracle(inst))}" if inst.C.size <= 12 else ""
+    print(f"cost={_fmt(result.cost)} N={result.report['N']}{gap}")
     return 0
 
 
@@ -310,13 +310,11 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return globals()[args.fn](args)
-    except UsageError as e:
+    # The one exit-code table: faults of the input exit 1, of the numerics 4.
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (FloatingPointError, RuntimeError) as e:
+    except (ArithmeticError, RuntimeError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
 

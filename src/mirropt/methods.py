@@ -355,13 +355,10 @@ def run_concat(
     sigma2: Optional[float] = None,
 ) -> ConcatRun:
     """N steps of AMD from y0, then N steps of dual-AMD from q_0 = x_N."""
-    L = f.L if L is None else L
-    sigma1 = phi.sigma if sigma1 is None else sigma1
-    sigma2 = psi.sigma if sigma2 is None else sigma2
     first = run_amd(f, phi, y0, N, L=L, sigma=sigma1)
-    second = run_dual_amd(f, psi, first.traj.xs[-1], N, L=L, sigma=sigma2)
+    second = run_dual_amd(f, psi, first.traj.xs[-1], N, L=first.L, sigma=sigma2)
     bound = None
     if f.x_star is not None:
         d0 = bregman(phi.value, phi.grad, f.x_star, first.traj.xs[0])
-        bound = L * L * d0 / (sigma1 * sigma2 * first.theta.sq(N) ** 2)
+        bound = first.L * first.L * d0 / (first.sigma * second.sigma * first.theta.sq(N) ** 2)
     return ConcatRun(amd=first, dual_amd=second, bound=bound)

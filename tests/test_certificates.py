@@ -219,6 +219,15 @@ def test_duality_check_rejects_empty_sampling(trials, dim):
         check_mirror_duality(s, u, 1.0, 1.0, trials=trials, dim=dim)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_duality_check_rejects_a_bad_tolerance(tol):
+    """A negative or nan tolerance fails every trial and an infinite one passes any."""
+    s = amd_schedule(3, 1.0, 1.0)
+    u = [float(i + 1) for i in range(4)]
+    with pytest.raises(ValueError, match="0 <= tol < inf"):
+        check_mirror_duality(s, u, 1.0, 1.0, trials=5, tol=tol)
+
+
 def test_duality_check_reports_mismatched_v():
     N, L, sigma = 5, 1.0, 1.0
     s = amd_schedule(N, L, sigma)

@@ -1,11 +1,13 @@
+import contextlib
 import functools
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirropt import ot
@@ -193,10 +195,16 @@ def test_duality_check_amd(tmp_path):
     assert doc["trials"] == 100
 
 
-@pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-2"], ["--dim", "0"]])
+@pytest.mark.parametrize("extra", [
+    ["--trials", "0"], ["--trials", "-2"], ["--dim", "0"],
+    # A negative or nan tolerance would fail every trial and an infinite one pass any.
+    ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--perturb-v", "nan"], ["--perturb-v", "inf"], ["--perturb-v=-inf"],
+])
 def test_duality_check_with_nothing_sampled_exits_1(extra, capsys):
     assert main(["duality-check", "--schedule", "amd", "--N", "3", *extra]) == 1
-    assert "trials >= 1 and dim >= 1" in capsys.readouterr().err
+    want = {"--tol": "0 <= tol < inf", "--perturb-v": "--perturb-v must be finite"}
+    assert want.get(extra[0].split("=")[0], "trials >= 1 and dim >= 1") in capsys.readouterr().err
 
 
 def test_duality_check_random_schedule_file(tmp_path, rng):
@@ -490,3 +498,182 @@ def test_non_utf8_trace_exits_1(tmp_path):
     trace = tmp_path / "t.csv"
     trace.write_bytes(text.encode()[:-40] + b"\xff\xfe" + text.encode()[-40:])
     assert main(["certify", "--trace", str(trace), "--config", cfg_path]) == 1
+
+
+def _main_quietly(argv) -> tuple:
+    """main(argv) with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _run_then_certify(cfg) -> tuple:
+    """The exit codes and stderr of `run` on cfg and of `certify` on the trace it wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, trace = Path(tmp) / "cfg.json", Path(tmp) / "t.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        return (_main_quietly(["run", "--config", str(cfg_path), "--out", str(trace)]),
+                _main_quietly(["certify", "--trace", str(trace), "--config", str(cfg_path)]))
+
+
+# A diag-quadratic whose true smoothness constant is 4.
+PROBE_OBJECTIVE = {"kind": "diag-quadratic", "d": [1.0, 4.0], "b": [0.3, -0.2]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg, code, message", [
+    # L below the true 4: V_k increases at once, below the final bound.
+    ({"method": "dual-amd", "objective": PROBE_OBJECTIVE, "N": 5, "L": 3.5, "q0": [1.0, -1.0]},
+     2, "energy increased at k=1"),
+    # Finite iterates, but f(x_0), the energies and the bound overflow.
+    ({"method": "amd", "objective": PROBE_OBJECTIVE, "N": 5, "y0": [1e200, 1e200]},
+     4, "non-finite trace value at k=0"),
+    # The p = 1.5 DGF squares a Python float in the bound: an OverflowError.
+    ({"method": "amd", "objective": dict(PROBE_OBJECTIVE, p=1.5), "dgf": {"kind": "squared-lp", "p": 1.5},
+      "N": 5, "y0": [1e160, -1e160]}, 4, "numerical failure"),
+])
+def test_run_and_certify_give_one_verdict(cfg, code, message):
+    """run exits as certify does on the trace it wrote, by the energies too, not only the bound."""
+    for got, err in _run_then_certify(cfg):
+        assert got == code
+        assert message in err
+
+
+DIAG_RUNS = st.fixed_dictionaries({
+    "method": st.sampled_from(["amd", "dual-amd", "md", "dual-md"]),
+    "p": st.sampled_from([1.5, 2.0]),
+    "c": st.floats(0.3, 1.5),
+    "N": st.integers(1, 20),
+    "rows": st.lists(st.tuples(st.floats(0.2, 4.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+                     min_size=1, max_size=4),
+})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(DIAG_RUNS)
+def test_certify_returns_the_exit_code_of_run(case):
+    """Over valid diag-quadratic configs whose declared L = c max d may be below the true
+    constant, certify on the trace run wrote exits as run did."""
+    d, b, start = (list(col) for col in zip(*case["rows"]))
+    p, method = case["p"], case["method"]
+    L = case["c"] * max(d)
+    cfg = {"method": method, "objective": {"kind": "diag-quadratic", "d": d, "b": b, "p": p},
+           "dgf": {"kind": "euclidean"} if p == 2.0 else {"kind": "squared-lp", "p": p},
+           "N": case["N"], ("q0" if method.startswith("dual") else "y0"): start}
+    if method in ("md", "dual-md"):
+        cfg["alpha"] = (p - 1.0) / L
+    else:
+        cfg["L"] = L
+    (run_code, _), (certify_code, _) = _run_then_certify(cfg)
+    assert run_code in (0, 2, 4)
+    assert certify_code == run_code
+
+
+VALID_RUN = {"method": "md", "objective": PROBE_OBJECTIVE, "dgf": {"kind": "euclidean"},
+             "N": 4, "L": 4.0, "sigma": 1.0, "alpha": 0.2, "y0": [1.0, -1.0]}
+NUMBERS = st.one_of(st.integers(-10, 10), st.floats(allow_nan=False))
+TOO_LARGE = st.one_of(st.integers(2 ** 1024, 2 ** 1100), st.integers(-2 ** 1100, -2 ** 1024))
+NOT_OBJECT = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3))
+NOT_A_METHOD = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(max_size=8).filter(lambda t: t not in TRACES),
+    st.lists(st.sampled_from(sorted(TRACES)), max_size=2), st.dictionaries(st.text(max_size=2), JSON_SCALARS))
+# Not a number, where null is no default either; nan passes here and the runners refuse it.
+NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.floats(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), JSON_SCALARS), TOO_LARGE)
+# A start that is no list of numbers (a non-finite entry is a numerical failure, not this).
+NOT_A_START = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(min_size=1, max_size=4),
+    st.dictionaries(st.text(min_size=1, max_size=2), JSON_SCALARS, min_size=1),
+    st.tuples(st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(NUMBERS, max_size=2),
+                        TOO_LARGE), st.booleans())
+    .map(lambda t: [t[0], 1.0] if t[1] else [1.0, t[0]]))
+RUN_FIELDS = {
+    "method": NOT_A_METHOD,
+    "objective": NOT_OBJECT,
+    "dgf": NOT_OBJECT,
+    "N": st.one_of(NOT_INT, st.integers(-5, 0)),
+    "L": NOT_A_NUMBER,
+    "sigma": NOT_A_NUMBER,
+    "alpha": st.one_of(st.none(), NOT_A_NUMBER),
+    "start": NOT_A_START,
+}
+
+
+@st.composite
+def malformed_run_configs(draw):
+    method = draw(st.sampled_from(sorted(TRACES)))
+    doc = dict(VALID_RUN, method=method)
+    key = "q0" if method.startswith("dual") else "y0"
+    doc[key] = doc.pop("y0")
+    kind = draw(st.sampled_from(["top", "missing", "field"]))
+    if kind == "top":
+        return draw(NOT_OBJECT)
+    # alpha is read, and so missing or malformed, only for md and dual-md.
+    fields = [k for k in RUN_FIELDS if k != "alpha" or method in ("md", "dual-md")]
+    if kind == "missing":
+        del doc[draw(st.sampled_from([k for k in ("method", "objective", "N", "alpha") if k in fields]))]
+        return doc
+    field = draw(st.sampled_from(fields))
+    doc[key if field == "start" else field] = draw(RUN_FIELDS[field])
+    return doc
+
+
+def _exits_1(argv):
+    code, err = _main_quietly(argv)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_run_configs())
+@example(dict(VALID_RUN, method=["md"]))
+@example(dict(VALID_RUN, N="5"))
+@example(dict(VALID_RUN, N=5.7))
+@example(dict(VALID_RUN, N=True))
+@example(dict(VALID_RUN, dgf=None))
+def test_malformed_run_configs_exit_1(doc):
+    """A non-object config, a missing field, or a field of a wrong JSON type is a usage
+    error for run and certify: not a traceback, nor a coerced N."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        _exits_1(["run", "--config", str(cfg), "--out", str(Path(tmp) / "t.csv")])
+        _exits_1(["certify", "--trace", str(Path(tmp) / "t.csv"), "--config", str(cfg)])
+
+
+# Entries numpy reads as no finite float; a bool or a numeric string it coerces.
+NOT_AN_ENTRY = st.one_of(st.none(), st.text(min_size=1, max_size=4).filter(_not_a_float),
+                         st.dictionaries(st.text(max_size=2), JSON_SCALARS), st.lists(NUMBERS, max_size=2),
+                         TOO_LARGE)
+
+
+@st.composite
+def malformed_ot_instances(draw):
+    doc = json.loads(json.dumps(OT_INSTANCE))
+    kind = draw(st.sampled_from(["top", "missing", "field", "entry"]))
+    if kind == "top":
+        return draw(NOT_OBJECT)
+    field = draw(st.sampled_from(["C", "mu", "nu"]))
+    if kind == "missing":
+        del doc[field]
+    elif kind == "field":
+        doc[field] = draw(st.one_of(JSON_SCALARS, st.dictionaries(st.text(max_size=2), JSON_SCALARS)))
+    else:
+        row = doc[field][draw(st.integers(0, 1))] if field == "C" else doc[field]
+        row[draw(st.integers(0, 1))] = draw(NOT_AN_ENTRY)
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_ot_instances())
+@example([1, 2])
+@example(dict(OT_INSTANCE, mu={"a": 1}))
+def test_malformed_ot_instances_exit_1(doc):
+    """A non-object instance, a missing field, a field or an entry of a wrong JSON type,
+    or an integer beyond the float range is a usage error, not a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp) / "inst.json"
+        inst.write_text(json.dumps(doc))
+        _exits_1(["ot", "--instance", str(inst), "--eps", "0.1", "--out", str(Path(tmp) / "o.json")])
