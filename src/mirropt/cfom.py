@@ -30,7 +30,7 @@ import numpy as np
 
 from .dgf import DGF
 from .objectives import SmoothObjective
-from .spaces import DualVector, PrimalVector, Vector
+from .spaces import DualVector, PrimalVector, Vector, _json_int, _json_number
 
 __all__ = [
     "CoefficientSchedule",
@@ -327,22 +327,6 @@ def save_schedule(s: CoefficientSchedule, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(schedule_to_json_dict(s), fh, indent=1)
         fh.write("\n")
-
-
-def _json_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
-
-
-def _json_number(v, what: str) -> float:
-    """A JSON number as a float; a bool, string, other value or too large an integer is refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{what} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValueError(f"{what} is beyond the float range") from None
 
 
 def _json_entries(doc: dict, key: str) -> list:

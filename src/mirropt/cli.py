@@ -9,7 +9,8 @@ Subcommands:
 
 `run` and `certify` judge a run by one rule (_verdict); every document
 is read through one boundary (_reading), where a malformed one is a
-usage error, and config numbers are read as schedule files' are.
+usage error, and every number in it by spaces' one reader, which refuses
+bools, strings, NaN and Infinity.  N is at most MAX_N, in a config or --N.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 energy increase or
 certified-bound violation, 3 duality residual above tolerance, 4
@@ -29,12 +30,12 @@ import sys
 import numpy as np
 
 from . import certificates, cfom, methods, ot
-from .cfom import _json_int, _json_number
 from .dgf import dgf_from_descriptor
 from .objectives import objective_from_descriptor
-from .spaces import lp_norms
+from .spaces import _json_int, _json_number, as_vector, lp_norms
 
 BOUND_SLACK = 1e-9
+MAX_N = 2 ** 20  # the largest N a config or --N may give (the default OT gradient budget)
 
 
 def _fmt(x) -> str:
@@ -76,10 +77,11 @@ def _run_from_config(cfg: dict):
         f = objective_from_descriptor(cfg["objective"])
         g = dgf_from_descriptor(cfg.get("dgf", {"kind": "euclidean"}))
         N = _json_int(cfg["N"], "N")
+        if N > MAX_N:
+            raise ValueError(f"N = {N} is above MAX_N = {MAX_N}")
         L, sigma = (None if cfg.get(k) is None else _json_number(cfg[k], k) for k in ("L", "sigma"))
         alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
-        start = (np.array([_json_number(x, key) for x in cfg[key]], dtype=np.float64)
-                 if key in cfg else np.zeros(_dim(cfg)))
+        start = as_vector(cfg[key], key) if key in cfg else np.zeros(_dim(cfg))
     if alpha is not None:
         return runner(f, g, alpha, start, N), f, g
     return runner(f, g, start, N, L=L, sigma=sigma), f, g
@@ -90,7 +92,7 @@ def _dim(cfg: dict) -> int:
     if "b" in desc:
         return len(desc["b"])
     if "n" in desc:
-        return int(desc["n"])
+        return desc["n"]
     raise UsageError("cannot infer dimension; provide y0/q0 explicitly")
 
 
@@ -208,17 +210,16 @@ def cmd_certify(args) -> int:
 def cmd_duality_check(args) -> int:
     if not math.isfinite(args.perturb_v):
         raise UsageError("--perturb-v must be finite")
-    rng = np.random.default_rng(args.seed)
     L, sigma = 1.0, 1.0
     if args.schedule == "amd":
-        if args.N is None:
-            raise UsageError("--N is required with the amd keyword")
+        if args.N is None or args.N > MAX_N:
+            raise UsageError(f"--N at most MAX_N = {MAX_N} is required with the amd keyword")
         s = methods.amd_schedule(args.N, L, sigma)
         th = methods.theta_sequence(args.N)
         u = [(sigma / L) * th.sq(i) for i in range(args.N + 1)]
     else:
         s = cfom.load_schedule(args.schedule)
-        u = np.cumsum(rng.uniform(0.1, 1.0, s.N + 1)).tolist()
+        u = np.cumsum(np.random.default_rng(args.seed).uniform(0.1, 1.0, s.N + 1)).tolist()
     v = None
     if args.perturb_v:
         v = [(1.0 + args.perturb_v) / u[s.N - i] for i in range(s.N + 1)]

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DualVector, NormIndex, PrimalVector, Vector, lp_norm, lp_norms, pairing, pairings
+from .spaces import (DualVector, NormIndex, PrimalVector, Vector, _json_number, as_vector, lp_norm, lp_norms,
+                     pairing, pairings)
 
 __all__ = ["DGF", "euclidean", "squared_lp", "dgf_from_descriptor"]
 
@@ -59,10 +60,7 @@ class DGF:
         if p > 2:
             raise ValueError("squared-lp DGFs are supported only for p in (1, 2]")
         if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=np.float64)
-            if not np.all(np.isfinite(x0)):
-                raise ValueError("shift x0 contains non-finite entries")
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
         # Modulus p - 1 w.r.t. ||.||_p (1 in the Euclidean case).
         object.__setattr__(self, "sigma", p - 1.0)
 
@@ -148,13 +146,10 @@ def squared_lp(p: float, x0: Optional[Vector] = None) -> DGF:
 
 
 def dgf_from_descriptor(desc: dict) -> DGF:
-    """Build a DGF from its serialized {kind, p, x0} form."""
-    kind = desc.get("kind", "euclidean")
-    x0 = desc.get("x0")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
+    """Build a DGF from its serialized {kind, p, x0} form; p and x0 must be finite JSON numbers."""
+    kind, x0 = desc.get("kind", "euclidean"), desc.get("x0")
     if kind in ("euclidean", "shifted-euclidean"):
         return euclidean(x0=x0)
     if kind in ("squared-lp", "shifted-squared-lp"):
-        return squared_lp(float(desc["p"]), x0=x0)
+        return squared_lp(_json_number(desc["p"], "p"), x0=x0)
     raise ValueError(f"unknown DGF kind {kind!r}")

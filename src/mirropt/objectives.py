@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DualVector, PrimalVector, Vector, pairings
+from .spaces import DualVector, PrimalVector, Vector, _as_matrix, _json_int, _json_number, as_vector, pairings
 
 __all__ = [
     "SmoothObjective",
@@ -77,8 +77,7 @@ class DiagQuadratic(SmoothObjective):
     norm_p: float = 2.0
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.d, self.b = as_vector(self.d, "d"), as_vector(self.b, "b")
         if np.any(self.d < 0):
             raise ValueError("diagonal entries must be nonnegative")
         if not (1.0 < self.norm_p <= 2.0):
@@ -117,8 +116,7 @@ class DenseQuadratic(SmoothObjective):
     b: Vector
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.A, self.b = _as_matrix(self.A, "A"), as_vector(self.b, "b")
         if self.A.shape != (self.b.size, self.b.size):
             raise ValueError("A must be square and match b")
         if not np.allclose(self.A, self.A.T, atol=1e-12):
@@ -212,22 +210,16 @@ def smoothness_constant(obj: SmoothObjective, p: float) -> float:
 
 
 def objective_from_descriptor(desc: dict) -> SmoothObjective:
+    """Build an objective from its descriptor; every number must be a finite JSON number."""
     kind = desc["kind"]
     if kind == "diag-quadratic":
-        return DiagQuadratic(
-            d=np.asarray(desc["d"], dtype=np.float64),
-            b=np.asarray(desc["b"], dtype=np.float64),
-            norm_p=float(desc.get("p", 2.0)),
-        )
+        return DiagQuadratic(d=desc["d"], b=desc["b"], norm_p=_json_number(desc.get("p", 2.0), "p"))
     if kind == "dense-quadratic":
-        return DenseQuadratic(
-            A=np.asarray(desc["A"], dtype=np.float64),
-            b=np.asarray(desc["b"], dtype=np.float64),
-        )
+        return DenseQuadratic(A=desc["A"], b=desc["b"])
     if kind == "log-sum-exp":
-        return LogSumExp(r=float(desc["r"]), n=int(desc["n"]))
+        return LogSumExp(r=_json_number(desc["r"], "r"), n=_json_int(desc["n"], "n"))
     if kind == "ot-dual":
         from .ot import OTDualObjective, instance_from_descriptor
 
-        return OTDualObjective(instance_from_descriptor(desc), r=float(desc["r"]))
+        return OTDualObjective(instance_from_descriptor(desc), r=_json_number(desc["r"], "r"))
     raise ValueError(f"unknown objective kind {kind!r}")

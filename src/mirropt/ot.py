@@ -44,7 +44,7 @@ import numpy as np
 from .dgf import euclidean
 from .methods import _amd_iterates, run_dual_amd, theta_sequence
 from .objectives import SmoothObjective
-from .spaces import Vector
+from .spaces import Vector, _as_matrix, as_vector
 
 __all__ = [
     "OTInstance",
@@ -76,14 +76,10 @@ class OTInstance:
     nu: Vector
 
     def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=np.float64)
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.nu = np.asarray(self.nu, dtype=np.float64)
+        self.C, self.mu, self.nu = _as_matrix(self.C, "C"), as_vector(self.mu, "mu"), as_vector(self.nu, "nu")
         m, n = self.C.shape
         if self.mu.shape != (m,) or self.nu.shape != (n,):
             raise ValueError("marginal lengths must match the cost matrix")
-        if not (np.isfinite(self.C).all() and np.isfinite(self.mu).all() and np.isfinite(self.nu).all()):
-            raise ValueError("costs and marginals must be finite")
         if np.any(self.C < 0):
             raise ValueError("cost entries must be nonnegative")
         if np.any(self.mu <= 0) or np.any(self.nu <= 0):
@@ -100,11 +96,8 @@ class OTInstance:
 
 
 def instance_from_descriptor(desc: dict) -> OTInstance:
-    return OTInstance(
-        C=np.asarray(desc["C"], dtype=np.float64),
-        mu=np.asarray(desc["mu"], dtype=np.float64),
-        nu=np.asarray(desc["nu"], dtype=np.float64),
-    )
+    """Build an instance from {C, mu, nu}; every entry must be a finite JSON number."""
+    return OTInstance(C=desc["C"], mu=desc["mu"], nu=desc["nu"])
 
 
 @dataclass

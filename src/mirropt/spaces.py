@@ -8,6 +8,7 @@ norm indices (p for primal, q = p/(p-1) for dual) carry the geometry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,14 +51,45 @@ class NormIndex:
         return self.p / (self.p - 1.0)
 
 
+def _json_int(v, what: str) -> int:
+    if type(v) is not int:  # a bool is no JSON integer
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _json_number(v, what: str) -> float:
+    """A JSON number as a float: a bool, string, NaN, Infinity or int past the float range is refused."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def as_vector(x, name: str = "vector") -> Vector:
-    """Validate and convert input to a finite 1-d float64 array."""
-    v = np.asarray(x, dtype=np.float64)
+    """A finite, non-empty 1-d float64 array from an array, or from a list (or tuple) of ints and
+    floats, screened by entry type in one pass: a bool, string, null or nested entry is refused."""
+    if not (isinstance(x, np.ndarray) or isinstance(x, (list, tuple)) and set(map(type, x)) <= {int, float}):
+        raise ValueError(f"{name} must be a list of numbers")
+    try:
+        v = np.asarray(x, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry beyond the float range") from None
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be one-dimensional with length >= 1")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _as_matrix(rows, name: str) -> np.ndarray:
+    """A 2-d float64 array from a non-empty list or array of rows of one length, each read by as_vector."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:  # read whole, not row by row
+        return as_vector(rows.ravel(), name).reshape(rows.shape)
+    if not (isinstance(rows, (list, tuple)) and rows):
+        raise ValueError(f"{name} must be a non-empty list of rows")
+    vs = [as_vector(r, f"{name} row {i}") for i, r in enumerate(rows)]
+    if len({v.size for v in vs}) > 1:
+        raise ValueError(f"{name} rows must all have one length")
+    return np.array(vs)
 
 
 def pairing(u: DualVector, x: PrimalVector) -> float:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirropt import ot
+from mirropt import methods, ot
 from mirropt.cfom import load_schedule, run_dual_cfom, save_schedule
-from mirropt.cli import main
+from mirropt.cli import MAX_N, main
 from mirropt.dgf import euclidean
 from mirropt.methods import amd_schedule, run_dual_amd
 from mirropt.objectives import DiagQuadratic
@@ -582,12 +582,13 @@ NOT_A_METHOD = st.one_of(
 # Not a number, where null is no default either; nan passes here and the runners refuse it.
 NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.floats(), max_size=2),
                          st.dictionaries(st.text(max_size=2), JSON_SCALARS), TOO_LARGE)
-# A start that is no list of numbers (a non-finite entry is a numerical failure, not this).
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# A start that is no list of finite numbers.
 NOT_A_START = st.one_of(
     st.none(), st.booleans(), NUMBERS, st.text(min_size=1, max_size=4),
     st.dictionaries(st.text(min_size=1, max_size=2), JSON_SCALARS, min_size=1),
     st.tuples(st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(NUMBERS, max_size=2),
-                        TOO_LARGE), st.booleans())
+                        TOO_LARGE, NON_FINITE), st.booleans())
     .map(lambda t: [t[0], 1.0] if t[1] else [1.0, t[0]]))
 RUN_FIELDS = {
     "method": NOT_A_METHOD,
@@ -643,8 +644,123 @@ def test_malformed_run_configs_exit_1(doc):
         _exits_1(["certify", "--trace", str(Path(tmp) / "t.csv"), "--config", str(cfg)])
 
 
-# Entries numpy reads as no finite float; a bool or a numeric string it coerces.
-NOT_AN_ENTRY = st.one_of(st.none(), st.text(min_size=1, max_size=4).filter(_not_a_float),
+# One run config per objective kind (md from an explicit start, a shifted squared-lp
+# DGF); each runs, and certify passes its trace.
+DESCRIPTOR_RUNS = [
+    {"method": "md", "objective": obj, "N": 4, "alpha": 0.1,
+     "dgf": {"kind": "shifted-squared-lp", "p": 1.5, "x0": [0.5] * dim}, "y0": [1.0] + [-1.0] * (dim - 1)}
+    for obj, dim in [
+        ({"kind": "diag-quadratic", "d": [1.0, 4.0], "b": [0.3, -0.2], "p": 1.5}, 2),
+        ({"kind": "dense-quadratic", "A": [[2.0, 0.5], [0.5, 1.0]], "b": [0.3, -0.2]}, 2),
+        ({"kind": "log-sum-exp", "r": 0.5, "n": 2}, 2),
+        ({"kind": "ot-dual", "C": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5], "r": 0.5}, 4),
+    ]]
+# Any JSON value but a finite number: numeric strings, bools, NaN, Infinity and
+# integers beyond the float range too.
+NOT_FINITE_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.sampled_from(["1.5", "0.5", "2"]),
+                              NON_FINITE, TOO_LARGE, st.lists(NUMBERS, max_size=2),
+                              st.dictionaries(st.text(max_size=2), JSON_SCALARS))
+# No list at all, or an empty one (null is left out: it means "no shift" for x0).
+NOT_A_LIST = st.one_of(st.booleans(), NUMBERS, st.text(max_size=4),
+                       st.dictionaries(st.text(max_size=2), JSON_SCALARS), st.just([]))
+DESCRIPTOR_FIELDS = {"kind": "kind", "p": "number", "r": "number", "n": "integer",
+                     "d": "vector", "b": "vector", "mu": "vector", "nu": "vector", "x0": "vector",
+                     "A": "matrix", "C": "matrix"}
+
+
+@st.composite
+def malformed_descriptors(draw):
+    """(config, field): a run config whose objective or DGF descriptor has one field of a
+    wrong JSON type, an entry that is no finite number, or a row that is no list of numbers."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DESCRIPTOR_RUNS))))
+    desc = doc[draw(st.sampled_from(["objective", "dgf"]))]
+    field = draw(st.sampled_from(sorted(desc)))
+    shape = DESCRIPTOR_FIELDS[field]
+    if shape == "kind":
+        desc[field] = draw(st.one_of(st.none(), st.booleans(), NUMBERS, st.lists(st.just(desc[field]), max_size=1)))
+    elif shape == "number":
+        desc[field] = draw(NOT_FINITE_NUMBER)
+    elif shape == "integer":
+        desc[field] = draw(st.one_of(NOT_INT, NON_FINITE, st.sampled_from(["2", "2.7"]),
+                                     st.dictionaries(st.text(max_size=2), JSON_SCALARS)))
+    elif draw(st.booleans()):
+        desc[field] = draw(NOT_A_LIST)
+    else:
+        row = desc[field]
+        if shape == "matrix":
+            i = draw(st.integers(0, len(row) - 1))
+            if draw(st.booleans()):
+                row[i] = draw(st.one_of(st.none(), NOT_A_LIST))
+                return doc, field
+            row = row[i]
+        row[draw(st.integers(0, len(row) - 1))] = draw(NOT_FINITE_NUMBER)
+    return doc, field
+
+
+def test_descriptor_runs_certify():
+    for cfg in DESCRIPTOR_RUNS:
+        assert [code for code, _ in _run_then_certify(cfg)] == [0, 0]
+
+
+DIAG_RUN, LSE_RUN = DESCRIPTOR_RUNS[0], DESCRIPTOR_RUNS[2]
+
+
+def _with(cfg, part, **fields):
+    return dict(cfg, **{part: dict(cfg[part], **fields)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_descriptors())
+@example((_with(DIAG_RUN, "objective", p="1.5"), "p"))
+@example((_with(DIAG_RUN, "dgf", p="1.5"), "p"))
+@example((_with(DIAG_RUN, "objective", d=["1.0", True]), "d"))
+@example((_with(LSE_RUN, "objective", r="0.5", n=2.7), "r"))
+@example((_with(LSE_RUN, "objective", n=2.7), "n"))
+@example((_with(LSE_RUN, "objective", n=True), "n"))
+@example((_with(DIAG_RUN, "dgf", x0=["1", False]), "x0"))
+@example((_with(DIAG_RUN, "objective", b=[float("nan"), -0.2]), "b"))
+@example((_with(DIAG_RUN, "objective", d=[float("nan"), 4]), "d"))
+def test_malformed_descriptors_exit_1(case):
+    """An objective or DGF field of a wrong JSON type, or an entry that is no finite JSON
+    number, is a usage error for run and certify that names the field: not coerced, nor
+    a numerical failure."""
+    doc, field = case
+    named = "kind" if field == "kind" else f"bad config: {field} "
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["run", "--config", str(cfg), "--out", str(Path(tmp) / "t.csv")],
+                     ["certify", "--trace", str(Path(tmp) / "t.csv"), "--config", str(cfg)]):
+            code, err = _main_quietly(argv)
+            assert code == 1
+            assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md", None])
+def test_n_above_max_exits_1_before_building(tmp_path, monkeypatch, method):
+    """An N above MAX_N, in a config (each method) or in duality-check's --N (method None),
+    is refused before a theta prefix, an MD iterate or a dense schedule is built: each
+    builder is made to fail the test if called."""
+    def built(*args, **kwargs):
+        raise AssertionError("built something for N above MAX_N")
+
+    for name in ("theta_sequence", "_md_loop"):
+        monkeypatch.setattr(methods, name, built)
+    monkeypatch.setattr(np, "zeros", built)
+    if method is None:
+        argv = ["duality-check", "--schedule", "amd", "--N", str(MAX_N + 1), "--trials", "2", "--dim", "2"]
+    else:
+        cfg = dict(VALID_RUN, method=method, N=MAX_N + 1)
+        cfg["q0" if method.startswith("dual") else "y0"] = cfg.pop("y0")
+        argv = ["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]
+    code, err = _main_quietly(argv)
+    assert code == 1
+    assert err.startswith("error: ") and f"MAX_N = {MAX_N}" in err
+
+
+# Entries that are no finite JSON number, numeric strings and bools among them.
+NOT_AN_ENTRY = st.one_of(st.none(), st.booleans(), st.text(min_size=1, max_size=4),
+                         st.sampled_from(["0.2", "1", "0.5"]),
                          st.dictionaries(st.text(max_size=2), JSON_SCALARS), st.lists(NUMBERS, max_size=2),
                          TOO_LARGE)
 
@@ -670,9 +786,11 @@ def malformed_ot_instances(draw):
 @given(malformed_ot_instances())
 @example([1, 2])
 @example(dict(OT_INSTANCE, mu={"a": 1}))
+@example({"C": [[0.0, True], ["0.2", 0.0]], "mu": ["0.5", "0.5"], "nu": [0.5, 0.5]})
 def test_malformed_ot_instances_exit_1(doc):
-    """A non-object instance, a missing field, a field or an entry of a wrong JSON type,
-    or an integer beyond the float range is a usage error, not a traceback."""
+    """A non-object instance, a missing field, a field or an entry of a wrong JSON type
+    (a bool or a numeric string too), or an integer beyond the float range is a usage
+    error, not a traceback nor a coerced instance."""
     with tempfile.TemporaryDirectory() as tmp:
         inst = Path(tmp) / "inst.json"
         inst.write_text(json.dumps(doc))

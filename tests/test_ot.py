@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from mirropt.ot import (
     _CountingObjective,
     _gibbs,
     _LOG_TINY,
+    instance_from_descriptor,
     lp_oracle,
     ot_dual_grad,
     ot_dual_value,
@@ -62,6 +64,16 @@ def test_instance_rejects_non_finite(field, bad):
     doc = {"C": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5], field: bad}
     with pytest.raises(ValueError, match="finite"):
         OTInstance(**doc)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (5, 4)])
+def test_instance_descriptor_round_trip(rng, m, n):
+    """The strict reader takes back what to_descriptor writes, also through JSON text."""
+    inst = _random_instance(rng, m, n)
+    for desc in (inst.to_descriptor(), json.loads(json.dumps(inst.to_descriptor()))):
+        back = instance_from_descriptor(desc)
+        for field in ("C", "mu", "nu"):
+            assert np.array_equal(getattr(back, field), getattr(inst, field))
 
 
 def test_dual_value_zero_cost_example():

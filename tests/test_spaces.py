@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mirropt.spaces import (
     NormIndex,
+    _as_matrix,
+    _json_number,
     as_vector,
     bregman,
     finite_difference_gradient,
@@ -56,6 +58,37 @@ def test_as_vector_rejects_nonfinite_and_matrix():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [[1.0, True], ["1.0", 2.0], [None], [], (1.0, "2"), "12", 3.0,
+                                 [2 ** 1100], [1.0, math.inf]])
+def test_as_vector_reads_only_lists_of_finite_numbers(bad):
+    with pytest.raises(ValueError, match="^v "):
+        as_vector(bad, "v")
+
+
+def test_as_vector_keeps_ints_floats_and_arrays():
+    assert as_vector([1, 2.5, 2 ** 70]).tolist() == [1.0, 2.5, float(2 ** 70)]
+    x = np.array([0.5, -1.0])
+    assert np.array_equal(as_vector(x), x)
+
+
+@pytest.mark.parametrize("bad", [True, "1.5", None, [1.0], math.nan, -math.inf, 2 ** 1100])
+def test_json_number_refuses_what_float_would_take(bad):
+    with pytest.raises(ValueError, match="^x "):
+        _json_number(bad, "x")
+
+
+@pytest.mark.parametrize("bad", [[], [[1.0], [1.0, 2.0]], [[1.0], "ab"], {"a": [1.0]}])
+def test_as_matrix_needs_rows_of_one_length(bad):
+    with pytest.raises(ValueError, match="^M "):
+        _as_matrix(bad, "M")
+
+
+def test_as_matrix_reads_lists_and_arrays_alike():
+    M = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(_as_matrix(M, "M"), M)
+    assert np.array_equal(_as_matrix(M.tolist(), "M"), M)
 
 
 def _half_sq_l2(x):
