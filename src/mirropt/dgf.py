@@ -146,9 +146,14 @@ def squared_lp(p: float, x0: Optional[Vector] = None) -> DGF:
 
 
 def dgf_from_descriptor(desc: dict) -> DGF:
-    """Build a DGF from its serialized {kind, p, x0} form; p and x0 must be finite JSON numbers."""
+    """Build a DGF from its serialized {kind, p, x0} form; p and x0 must be finite JSON numbers.
+
+    A Euclidean kind takes no p but 2, the one its to_descriptor writes.
+    """
     kind, x0 = desc.get("kind", "euclidean"), desc.get("x0")
     if kind in ("euclidean", "shifted-euclidean"):
+        if "p" in desc and _json_number(desc["p"], "p") != 2.0:
+            raise ValueError(f"p must be 2 for a {kind} DGF, got {desc['p']!r}")
         return euclidean(x0=x0)
     if kind in ("squared-lp", "shifted-squared-lp"):
         return squared_lp(_json_number(desc["p"], "p"), x0=x0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -199,36 +199,35 @@ def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[f
     return L, sigma
 
 
-def _amd_iterates(f: SmoothObjective, g: DGF, y0: DualVector, N: int, L: float, sigma: float):
-    """AMD's recurrence from y0: x_0..x_N, y_0..y_N, grad phi*(y_0..y_N), grad f(x_0..x_{N-1}).
+def _amd_steps(f: SmoothObjective, g: DGF, y0: DualVector, N: int, L: float, sigma: float):
+    """AMD's recurrence from y0: yields (x_k, y_k, grad f(x_k), grad phi*(y_k)) for k = 0..N.
 
-    theta_N = theta_{N-1}; no gradient is taken at x_N.
+    theta_N = theta_{N-1}; no gradient is taken at x_N, so step N yields None for it.
+    Only the current step's vectors are held.
     """
     vals = theta_sequence(N).values
     sq = [0.0] + (vals * vals).tolist()  # sq[j + 1] = theta_j^2, theta_{-1} = 0
     step = sigma / L
-    ys = [np.asarray(y0, dtype=np.float64)]
-    mirrors = [g.conjugate_grad(ys[0])]
-    xs = [mirrors[0]]
-    f_grads: List[Vector] = []
     grad, conjugate_grad = f.grad, g.conjugate_grad
+    y = np.asarray(y0, dtype=np.float64)
+    x = mirror = conjugate_grad(y)
     for k in range(N):
-        fg = np.asarray(grad(xs[k]), dtype=np.float64)
-        f_grads.append(fg)
-        y = np.multiply(step * (sq[k + 1] - sq[k]), fg)
-        np.subtract(ys[k], y, out=y)
-        ys.append(_check_finite(y, "dual iterate y", k + 1))
-        mirrors.append(conjugate_grad(y))
+        fg = np.asarray(grad(x), dtype=np.float64)
+        yield x, y, fg, mirror
+        y_next = np.multiply(step * (sq[k + 1] - sq[k]), fg)
+        np.subtract(y, y_next, out=y_next)
+        y = _check_finite(y_next, "dual iterate y", k + 1)
+        mirror_next = conjugate_grad(y)
         # x_{k+1} from x_k and the mirrors, with theta_{k+1}^2 = sq[k + 2]
         sq_next = sq[k + 2]
-        x = np.multiply(sq[k + 1] / sq_next, xs[k])
-        t = np.multiply((sq_next - sq[k + 1]) / sq_next, mirrors[k + 1])
-        x += t
-        np.subtract(mirrors[k + 1], mirrors[k], out=t)
+        x_next = np.multiply(sq[k + 1] / sq_next, x)
+        t = np.multiply((sq_next - sq[k + 1]) / sq_next, mirror_next)
+        x_next += t
+        np.subtract(mirror_next, mirror, out=t)
         t *= (sq[k + 1] - sq[k]) / sq_next
-        x += t
-        xs.append(_check_finite(x, "primal iterate x", k + 1))
-    return xs, ys, mirrors, f_grads
+        x_next += t
+        x, mirror = _check_finite(x_next, "primal iterate x", k + 1), mirror_next
+    yield x, y, None, mirror
 
 
 def run_amd(
@@ -241,8 +240,8 @@ def run_amd(
 ) -> MethodRun:
     """Accelerated mirror descent with the equality theta sequence."""
     L, sigma = _constants(f, g, L, sigma)
-    xs, ys, mirrors, f_grads = _amd_iterates(f, g, y0, N, L, sigma)
-    f_grads.append(np.asarray(f.grad(xs[N]), dtype=np.float64))
+    xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(f, g, y0, N, L, sigma)))
+    f_grads[N] = np.asarray(f.grad(xs[N]), dtype=np.float64)
     th = theta_sequence(N)
     bound = None
     if f.x_star is not None:
@@ -275,6 +274,44 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     return CoefficientSchedule(N=N, a=a, b=b, tail=(row, col))
 
 
+def _dual_amd_steps(f: SmoothObjective, g: DGF, q0: PrimalVector, N: int, L: float, sigma: float):
+    """Dual-AMD's recurrence from q0: yields (q_k, r_k, grad f(q_k), grad psi*(r_k)) for k = 0..N.
+
+    Only the current step's vectors are held.
+    """
+    # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
+    vals = theta_sequence(N).values
+    w = (vals * vals)[::-1].tolist() + [0.0, 0.0, 0.0]
+    step = sigma / L
+    grad, conjugate_grad = f.grad, g.conjugate_grad
+    q = np.asarray(q0, dtype=np.float64)
+    fg = np.asarray(grad(q), dtype=np.float64)
+    r = (w[0] - w[2]) / w[0] * fg
+    gk = fg / w[1]
+    mirror = conjugate_grad(r)
+    yield q, r, fg, mirror
+    for k in range(N):
+        w1, w2, w3 = w[k + 1], w[k + 2], w[k + 3]
+        # q_{k+1} = q_k - step (w1 - w2) mirror_k
+        t = np.multiply(step * (w1 - w2), mirror)
+        q = _check_finite(np.subtract(q, t, out=t), "primal iterate q", k + 1)
+        fg_next = np.asarray(grad(q), dtype=np.float64)
+        # g_{k+1} = g_k + (grad f(q_{k+1}) - grad f(q_k)) / w1
+        g_next = np.subtract(fg_next, fg)
+        g_next /= w1
+        g_next += gk
+        # r_{k+1} = r_k + (w1 - w2)(g_{k+1} - g_k) + (w2 - w3) g_{k+1}
+        r_next = np.subtract(g_next, gk)
+        r_next *= w1 - w2
+        r_next += r
+        t = np.multiply(w2 - w3, g_next)
+        r_next += t
+        r = _check_finite(r_next, "dual iterate r", k + 1)
+        mirror = conjugate_grad(r)
+        fg, gk = fg_next, g_next
+        yield q, r, fg, mirror
+
+
 def run_dual_amd(
     f: SmoothObjective,
     g: DGF,
@@ -291,39 +328,7 @@ def run_dual_amd(
     """
     L, sigma = _constants(f, g, L, sigma)
     th = theta_sequence(N)
-    # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
-    w = (th.values * th.values)[::-1].tolist() + [0.0, 0.0, 0.0]
-    step = sigma / L
-    q0 = np.asarray(q0, dtype=np.float64)
-    qs = [q0]
-    f_grads = [np.asarray(f.grad(q0), dtype=np.float64)]
-    rs = [(w[0] - w[2]) / w[0] * f_grads[0]]
-    gk = f_grads[0] / w[1]
-    mirrors = [g.conjugate_grad(rs[0])]
-    grad, conjugate_grad = f.grad, g.conjugate_grad
-    q, fg, mirror = q0, f_grads[0], mirrors[0]
-    for k in range(N):
-        w1, w2, w3 = w[k + 1], w[k + 2], w[k + 3]
-        # q_{k+1} = q_k - step (w1 - w2) mirror_k
-        t = np.multiply(step * (w1 - w2), mirror)
-        q = _check_finite(np.subtract(q, t, out=t), "primal iterate q", k + 1)
-        qs.append(q)
-        fg_next = np.asarray(grad(q), dtype=np.float64)
-        f_grads.append(fg_next)
-        # g_{k+1} = g_k + (grad f(q_{k+1}) - grad f(q_k)) / w1
-        g_next = np.subtract(fg_next, fg)
-        g_next /= w1
-        g_next += gk
-        # r_{k+1} = r_k + (w1 - w2)(g_{k+1} - g_k) + (w2 - w3) g_{k+1}
-        r = np.subtract(g_next, gk)
-        r *= w1 - w2
-        r += rs[k]
-        t = np.multiply(w2 - w3, g_next)
-        r += t
-        rs.append(_check_finite(r, "dual iterate r", k + 1))
-        mirror = conjugate_grad(r)
-        mirrors.append(mirror)
-        fg, gk = fg_next, g_next
+    qs, rs, f_grads, mirrors = map(list, zip(*_dual_amd_steps(f, g, q0, N, L, sigma)))
     bound = None
     if f.f_star is not None:
         bound = (L / (sigma * th.sq(N))) * (f.value(qs[0]) - f.f_star)

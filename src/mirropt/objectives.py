@@ -161,6 +161,8 @@ class LogSumExp(SmoothObjective):
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("temperature r must be positive")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         self.kind = "log-sum-exp"
         self.norm_p = np.inf
         self.L = 1.0 / self.r

@@ -42,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dgf import euclidean
-from .methods import _amd_iterates, run_dual_amd, theta_sequence
+from .methods import _amd_steps, _dual_amd_steps, theta_sequence
 from .objectives import SmoothObjective
 from .spaces import Vector, _as_matrix, as_vector
 
@@ -443,7 +443,10 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     report["N"] is that attempt's horizon and report["grad_evals"] the
     exact count of gradient calls.  The call past eval_cap is refused:
     RuntimeError, with exactly eval_cap gradients spent and the history
-    so far as its history attribute.
+    so far as its history attribute.  Both methods are stepped through
+    their generators, keeping only the current point, so a solve holds
+    O(m n) for the kernel plus O(m + n) iterates, whatever N (and O(N)
+    theta scalars).
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -464,8 +467,10 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
         t0, evals0, h.min_sq = time.perf_counter(), h.grad_evals, math.inf
         try:
             if not restart:
-                q = _amd_iterates(h, phi, np.zeros(m + n), N, h.L, 1.0)[0][-1]
-            q = run_dual_amd(h, phi, q, N, L=h.L, sigma=1.0).final_x
+                for q, *_ in _amd_steps(h, phi, np.zeros(m + n), N, h.L, 1.0):
+                    pass
+            for q, *_ in _dual_amd_steps(h, phi, q, N, h.L, 1.0):
+                pass
         except _Certified:
             certified = True
         except RuntimeError as e:

@@ -736,6 +736,28 @@ def test_malformed_descriptors_exit_1(case):
             assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("cfg, field", [
+    (dict(VALID_RUN, dgf={"kind": "euclidean", "p": 1.5}), "p"),
+    (dict(VALID_RUN, dgf={"kind": "shifted-euclidean", "p": "abc", "x0": [0.5, 0.5]}), "p"),
+    ({"method": "md", "objective": {"kind": "log-sum-exp", "r": 0.5, "n": 0}, "N": 3, "alpha": 0.1}, "n"),
+    ({"method": "md", "objective": {"kind": "log-sum-exp", "r": 0.5, "n": -1}, "N": 3, "alpha": 0.1}, "n"),
+])
+def test_out_of_range_descriptor_fields_exit_1(cfg, field):
+    """A Euclidean DGF with a p other than 2, and a log-sum-exp objective with n < 1 (and no
+    start to infer the dimension from), are refused while reading: exit 1 naming the field,
+    not a run at p = 2 nor a numerical failure inside the run."""
+    (code, err), _ = _run_then_certify(cfg)
+    assert code == 1
+    assert err.startswith(f"error: bad config: {field} ")
+
+
+def test_euclidean_dgf_takes_its_own_p():
+    """p = 2, as the Euclidean kinds' to_descriptor writes it (an int 2 too), still runs."""
+    for p in (2.0, 2):
+        cfg = dict(VALID_RUN, dgf={"kind": "euclidean", "p": p})
+        assert [code for code, _ in _run_then_certify(cfg)] == [0, 0]
+
+
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md", None])
 def test_n_above_max_exits_1_before_building(tmp_path, monkeypatch, method):
     """An N above MAX_N, in a config (each method) or in duality-check's --N (method None),

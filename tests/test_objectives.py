@@ -28,6 +28,12 @@ def test_grad_examples():
     assert np.allclose(lse.grad(np.zeros(2)), [0.5, 0.5])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_log_sum_exp_needs_a_coordinate(n):
+    with pytest.raises(ValueError, match="^n must be at least 1"):
+        LogSumExp(r=1.0, n=n)
+
+
 def _sample_objectives(rng):
     inst = OTInstance(
         C=rng.uniform(0, 1, (2, 3)),
