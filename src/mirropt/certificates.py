@@ -401,17 +401,20 @@ def check_mirror_duality(
 ) -> DualityReport:
     """Sample random scenarios and assert U_A(A,B) = V_B(C,D) under the bijection.
 
-    v defaults to the conjugate weights 1/u_{N-i}; passing anything else
-    breaks the identity and is reported as failures.  At least one trial
-    in at least one dimension is required: with none, nothing is checked;
-    so is a tolerance 0 <= tol < inf, as a negative or nan one fails every
-    trial and an infinite one passes any.  A nan residual, as when the
-    magnitude overflows the norms, fails its trial.
+    The weights u must be positive, as duality_transform, the bijection
+    sampled, requires.  v defaults to the conjugate weights 1/u_{N-i};
+    passing anything else breaks the identity and is reported as failures.
+    At least one trial in at least one dimension is required: with none,
+    nothing is checked; so is a tolerance 0 <= tol < inf, as a negative or
+    nan one fails every trial and an infinite one passes any.  A nan
+    residual, as when the magnitude overflows the norms, fails its trial.
     """
     if not (trials >= 1 and dim >= 1 and 0 <= tol < math.inf):
         raise ValueError("check_mirror_duality needs trials >= 1 and dim >= 1, and 0 <= tol < inf")
-    rng = np.random.default_rng(seed)
     u = [float(x) for x in u]
+    if any(x <= 0 for x in u):
+        raise ValueError("u must be positive")
+    rng = np.random.default_rng(seed)
     N = s.N
     if v is None:
         v = [1.0 / u[N - i] for i in range(N + 1)]

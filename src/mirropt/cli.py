@@ -311,9 +311,13 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return globals()[args.fn](args)
-    # The one exit-code table: faults of the input exit 1, of the numerics 4.
+    # The one exit-code table: faults of the input, sizes in it that memory
+    # cannot hold included, exit 1; faults of the numerics 4.
     except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -119,10 +119,9 @@ class DGF:
         so the value is the shift x0 (the minimizer of phi* minus linear).
         At q = 2 the map is y + x0.  There y + 0.0 equals the general
         formula bit for bit (-0.0 becomes 0.0, inf and nan pass through),
-        except where ||y||_2^2 underflows to zero (every |y_i| below about
-        1e-162): the general formula then returns x0, y + 0.0 returns y + x0.
-        At q != 2, a y whose ||y||_q under- or overflows is rescaled by a
-        power of two (the map is 1-homogeneous).
+        also where ||y||_2^2 underflows (every |y_i| below about 1e-162):
+        the general formula, at any q, rescales a y whose ||y||_q under- or
+        overflows by a power of two (the map is 1-homogeneous).
         """
         y = np.asarray(y, dtype=np.float64)
         out = y + 0.0 if self.p == 2.0 else _norm_power_map(y, self.q)

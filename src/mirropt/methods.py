@@ -39,8 +39,7 @@ __all__ = [
 class ThetaSequence:
     """Nesterov-type scalars with theta_i^2 - theta_i = theta_{i-1}^2.
 
-    theta_j = 0 for every j <= -1 (index arithmetic in dual-AMD reaches
-    j = -3), theta_0 = 1, and theta_N = theta_{N-1}.
+    theta_j = 0 for every j <= -1, theta_0 = 1, and theta_N = theta_{N-1}.
     """
 
     N: int
@@ -199,20 +198,18 @@ def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[f
     return L, sigma
 
 
-def _amd_steps(f: SmoothObjective, g: DGF, y0: DualVector, N: int, L: float, sigma: float):
-    """AMD's recurrence from y0: yields (x_k, y_k, grad f(x_k), grad phi*(y_k)) for k = 0..N.
+def _amd_steps(grad, conjugate_grad, y0: DualVector, N: int, step: float):
+    """AMD's recurrence from y0 with step = sigma / L: yields (x_k, y_k, grad f(x_k),
+    grad phi*(y_k)) for k = 0..N, so it evaluates N + 1 gradients, at x_0 .. x_N.
 
-    theta_N = theta_{N-1}; no gradient is taken at x_N, so step N yields None for it.
-    Only the current step's vectors are held.
+    theta_N = theta_{N-1}.  Only the current step's vectors are held.
     """
     vals = theta_sequence(N).values
     sq = [0.0] + (vals * vals).tolist()  # sq[j + 1] = theta_j^2, theta_{-1} = 0
-    step = sigma / L
-    grad, conjugate_grad = f.grad, g.conjugate_grad
     y = np.asarray(y0, dtype=np.float64)
     x = mirror = conjugate_grad(y)
     for k in range(N):
-        fg = np.asarray(grad(x), dtype=np.float64)
+        fg = grad(x)
         yield x, y, fg, mirror
         y_next = np.multiply(step * (sq[k + 1] - sq[k]), fg)
         np.subtract(y, y_next, out=y_next)
@@ -227,7 +224,7 @@ def _amd_steps(f: SmoothObjective, g: DGF, y0: DualVector, N: int, L: float, sig
         t *= (sq[k + 1] - sq[k]) / sq_next
         x_next += t
         x, mirror = _check_finite(x_next, "primal iterate x", k + 1), mirror_next
-    yield x, y, None, mirror
+    yield x, y, grad(x), mirror
 
 
 def run_amd(
@@ -240,8 +237,7 @@ def run_amd(
 ) -> MethodRun:
     """Accelerated mirror descent with the equality theta sequence."""
     L, sigma = _constants(f, g, L, sigma)
-    xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(f, g, y0, N, L, sigma)))
-    f_grads[N] = np.asarray(f.grad(xs[N]), dtype=np.float64)
+    xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(_f_grad(f), g.conjugate_grad, y0, N, sigma / L)))
     th = theta_sequence(N)
     bound = None
     if f.x_star is not None:
@@ -274,18 +270,17 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     return CoefficientSchedule(N=N, a=a, b=b, tail=(row, col))
 
 
-def _dual_amd_steps(f: SmoothObjective, g: DGF, q0: PrimalVector, N: int, L: float, sigma: float):
-    """Dual-AMD's recurrence from q0: yields (q_k, r_k, grad f(q_k), grad psi*(r_k)) for k = 0..N.
+def _dual_amd_steps(grad, conjugate_grad, q0: PrimalVector, fg0: DualVector, N: int, step: float):
+    """Dual-AMD's recurrence from q0, whose gradient fg0 the caller gives, with step = sigma / L:
+    yields (q_k, r_k, grad f(q_k), grad psi*(r_k)) for k = 0..N, so it evaluates N gradients,
+    at q_1 .. q_N.
 
     Only the current step's vectors are held.
     """
     # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
     vals = theta_sequence(N).values
     w = (vals * vals)[::-1].tolist() + [0.0, 0.0, 0.0]
-    step = sigma / L
-    grad, conjugate_grad = f.grad, g.conjugate_grad
-    q = np.asarray(q0, dtype=np.float64)
-    fg = np.asarray(grad(q), dtype=np.float64)
+    q, fg = q0, fg0
     r = (w[0] - w[2]) / w[0] * fg
     gk = fg / w[1]
     mirror = conjugate_grad(r)
@@ -295,7 +290,7 @@ def _dual_amd_steps(f: SmoothObjective, g: DGF, q0: PrimalVector, N: int, L: flo
         # q_{k+1} = q_k - step (w1 - w2) mirror_k
         t = np.multiply(step * (w1 - w2), mirror)
         q = _check_finite(np.subtract(q, t, out=t), "primal iterate q", k + 1)
-        fg_next = np.asarray(grad(q), dtype=np.float64)
+        fg_next = grad(q)
         # g_{k+1} = g_k + (grad f(q_{k+1}) - grad f(q_k)) / w1
         g_next = np.subtract(fg_next, fg)
         g_next /= w1
@@ -328,7 +323,9 @@ def run_dual_amd(
     """
     L, sigma = _constants(f, g, L, sigma)
     th = theta_sequence(N)
-    qs, rs, f_grads, mirrors = map(list, zip(*_dual_amd_steps(f, g, q0, N, L, sigma)))
+    grad, q0 = _f_grad(f), np.asarray(q0, dtype=np.float64)
+    steps = _dual_amd_steps(grad, g.conjugate_grad, q0, grad(q0), N, sigma / L)
+    qs, rs, f_grads, mirrors = map(list, zip(*steps))
     bound = None
     if f.f_star is not None:
         bound = (L / (sigma * th.sq(N))) * (f.value(qs[0]) - f.f_star)

@@ -287,34 +287,19 @@ class OTDualObjective(SmoothObjective):
         return d
 
 
-class _Certified(Exception):
-    """Raised by _CountingObjective at the first gradient within tolerance."""
+class _CountedGrad:
+    """The gradient oracle every evaluation of solve_ot goes through: it counts, caps and screens.
 
-
-class _CountingObjective(SmoothObjective):
-    """The wrapper every gradient of solve_ot goes through: it counts, caps and certifies.
-
-    Call eval_cap + 1 raises RuntimeError before evaluating.  The first
-    gradient g with ||g||_1 <= grad_tol certifies its own point: the point
-    and that norm are kept in z and grad_l1, and _Certified ends the
-    search.  Since ||g||_2 <= ||g||_1, the one-dot screen g @ g <= tol^2
-    (looser by 1e-9, more than the rounding of both sums for m + n below
-    10^6) skips the l1 norm on almost every gradient; nan passes neither.
-
-    The last point and its gradient are kept: a call at that same point
-    object returns the gradient without evaluating, counting or screening
-    it again.  A restart attempt starts at the previous attempt's q_N, the
-    point of the last gradient evaluated.  The methods never write into an
-    iterate after passing it to grad, so a point is identified by identity.
+    Call eval_cap + 1 raises RuntimeError before evaluating.  A gradient g
+    with ||g||_1 <= grad_tol certifies its own point: the point and that
+    norm are kept in z and grad_l1, and solve_ot stops at the first.  Since
+    ||g||_2 <= ||g||_1, the one-dot screen g @ g <= tol^2 (looser by 1e-9,
+    more than the rounding of both sums for m + n below 10^6) skips the l1
+    norm on almost every gradient; nan passes neither.
     """
 
-    def __init__(self, base: SmoothObjective, grad_tol: float, eval_cap: int):
-        self.base = base
-        self.kind = base.kind
-        self.L = base.L
-        self.norm_p = base.norm_p
-        self.x_star = base.x_star
-        self.f_star = base.f_star
+    def __init__(self, grad, grad_tol: float, eval_cap: int):
+        self.grad = grad
         self.grad_tol = grad_tol
         self.eval_cap = eval_cap
         self._screen = grad_tol * grad_tol * (1.0 + 1e-9)
@@ -322,21 +307,15 @@ class _CountingObjective(SmoothObjective):
         self.min_sq = math.inf  # smallest g @ g since the caller last reset it
         self.z: Optional[Vector] = None
         self.grad_l1 = math.inf
-        self._last = (None, None)  # (x, grad at x) of the last evaluation
 
-    def value(self, x):
-        return self.base.value(x)
-
-    def grad(self, x):
-        if x is self._last[0]:
-            return self._last[1]
+    def __call__(self, x: Vector) -> Vector:
         if self.grad_evals >= self.eval_cap:
             raise RuntimeError(
                 f"gradient-evaluation budget {self.eval_cap} exhausted before a gradient "
                 f"reached l1 norm {self.grad_tol:.3e}"
             )
         self.grad_evals += 1
-        g = self.base.grad(x)
+        g = self.grad(x)
         sq = g @ g
         if sq < self.min_sq:
             self.min_sq = sq
@@ -344,8 +323,6 @@ class _CountingObjective(SmoothObjective):
             grad_l1 = float(np.sum(np.abs(g)))
             if grad_l1 <= self.grad_tol:
                 self.z, self.grad_l1 = x, grad_l1
-                raise _Certified
-        self._last = (x, g)
         return g
 
 
@@ -357,13 +334,14 @@ class OTResult:
     from 0, or "restart": the previous attempt's q_N), grad_evals (the
     gradients the attempt evaluated, its AMD run's included), min_grad_l2
     (the smallest l2 norm among them), seconds, and certified (true on the
-    last row of a solve only).  A "path" row evaluates N gradients for AMD
-    and N + 1 for dual-AMD; a "restart" row reuses the gradient at its start
-    point, the previous attempt's last, so it evaluates N, at q_1 .. q_N.
-    A certified row stops at its first gradient within tolerance.  The
-    history is kept out of to_json_dict, whose bytes are deterministic.
-    When the budget runs out, the RuntimeError carries the rows so far,
-    the interrupted attempt's last, as .history.
+    last row of a solve only).  A "path" row evaluates N + 1 gradients for
+    AMD, at x_0 .. x_N, and N for dual-AMD, at q_1 .. q_N, since q_0 = x_N;
+    a "restart" row starts from the previous attempt's last point and its
+    gradient, so it evaluates N, at q_1 .. q_N.  A certified row stops at
+    its first gradient within tolerance.  The history is kept out of
+    to_json_dict, whose bytes are deterministic.  When the budget runs
+    out, the RuntimeError carries the rows so far, the interrupted
+    attempt's last, as .history.
     """
 
     plan: TransportPlan
@@ -401,12 +379,11 @@ def _fallback_horizon(inst: OTInstance, r: float, grad_tol: float, L: float, lim
     recurrence gives theta_N = theta_{N-1} in [a, a + log a], a = (N+1)/2,
     so the sequence itself is read only where these bounds do not settle
     the comparison, and the search ends at the first power of two >= limit:
-    before an attempt at N solve_ot has spent at least N + log2 N
+    before an attempt at N >= 2 solve_ot has spent at least N + 1
     gradients, so with limit = eval_cap no attempt at N >= limit starts.
     A wrong N_c would only change the worst-case count, never a
     certificate.  The fallback attempt reruns AMD from 0, so its AMD stage
-    spends N gradients, at x_0 .. x_{N-1}: one more than extending attempt
-    1's AMD run would, since the gradient at x_0 is taken again.
+    spends N + 1 gradients, at x_0 .. x_N, and its dual-AMD stage N more.
     """
     if grad_tol == math.inf:
         return 1
@@ -438,15 +415,16 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     V_N >= 0.  From N_c on each attempt is the value-stage/gradient-stage
     concatenation: N steps of AMD from (0, 0), then dual-AMD from their
     x_N.  The attempt at N_c certifies, so the chain keeps the
-    concatenation's worst case.  Gradients are scanned in the order they
-    are evaluated, and the first within tolerance ends the search:
-    report["N"] is that attempt's horizon and report["grad_evals"] the
-    exact count of gradient calls.  The call past eval_cap is refused:
-    RuntimeError, with exactly eval_cap gradients spent and the history
-    so far as its history attribute.  Both methods are stepped through
-    their generators, keeping only the current point, so a solve holds
-    O(m n) for the kernel plus O(m + n) iterates, whatever N (and O(N)
-    theta scalars).
+    concatenation's worst case.  Both methods are stepped through their
+    generators, which yield each gradient as it is evaluated; the first
+    within tolerance ends the search: report["N"] is that attempt's horizon
+    and report["grad_evals"] the exact count of gradient calls.  An attempt
+    hands its last point and gradient on: AMD's x_N to dual-AMD as q_0, and
+    dual-AMD's q_N to the next restart, so no gradient is taken twice.  The
+    call past eval_cap is refused: RuntimeError, with exactly eval_cap
+    gradients spent and the history so far as its history attribute.  Only
+    the current point is kept, so a solve holds O(m n) for the kernel plus
+    O(m + n) iterates, whatever N (and O(N) theta scalars).
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -457,22 +435,24 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     c_max = float(np.max(np.abs(inst.C)))
     grad_tol = math.inf if c_max == 0.0 else eps / (8.0 * c_max)
 
-    h = _CountingObjective(OTDualObjective(inst, r=r), grad_tol, eval_cap)
+    h = OTDualObjective(inst, r=r)
+    grad = _CountedGrad(h.grad, grad_tol, eval_cap)
     N_c = _fallback_horizon(inst, r, grad_tol, h.L, eval_cap)
-    phi = euclidean()
+    conjugate_grad, step = euclidean().conjugate_grad, 1.0 / h.L
     history = []
-    N, q = 1, None
+    N, q, fg = 1, None, None
     while True:
-        restart, certified = 1 < N < N_c, False
-        t0, evals0, h.min_sq = time.perf_counter(), h.grad_evals, math.inf
+        restart = 1 < N < N_c
+        t0, evals0, grad.min_sq = time.perf_counter(), grad.grad_evals, math.inf
         try:
             if not restart:
-                for q, *_ in _amd_steps(h, phi, np.zeros(m + n), N, h.L, 1.0):
-                    pass
-            for q, *_ in _dual_amd_steps(h, phi, q, N, h.L, 1.0):
-                pass
-        except _Certified:
-            certified = True
+                for q, _, fg, _ in _amd_steps(grad, conjugate_grad, np.zeros(m + n), N, step):
+                    if grad.z is not None:
+                        break
+            if grad.z is None:
+                for q, _, fg, _ in _dual_amd_steps(grad, conjugate_grad, q, fg, N, step):
+                    if grad.z is not None:
+                        break
         except RuntimeError as e:
             e.history = history  # the budget ran out; the finally clause adds this attempt's row
             raise
@@ -480,17 +460,17 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
             history.append({
                 "N": N,
                 "start": "restart" if restart else "path",
-                "grad_evals": h.grad_evals - evals0,
-                "min_grad_l2": math.sqrt(h.min_sq),
+                "grad_evals": grad.grad_evals - evals0,
+                "min_grad_l2": math.sqrt(grad.min_sq),
                 "seconds": time.perf_counter() - t0,
-                "certified": certified,
+                "certified": grad.z is not None,
             })
-        if certified:
+        if grad.z is not None:
             break
         N *= 2
 
-    grad_l1 = h.grad_l1
-    raw = h.base._plan(h.z)
+    grad_l1 = grad.grad_l1
+    raw = h._plan(grad.z)
     rounded = round_plan(inst, raw)
     cost = float(np.sum(inst.C * rounded.X))
     report = {
@@ -498,7 +478,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
         "r": r,
         "grad_l1": grad_l1,
         "grad_tol": grad_tol,
-        "grad_evals": h.grad_evals,
+        "grad_evals": grad.grad_evals,
         "rounding_l1": float(np.sum(np.abs(rounded.X - raw.X))),
         "rounding_l1_bound": 2.0 * grad_l1,
         "suboptimality_bound": r * math.log(m * n) + 2.0 * c_max * grad_l1,

@@ -192,6 +192,17 @@ def test_duality_transform_rejects_nonpositive_u():
         duality_transform([1.0, 0.0], sc)
 
 
+@pytest.mark.parametrize("u", [[0.0, 1.0, 2.0, 3.0], [-1.0, 1.0, 2.0, 3.0]])
+def test_check_mirror_duality_rejects_nonpositive_u(u, monkeypatch):
+    """The check refuses the weights its bijection refuses, before it draws a trial."""
+    sc = GradientScenario(A=[np.zeros(2)] * 4, B=[np.zeros(2)] * 4)
+    with pytest.raises(ValueError, match="u must be positive"):
+        duality_transform(u, sc)
+    monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+    with pytest.raises(ValueError, match="u must be positive"):
+        check_mirror_duality(amd_schedule(3, 1.0, 1.0), u, 1.0, 1.0, trials=5)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_duality_identity_random_schedules(N, seed):

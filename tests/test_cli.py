@@ -288,6 +288,41 @@ def test_schedule_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def test_input_too_large_for_memory_exits_1(tmp_path, monkeypatch, capsys):
+    """A size the input asks for that memory cannot hold exits 1 with a message, not a
+    traceback: duality-check's block of 1024 trials in dimension 20000, and the default start
+    of a log-sum-exp objective in 10^10 coordinates.
+
+    Both allocations are made to fail at their shapes, so nothing large is allocated.
+    """
+    default_rng, zeros = np.random.default_rng, np.zeros
+
+    class NoMemoryRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            if size == (1024, 2, 101, 20000):
+                raise MemoryError("Unable to allocate 30.8 GiB")
+            return self.rng.standard_normal(size)
+
+    def no_memory(shape, *args, **kwargs):
+        if shape == 10 ** 10:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", NoMemoryRng)
+    monkeypatch.setattr(np, "zeros", no_memory)
+    assert main(["duality-check", "--schedule", "amd", "--N", "100", "--trials", "1024", "--dim", "20000"]) == 1
+    cfg = tmp_path / "lse.json"
+    cfg.write_text(json.dumps({"method": "md", "objective": {"kind": "log-sum-exp", "r": 0.5, "n": 10 ** 10},
+                               "N": 3, "alpha": 0.1}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "lse.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 30.8 GiB\nerror: out of memory\n"
+    assert not (tmp_path / "lse.csv").exists()
+
+
 OT_INSTANCE = {"C": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5]}
 
 

@@ -14,8 +14,7 @@ from mirropt.ot import (
     OTDualObjective,
     OTInstance,
     TransportPlan,
-    _Certified,
-    _CountingObjective,
+    _CountedGrad,
     _gibbs,
     _LOG_TINY,
     instance_from_descriptor,
@@ -441,51 +440,27 @@ def test_solve_ot_past_log_domain_gate_returns_or_exhausts_budget(data):
     assert res.cost <= lp_oracle(inst) + 1e-6 * (1 + 1e-9)
 
 
-class _FixedGradients(OTDualObjective):
-    """The OT dual on _uniform2 whose gradients are read off a list, in call order."""
-
-    def __init__(self, grads):
-        super().__init__(_uniform2(), r=0.1)
-        self.grads = iter(grads)
-
-    def grad(self, z):
-        return np.array(next(self.grads))
+def _fixed_gradients(grads):
+    """A gradient oracle that reads its gradients off a list, in call order."""
+    grads = iter(grads)
+    return lambda z: np.array(next(grads))
 
 
 def test_counting_objective_certifies_first_l1_within_tolerance():
     """l2 <= tol is not enough, l1 = tol exactly is; nan never certifies, even with tol = inf."""
     tol = 0.1
-    counted = _CountingObjective(_FixedGradients([
+    counted = _CountedGrad(_fixed_gradients([
         [np.nan, 0.0, 0.0, 0.0], [0.03, -0.03, 0.03, -0.0301], [tol, 0.0, 0.0, 0.0]]), tol, eval_cap=5)
     for _ in range(2):
-        counted.grad(np.zeros(4))
+        counted(np.zeros(4))
     assert counted.z is None
-    with pytest.raises(_Certified):
-        counted.grad(np.ones(4))
+    assert counted(np.ones(4))[0] == tol
     assert counted.grad_l1 == tol and np.array_equal(counted.z, np.ones(4))
     assert counted.grad_evals == 3
-    nan_only = _CountingObjective(_FixedGradients([[np.nan] * 4]), math.inf, eval_cap=1)
-    assert np.isnan(nan_only.grad(np.zeros(4))).all() and nan_only.z is None
+    nan_only = _CountedGrad(_fixed_gradients([[np.nan] * 4]), math.inf, eval_cap=1)
+    assert np.isnan(nan_only(np.zeros(4))).all() and nan_only.z is None
     with pytest.raises(RuntimeError, match="budget 1 exhausted"):
-        nan_only.grad(np.zeros(4))
-
-
-def test_counting_objective_reuses_the_last_gradient():
-    """A call at the last evaluated point object returns its gradient without evaluating,
-    counting or screening it, even with the budget spent; an equal point in a new array
-    is evaluated."""
-    counted = _CountingObjective(_FixedGradients([[0.5, 0.0, 0.0, 0.0], [0.4, 0.0, 0.0, 0.0]]),
-                                 0.1, eval_cap=2)
-    x = np.zeros(4)
-    g = counted.grad(x)
-    counted.min_sq = math.inf
-    assert counted.grad(x) is g
-    assert counted.grad_evals == 1 and counted.min_sq == math.inf
-    y = np.zeros(4)
-    assert counted.grad(y)[0] == 0.4 and counted.grad_evals == 2
-    assert counted.grad(y)[0] == 0.4 and counted.grad_evals == 2
-    with pytest.raises(RuntimeError, match="budget 2 exhausted"):
-        counted.grad(x)
+        nan_only(np.zeros(4))
 
 
 @pytest.mark.parametrize("eps, above_gate", [(0.05, False), (0.004, True)])
@@ -596,8 +571,9 @@ def test_solve_ot_matches_chain_reference(seed, m, n, eps):
 def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
     """Rows split the gradient calls by attempt, each with its smallest l2 norm; the attempts
     restart below N_c and run AMD from 0 from N_c on; only the last row certifies.  A row that
-    runs AMD spends N gradients on it (x_0 .. x_{N-1}), then its dual-AMD calls: N + 1 from
-    a path start, N from a restart, whose start gradient is the previous attempt's last."""
+    runs AMD spends N + 1 gradients on it (x_0 .. x_N), then its dual-AMD calls: N from either
+    start, whose gradient is the one AMD took at x_N or, on a restart, the previous attempt's
+    last."""
     if N_c is not None:
         monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: N_c)
     calls = _record_grads(monkeypatch)
@@ -615,7 +591,7 @@ def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
     rows = res.history
     assert len(dual_calls) == len(rows)
     for row, dual in zip(rows, dual_calls):
-        assert row["grad_evals"] == (row["N"] if row["start"] == "path" else 0) + dual
+        assert row["grad_evals"] == (row["N"] + 1 if row["start"] == "path" else 0) + dual
         if not row["certified"]:
             assert row["grad_evals"] == (2 * row["N"] + 1 if row["start"] == "path" else row["N"])
     if N_c is not None:
