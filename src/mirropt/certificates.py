@@ -28,6 +28,7 @@ import numpy as np
 
 from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, anti_transpose
 from .dgf import DGF
+from .methods import _constants
 from .objectives import SmoothObjective
 from .spaces import NormIndex, Vector, lp_norm, lp_norms, pairing, pairings
 
@@ -127,7 +128,7 @@ class EnergyTrace:
 def _trace_inputs(pts, duals, traj, weights, name: str, f: SmoothObjective, g: DGF,
                   L: Optional[float], sigma: Optional[float]):
     """What both energy traces read from a run: (weights, f values, conjugate
-    values, brackets), with L and sigma defaulting to f.L and g.sigma.
+    values, brackets), with L and sigma checked as the runners check them.
 
     pts/duals are (xs, ys) or (qs, rs); the weights (u or v, named by name)
     must number one per row.  brackets holds (coco_f, coco_conjugate) for
@@ -135,8 +136,7 @@ def _trace_inputs(pts, duals, traj, weights, name: str, f: SmoothObjective, g: D
     the float operations are those of every emitted energy trace, in the
     same order, so traces keep their bytes.
     """
-    L = f.L if L is None else L
-    sigma = g.sigma if sigma is None else sigma
+    L, sigma = _constants(f, g, L, sigma)
     weights = [float(w) for w in weights]
     if len(weights) != len(pts):
         raise ValueError(f"{name} must have length N+1")

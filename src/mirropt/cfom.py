@@ -111,11 +111,8 @@ def schedule_from_entries(N: int, a_entries, b_entries) -> CoefficientSchedule:
     zero, except b(0,0), which defaults to -1."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    try:
-        a = np.zeros((N + 1, N + 1))
-        b = np.zeros((N + 1, N + 1))
-    except MemoryError:
-        raise ValueError(f"schedule with N = {N} is too large") from None
+    a = np.zeros((N + 1, N + 1))
+    b = np.zeros((N + 1, N + 1))
     b[0, 0] = -1.0
     for k, i, v in a_entries:
         k, i = int(k), int(i)

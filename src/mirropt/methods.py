@@ -40,6 +40,7 @@ class ThetaSequence:
     """Nesterov-type scalars with theta_i^2 - theta_i = theta_{i-1}^2.
 
     theta_j = 0 for every j <= -1, theta_0 = 1, and theta_N = theta_{N-1}.
+    Built by theta_sequence, a pure function with O(N) work per call.
     """
 
     N: int
@@ -55,26 +56,14 @@ class ThetaSequence:
         return t * t
 
 
-# theta_0, theta_1, ... of the recurrence, as far as any call has needed.
-# An extension is built aside and published by rebinding, never appended
-# in place, so concurrent callers each see a consistent prefix.
-_THETA_PREFIX = np.ones(1)
-
-
 def theta_sequence(N: int) -> ThetaSequence:
-    global _THETA_PREFIX
+    """theta_0 .. theta_N, computed afresh: a pure function with O(N) work per call."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    prefix = _THETA_PREFIX
-    if prefix.size < N:
-        ext = prefix.tolist()
-        for _ in range(prefix.size, N):
-            ext.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ext[-1] ** 2)))
-        prefix = _THETA_PREFIX = np.array(ext)
-    vals = np.empty(N + 1)
-    vals[:N] = prefix[:N]
-    vals[N] = vals[N - 1]
-    return ThetaSequence(N=N, values=vals)
+    vals = [1.0]
+    for _ in range(1, N):
+        vals.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * vals[-1] ** 2)))
+    return ThetaSequence(N=N, values=np.array(vals + [vals[-1]]))  # theta_N = theta_{N-1}
 
 
 def sample_relative_convexity(
@@ -257,12 +246,9 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     # b[k+1, s] for s < k: (1/theta_k^2 - 1/theta_{k+1}^2)(theta_{s-1}^2 - theta_{s-2}^2),
     # a rank-1 tail whose factors the schedule keeps (its column factor is 0 at s = 0).
     row, col = 1.0 / sq_k - 1.0 / sq_kp1, sq_km1 - sq_km2
-    try:
-        a = np.zeros((N + 1, N + 1))
-        b = np.zeros((N + 1, N + 1))
-        b[1:, :N] = np.tril(np.outer(row, col), -1)
-    except MemoryError:
-        raise ValueError(f"schedule with N = {N} is too large") from None
+    a = np.zeros((N + 1, N + 1))
+    b = np.zeros((N + 1, N + 1))
+    b[1:, :N] = np.tril(np.outer(row, col), -1)
     b[0, 0] = -1.0
     a[k + 1, k] = (sigma / L) * (sq_k - sq_km1)
     b[k + 1, k] = (sq_k - sq_km2) / sq_k - (sq_km1 - sq_km2) / sq_kp1
@@ -322,9 +308,14 @@ def run_dual_amd(
     one forced by r_0 = -b_{N,N} grad f(q_0) of the mirror dual.
     """
     L, sigma = _constants(f, g, L, sigma)
+    q0 = np.asarray(q0, dtype=np.float64)
+    return _dual_amd_run(f, g, q0, _f_grad(f)(q0), N, L, sigma)
+
+
+def _dual_amd_run(f: SmoothObjective, g: DGF, q0, fg0, N: int, L: float, sigma: float) -> MethodRun:
+    """run_dual_amd from q0 and its gradient fg0, with (L, sigma) already checked."""
     th = theta_sequence(N)
-    grad, q0 = _f_grad(f), np.asarray(q0, dtype=np.float64)
-    steps = _dual_amd_steps(grad, g.conjugate_grad, q0, grad(q0), N, sigma / L)
+    steps = _dual_amd_steps(_f_grad(f), g.conjugate_grad, q0, fg0, N, sigma / L)
     qs, rs, f_grads, mirrors = map(list, zip(*steps))
     bound = None
     if f.f_star is not None:
@@ -356,9 +347,9 @@ def run_concat(
     sigma1: Optional[float] = None,
     sigma2: Optional[float] = None,
 ) -> ConcatRun:
-    """N steps of AMD from y0, then N steps of dual-AMD from q_0 = x_N."""
+    """N steps of AMD from y0, then N of dual-AMD from x_N and AMD's grad f(x_N): 2N + 1 gradients."""
     first = run_amd(f, phi, y0, N, L=L, sigma=sigma1)
-    second = run_dual_amd(f, psi, first.traj.xs[-1], N, L=first.L, sigma=sigma2)
+    second = _dual_amd_run(f, psi, first.final_x, first.traj.f_grads[-1], N, *_constants(f, psi, first.L, sigma2))
     bound = None
     if f.x_star is not None:
         d0 = bregman(phi.value, phi.grad, f.x_star, first.traj.xs[0])

@@ -375,12 +375,12 @@ def _fallback_horizon(inst: OTInstance, r: float, grad_tol: float, L: float, lim
        (1/2)||grad h(q_N)||_2^2 <= L^2 (1/2)||z*||_2^2 / theta_N^4, and
        ||g||_1 <= sqrt(m + n) ||g||_2, so ||grad h(q_N)||_1 <= grad_tol
        once theta_N^2 reaches the threshold.
-    With grad_tol = inf every gradient certifies and N_c = 1.  The
-    recurrence gives theta_N = theta_{N-1} in [a, a + log a], a = (N+1)/2,
-    so the sequence itself is read only where these bounds do not settle
-    the comparison, and the search ends at the first power of two >= limit:
-    before an attempt at N >= 2 solve_ot has spent at least N + 1
-    gradients, so with limit = eval_cap no attempt at N >= limit starts.
+    With grad_tol = inf every gradient certifies and N_c = 1.  The bounds
+    theta_N = theta_{N-1} in [a, a + log a], a = (N+1)/2, are there so that
+    a tiny grad_tol computes no long sequence: theta is computed only where
+    they leave the comparison open.  The search ends at the first power of
+    two >= limit: before an attempt at N >= 2 solve_ot has spent at least
+    N + 1 gradients, so with limit = eval_cap no attempt at N >= limit starts.
     A wrong N_c would only change the worst-case count, never a
     certificate.  The fallback attempt reruns AMD from 0, so its AMD stage
     spends N + 1 gradients, at x_0 .. x_N, and its dual-AMD stage N more.

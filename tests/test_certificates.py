@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_dual_trace_rejects_shifted_dgf(rng):
     _, v = _amd_weights(3, run.L, run.sigma)
     with pytest.raises(ValueError):
         dual_energy_trace(run.dual_traj, v, f, g)
+
+
+@pytest.mark.parametrize("bad", [0.0, -4.0, math.nan, math.inf])
+def test_energy_traces_refuse_what_the_runners_refuse(rng, bad):
+    """Both traces read L and sigma by the runners' rule: each must be positive and finite."""
+    f, g = _quadratic(rng), euclidean()
+    primal, dual = run_amd(f, g, rng.standard_normal(5), 3), run_dual_amd(f, g, rng.standard_normal(5), 3)
+    u, v = _amd_weights(3, f.L, g.sigma)
+    for constants in ({"L": bad}, {"sigma": bad}):
+        with pytest.raises(ValueError, match="L and sigma must be positive and finite"):
+            primal_energy_trace(primal.traj, f.x_star, u, f, g, **constants)
+        with pytest.raises(ValueError, match="L and sigma must be positive and finite"):
+            dual_energy_trace(dual.dual_traj, v, f, g, **constants)
 
 
 def test_evaluate_u_zero_scenario(rng):

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirropt.cfom import CoefficientSchedule, run_cfom, run_mirror_dual, validate_schedule
-from mirropt import methods
 from mirropt.dgf import euclidean, squared_lp
 from mirropt.methods import (
     amd_schedule,
@@ -63,14 +60,11 @@ def _theta_direct(N):
     return vals
 
 
-def test_theta_prefix_equals_direct_recurrence_in_any_order(monkeypatch):
-    """theta_sequence serves every N from one shared prefix, with the recurrence's floats.
+def test_theta_sequence_equals_direct_recurrence_in_any_order():
+    """theta_sequence gives the recurrence's floats for every N, asked for in any order.
 
-    The prefix starts at theta_0 alone and grows as shuffled horizons ask
-    for it.  Each call returns its own array: writing into one changes no
-    later call.
+    Each call returns its own array: writing into one changes no later call.
     """
-    monkeypatch.setattr(methods, "_THETA_PREFIX", np.ones(1))
     horizons = np.random.default_rng(7).permutation(np.arange(1, 1101)).tolist()
     direct = {N: _theta_direct(N) for N in horizons}
     for N in horizons:
@@ -79,36 +73,6 @@ def test_theta_prefix_equals_direct_recurrence_in_any_order(monkeypatch):
         th.values[:] = -1.0
     for N in (1, 2, 640, 1100):
         assert np.array_equal(theta_sequence(N).values, direct[N])
-
-
-def test_theta_prefix_under_concurrent_extension(monkeypatch):
-    """Threads that extend the shared prefix at once each get the recurrence's floats.
-
-    Every thread asks for N = 1, 2, ..., so nearly every call races the
-    others to extend the prefix by one entry.
-    """
-    monkeypatch.setattr(methods, "_THETA_PREFIX", np.ones(1))
-    direct = _theta_direct(2000)
-    wrong = []
-
-    def work():
-        for N in range(1, 2001):
-            vals = theta_sequence(N).values
-            if not (np.array_equal(vals[:N], direct[:N]) and vals[N] == vals[N - 1]):
-                wrong.append(N)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
 
 
 def test_md_equals_gradient_descent(rng):
@@ -374,6 +338,22 @@ def test_concat_chaining_and_bound(rng):
     assert np.array_equal(run.dual_amd.dual_traj.qs[0], run.amd.traj.xs[-1])
     final = 0.5 * np.linalg.norm(f.grad(run.final_x)) ** 2
     assert final <= run.bound + 1e-9
+
+
+def test_concat_takes_each_gradient_once(rng, monkeypatch):
+    """AMD's gradient at x_N is dual-AMD's first, so N steps of each spend 2N + 1 gradients,
+    and the run equals AMD followed by run_dual_amd from x_N."""
+    f, g = _quadratic(rng), euclidean()
+    y0 = rng.standard_normal(5)
+    first = run_amd(f, g, y0, 5)
+    second = run_dual_amd(f, g, first.final_x, 5)
+    grad, calls = DiagQuadratic.grad, []
+    monkeypatch.setattr(DiagQuadratic, "grad", lambda self, x: calls.append(x) or grad(self, x))
+    run = run_concat(f, g, g, y0, 5)
+    assert len(calls) == 11
+    for got, want in ((run.amd.traj, first.traj), (run.dual_amd.dual_traj, second.dual_traj)):
+        for name in vars(want):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(got, name), getattr(want, name), strict=True))
 
 
 def test_concat_lq_geometry(rng):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirropt import methods, ot
+from mirropt import ot
 from mirropt.ot import (
     OTDualObjective,
     OTInstance,
@@ -620,7 +620,6 @@ def test_solve_ot_memory_does_not_grow_with_N():
     rng = np.random.default_rng(3)
     m, n = 8, 56
     inst = OTInstance(C=rng.uniform(0, 1, (m, n)), mu=np.full(m, 1 / m), nu=np.full(n, 1 / n))
-    theta_sequence(2 ** 11)  # the shared theta prefix, built outside the traced solves
     peaks = {}
     for eps in (0.3, 0.01):
         tracemalloc.start()
@@ -702,17 +701,20 @@ def test_fallback_horizon_certifies_the_concatenation(seed, m, n, eps, skew):
     assert np.sum(np.abs(run.dual_amd.dual_traj.f_grads[-1])) <= tol
 
 
-def test_fallback_horizon_edges():
+def test_fallback_horizon_edges(monkeypatch):
     """tol = inf gives 1; the search stops at the first power of two >= limit; a horizon
-    that the bounds on theta settle is found without extending the theta sequence."""
+    that the bounds on theta settle is found without computing theta at that size."""
     inst = _uniform2()  # R_z = 1, so the threshold is 2 L / tol
     assert ot._fallback_horizon(inst, 0.1, math.inf, 10.0, 2 ** 20) == 1
     assert ot._fallback_horizon(inst, 1e-9, 1e-12, 1e9, 1000) == 1024
-    theta_sequence(8)
-    before = methods._THETA_PREFIX.size
+    sizes = []
+    monkeypatch.setattr(ot, "theta_sequence", lambda N: sizes.append(N) or theta_sequence(N))
+    # threshold 30: at N = 8 the bounds leave it open (20.25 < 30 <= 36.1) and theta_8^2 = 23.9
+    assert ot._fallback_horizon(inst, 0.1, 1 / 15, 1.0, 2 ** 20) == 16 and sizes == [8]
+    sizes.clear()
     # 2^36 has theta <= 3.44e10 + 25 < sqrt(2e21) <= 2^37 / 2 <= theta at 2^37
     assert ot._fallback_horizon(inst, 1e-9, 1e-12, 1e9, 2 ** 60) == 2 ** 37
-    assert methods._THETA_PREFIX.size == before
+    assert sizes == []
 
 
 def test_lp_oracle_examples():
