@@ -187,13 +187,13 @@ def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[f
     return L, sigma
 
 
-def _amd_steps(grad, conjugate_grad, y0: DualVector, N: int, step: float):
-    """AMD's recurrence from y0 with step = sigma / L: yields (x_k, y_k, grad f(x_k),
-    grad phi*(y_k)) for k = 0..N, so it evaluates N + 1 gradients, at x_0 .. x_N.
+def _amd_steps(grad, conjugate_grad, y0: DualVector, th: ThetaSequence, step: float):
+    """AMD's recurrence from y0 over th = theta_sequence(N), step = sigma / L: yields (x_k, y_k,
+    grad f(x_k), grad phi*(y_k)) for k = 0..N, so it evaluates N + 1 gradients, at x_0 .. x_N.
 
     theta_N = theta_{N-1}.  Only the current step's vectors are held.
     """
-    vals = theta_sequence(N).values
+    N, vals = th.N, th.values
     sq = [0.0] + (vals * vals).tolist()  # sq[j + 1] = theta_j^2, theta_{-1} = 0
     y = np.asarray(y0, dtype=np.float64)
     x = mirror = conjugate_grad(y)
@@ -226,8 +226,8 @@ def run_amd(
 ) -> MethodRun:
     """Accelerated mirror descent with the equality theta sequence."""
     L, sigma = _constants(f, g, L, sigma)
-    xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(_f_grad(f), g.conjugate_grad, y0, N, sigma / L)))
     th = theta_sequence(N)
+    xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(_f_grad(f), g.conjugate_grad, y0, th, sigma / L)))
     bound = None
     if f.x_star is not None:
         bound = L * bregman(g.value, g.grad, f.x_star, xs[0]) / (sigma * th.sq(N))
@@ -256,15 +256,15 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     return CoefficientSchedule(N=N, a=a, b=b, tail=(row, col))
 
 
-def _dual_amd_steps(grad, conjugate_grad, q0: PrimalVector, fg0: DualVector, N: int, step: float):
-    """Dual-AMD's recurrence from q0, whose gradient fg0 the caller gives, with step = sigma / L:
-    yields (q_k, r_k, grad f(q_k), grad psi*(r_k)) for k = 0..N, so it evaluates N gradients,
-    at q_1 .. q_N.
+def _dual_amd_steps(grad, conjugate_grad, q0: PrimalVector, fg0: DualVector, th: ThetaSequence, step: float):
+    """Dual-AMD's recurrence from q0, whose gradient fg0 the caller gives, over
+    th = theta_sequence(N), with step = sigma / L: yields (q_k, r_k, grad f(q_k), grad psi*(r_k))
+    for k = 0..N, so it evaluates N gradients, at q_1 .. q_N.
 
     Only the current step's vectors are held.
     """
     # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
-    vals = theta_sequence(N).values
+    N, vals = th.N, th.values
     w = (vals * vals)[::-1].tolist() + [0.0, 0.0, 0.0]
     q, fg = q0, fg0
     r = (w[0] - w[2]) / w[0] * fg
@@ -309,17 +309,16 @@ def run_dual_amd(
     """
     L, sigma = _constants(f, g, L, sigma)
     q0 = np.asarray(q0, dtype=np.float64)
-    return _dual_amd_run(f, g, q0, _f_grad(f)(q0), N, L, sigma)
+    return _dual_amd_run(f, g, q0, _f_grad(f)(q0), theta_sequence(N), L, sigma)
 
 
-def _dual_amd_run(f: SmoothObjective, g: DGF, q0, fg0, N: int, L: float, sigma: float) -> MethodRun:
-    """run_dual_amd from q0 and its gradient fg0, with (L, sigma) already checked."""
-    th = theta_sequence(N)
-    steps = _dual_amd_steps(_f_grad(f), g.conjugate_grad, q0, fg0, N, sigma / L)
+def _dual_amd_run(f: SmoothObjective, g: DGF, q0, fg0, th: ThetaSequence, L: float, sigma: float) -> MethodRun:
+    """run_dual_amd from q0 and its gradient fg0 over th, with (L, sigma) already checked."""
+    steps = _dual_amd_steps(_f_grad(f), g.conjugate_grad, q0, fg0, th, sigma / L)
     qs, rs, f_grads, mirrors = map(list, zip(*steps))
     bound = None
     if f.f_star is not None:
-        bound = (L / (sigma * th.sq(N))) * (f.value(qs[0]) - f.f_star)
+        bound = (L / (sigma * th.sq(th.N))) * (f.value(qs[0]) - f.f_star)
     dual_traj = DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
     return MethodRun(method="dual-amd", dual_traj=dual_traj, bound=bound, theta=th, L=L, sigma=sigma)
 
@@ -349,7 +348,8 @@ def run_concat(
 ) -> ConcatRun:
     """N steps of AMD from y0, then N of dual-AMD from x_N and AMD's grad f(x_N): 2N + 1 gradients."""
     first = run_amd(f, phi, y0, N, L=L, sigma=sigma1)
-    second = _dual_amd_run(f, psi, first.final_x, first.traj.f_grads[-1], N, *_constants(f, psi, first.L, sigma2))
+    second = _dual_amd_run(f, psi, first.final_x, first.traj.f_grads[-1], first.theta,
+                           *_constants(f, psi, first.L, sigma2))
     bound = None
     if f.x_star is not None:
         d0 = bregman(phi.value, phi.grad, f.x_star, first.traj.xs[0])

@@ -122,22 +122,25 @@ def ot_dual_value(inst: OTInstance, r: float, u: Vector, v: Vector) -> float:
         raise ValueError("temperature r must be positive")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    z = (u[:, None] + v[None, :] - inst.C) / r
-    m = float(np.max(z))
-    lse = m + math.log(float(np.sum(np.exp(z - m))))
+    out = np.empty(inst.shape)
+    lse = _shifted_exp(inst, r, u, v, out) + math.log(float(np.sum(out)))
     return r * lse - float(inst.mu @ u) - float(inst.nu @ v)
 
 
-def _gibbs(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarray) -> np.ndarray:
-    """Normalized Gibbs kernel exp((u_i + v_j - c_ij) / r) / sum, computed in out.
-
-    The log-domain kernel: shift by the max, exponentiate, normalize.
-    """
+def _shifted_exp(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarray) -> float:
+    """exp(z - max z) with z_ij = (u_i + v_j - c_ij) / r, computed in out; returns max z."""
     np.add(u[:, None], v[None, :], out=out)
     out -= inst.C
     out /= r
-    out -= out.max()
+    top = float(out.max())
+    out -= top
     np.exp(out, out=out)
+    return top
+
+
+def _gibbs(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarray) -> np.ndarray:
+    """Normalized Gibbs kernel exp((u_i + v_j - c_ij) / r) / sum in out: shift by the max, exp, normalize."""
+    _shifted_exp(inst, r, u, v, out)
     out /= out.sum()
     return out
 
@@ -162,7 +165,7 @@ def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> Transpor
 
 
 def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
-    """Row-cap, column-cap, rank-one fix; output is exactly feasible.
+    """Row-cap, column-cap, rank-one fix: returns a new, exactly feasible plan; the input is untouched.
 
     The total l1 movement is at most twice the input's marginal
     violation, so the rounding cannot spoil an accurate dual solve.
@@ -173,16 +176,17 @@ def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
     rows = X.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         row_scale = np.where(rows > 0, np.minimum(1.0, inst.mu / rows), 1.0)
-    X1 = X * row_scale[:, None]
-    cols = X1.sum(axis=0)
+    X2 = X * row_scale[:, None]
+    cols = X2.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         col_scale = np.where(cols > 0, np.minimum(1.0, inst.nu / cols), 1.0)
-    X2 = X1 * col_scale[None, :]
+    X2 *= col_scale[None, :]
     err_r = inst.mu - X2.sum(axis=1)
     err_c = inst.nu - X2.sum(axis=0)
     s = err_r.sum()
     if s > 0:
-        X2 = X2 + np.outer(err_r, err_c) / s
+        fix = np.multiply.outer(err_r, err_c)
+        X2 += np.divide(fix, s, out=fix)
     return TransportPlan(X=X2, feasible=True)
 
 
@@ -423,8 +427,10 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     dual-AMD's q_N to the next restart, so no gradient is taken twice.  The
     call past eval_cap is refused: RuntimeError, with exactly eval_cap
     gradients spent and the history so far as its history attribute.  Only
-    the current point is kept, so a solve holds O(m n) for the kernel plus
-    O(m + n) iterates, whatever N (and O(N) theta scalars).
+    the current point is kept, so a solve holds the kernel plus O(m + n)
+    iterates while stepping, whatever N (and O(N) theta scalars); K is then
+    released, and the finish holds at most three m x n arrays: the raw
+    plan, the rounded plan and one work array.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -432,7 +438,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     if m * n < 2:
         raise ValueError("instance must have at least two cells")
     r = eps / (2.0 * math.log(m * n))
-    c_max = float(np.max(np.abs(inst.C)))
+    c_max = float(inst.C.max())  # C >= 0, so this is ||C||_inf
     grad_tol = math.inf if c_max == 0.0 else eps / (8.0 * c_max)
 
     h = OTDualObjective(inst, r=r)
@@ -444,13 +450,14 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     while True:
         restart = 1 < N < N_c
         t0, evals0, grad.min_sq = time.perf_counter(), grad.grad_evals, math.inf
+        th = theta_sequence(N)
         try:
             if not restart:
-                for q, _, fg, _ in _amd_steps(grad, conjugate_grad, np.zeros(m + n), N, step):
+                for q, _, fg, _ in _amd_steps(grad, conjugate_grad, np.zeros(m + n), th, step):
                     if grad.z is not None:
                         break
             if grad.z is None:
-                for q, _, fg, _ in _dual_amd_steps(grad, conjugate_grad, q, fg, N, step):
+                for q, _, fg, _ in _dual_amd_steps(grad, conjugate_grad, q, fg, th, step):
                     if grad.z is not None:
                         break
         except RuntimeError as e:
@@ -469,17 +476,19 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
             break
         N *= 2
 
-    grad_l1 = grad.grad_l1
+    grad_l1, grad_evals = grad.grad_l1, grad.grad_evals
     raw = h._plan(grad.z)
+    del h, grad  # the kernel (or the log-domain buffer) goes before rounding
     rounded = round_plan(inst, raw)
-    cost = float(np.sum(inst.C * rounded.X))
+    work = np.multiply(inst.C, rounded.X)
+    cost = float(np.sum(work))
     report = {
         "N": N,
         "r": r,
         "grad_l1": grad_l1,
         "grad_tol": grad_tol,
-        "grad_evals": grad.grad_evals,
-        "rounding_l1": float(np.sum(np.abs(rounded.X - raw.X))),
+        "grad_evals": grad_evals,
+        "rounding_l1": float(np.sum(np.abs(np.subtract(rounded.X, raw.X, out=work), out=work))),
         "rounding_l1_bound": 2.0 * grad_l1,
         "suboptimality_bound": r * math.log(m * n) + 2.0 * c_max * grad_l1,
         "marginal_residual": rounded.marginal_residual(inst),

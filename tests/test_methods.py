@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirropt import methods
 from mirropt.cfom import CoefficientSchedule, run_cfom, run_mirror_dual, validate_schedule
 from mirropt.dgf import euclidean, squared_lp
 from mirropt.methods import (
@@ -223,6 +224,26 @@ def _reference_dual_amd(f, g, q0, N, L, sigma):
         mirrors.append(g.conjugate_grad(rs[-1]))
         gk = g_next
     return qs, rs, f_grads, mirrors
+
+
+def test_each_runner_computes_theta_once(rng, monkeypatch):
+    """run_amd, run_dual_amd and run_concat each compute theta_sequence(N) once: the
+    concatenation hands its AMD stage's sequence to its dual-AMD stage."""
+    horizons = []
+
+    def spy(N):
+        horizons.append(N)
+        return theta_sequence(N)
+
+    monkeypatch.setattr(methods, "theta_sequence", spy)
+    f, g, start = _quadratic(rng), euclidean(), rng.standard_normal(5)
+    counts = []
+    for run in (lambda: run_amd(f, g, start, 7), lambda: run_dual_amd(f, g, start, 7),
+                lambda: run_concat(f, g, g, start, 7)):
+        horizons.clear()
+        run()
+        counts.append(list(horizons))
+    assert counts == [[7], [7], [7]]
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirropt import ot
+from mirropt import methods, ot
 from mirropt.ot import (
     OTDualObjective,
     OTInstance,
@@ -97,6 +97,33 @@ def test_dual_value_translation_invariance(t, seed):
     base = ot_dual_value(inst, 0.3, u, v)
     shifted = ot_dual_value(inst, 0.3, u + t, v - t)
     assert shifted == pytest.approx(base, abs=1e-10)
+
+
+def _dual_value_reference(inst, r, u, v):
+    """ot_dual_value as one expression over fresh m x n temporaries (the reference)."""
+    z = (u[:, None] + v[None, :] - inst.C) / r
+    m = float(np.max(z))
+    lse = m + math.log(float(np.sum(np.exp(z - m))))
+    return r * lse - float(inst.mu @ u) - float(inst.nu @ v)
+
+
+def test_dual_value_equals_reference_in_one_buffer(rng):
+    """ot_dual_value gives the reference's float, r down to 1e-4, and holds one m x n buffer:
+    its traced peak at 400 x 400 is at most 1.5 arrays (the reference's is 3)."""
+    for _ in range(20):
+        m, n = rng.integers(1, 30), rng.integers(2, 30)
+        inst = _random_instance(rng, m, n)
+        r = 10.0 ** rng.uniform(-4.0, 0.0)
+        u, v = 3.0 * rng.standard_normal(m), 3.0 * rng.standard_normal(n)
+        assert ot_dual_value(inst, r, u, v) == _dual_value_reference(inst, r, u, v)
+    inst = _random_instance(rng, 400, 400)
+    tracemalloc.start()
+    try:
+        ot_dual_value(inst, 0.05, np.zeros(400), np.zeros(400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * inst.C.nbytes
 
 
 def test_dual_grad_symmetric_zero():
@@ -313,6 +340,43 @@ def test_round_plan_feasible_with_marginals_near_1e_12(data):
 def test_round_plan_rejects_negative():
     with pytest.raises(ValueError):
         TransportPlan(X=np.array([[-0.1, 0.6], [0.3, 0.2]]))
+
+
+def _round_plan_reference(inst, X):
+    """round_plan's floats from fresh arrays and np.outer (the reference), and its s."""
+    rows = X.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_scale = np.where(rows > 0, np.minimum(1.0, inst.mu / rows), 1.0)
+    X1 = X * row_scale[:, None]
+    cols = X1.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col_scale = np.where(cols > 0, np.minimum(1.0, inst.nu / cols), 1.0)
+    X2 = X1 * col_scale[None, :]
+    err_r = inst.mu - X2.sum(axis=1)
+    err_c = inst.nu - X2.sum(axis=0)
+    s = err_r.sum()
+    return (X2 + np.outer(err_r, err_c) / s if s > 0 else X2), s
+
+
+def test_round_plan_equals_reference_and_leaves_its_input(rng):
+    """The in-place rounding gives the reference's bytes and a new array, and its input is
+    unchanged: on random plans, sparse ones with zero rows and columns, the zero plan and
+    product plans, whose s is zero or a rounding error of either sign."""
+    seen_s = []
+    for trial in range(200):
+        m, n = rng.integers(1, 7), rng.integers(2, 7)
+        inst = _random_instance(rng, m, n)
+        X = [rng.dirichlet(np.ones(m * n)).reshape(m, n),
+             rng.uniform(0, 1, (m, n)) * (rng.uniform(size=(m, n)) < 0.4),
+             np.zeros((m, n)),
+             rng.choice([0.5, 1.0, 2.0]) * np.outer(inst.mu, inst.nu)][trial % 4]
+        before = X.copy()
+        out = round_plan(inst, TransportPlan(X=X))
+        want, s = _round_plan_reference(inst, before)
+        seen_s.append(s)
+        assert X.tobytes() == before.tobytes()
+        assert out.X is not X and out.X.tobytes() == want.tobytes()
+    assert min(seen_s) <= 0.0 < max(seen_s)
 
 
 def test_rounding_distance_bound(rng):
@@ -611,6 +675,47 @@ def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
         assert row["seconds"] >= 0.0
     assert rows[-1]["min_grad_l2"] <= res.report["grad_l1"]
     assert "history" not in res.to_json_dict()
+
+
+@pytest.mark.parametrize("m, eps, above_gate", [(300, 0.1, False), (250, 0.03, True)])
+def test_solve_ot_finish_holds_three_plan_arrays(monkeypatch, m, eps, above_gate):
+    """The kernel K (or, past the gate, the log-domain buffer) is released before rounding,
+    which holds the raw plan, the rounded one and one buffer: at most 1.5 m x n arrays are
+    held when rounding starts, and the traced peak of a solve is at most 3.5."""
+    inst = _random_instance(np.random.default_rng(0), m, m)
+    held = []
+
+    def spy(inst, plan):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return round_plan(inst, plan)
+
+    monkeypatch.setattr(ot, "round_plan", spy)
+    tracemalloc.start()
+    try:
+        res = solve_ot(inst, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (inst.C.max() / res.report["r"] > _LOG_TINY) == above_gate
+    assert held[0] <= 1.5 * inst.C.nbytes
+    assert peak <= 3.5 * inst.C.nbytes
+
+
+def test_solve_ot_computes_theta_once_per_attempt(monkeypatch):
+    """Each attempt computes theta_sequence(N) once and hands it to its AMD and dual-AMD
+    stages; with N_c = 4 the attempts are a path at 1, a restart at 2, then paths."""
+    monkeypatch.setattr(ot, "_fallback_horizon", lambda *args: 4)
+    horizons = []
+
+    def spy(N):
+        horizons.append(N)
+        return theta_sequence(N)
+
+    monkeypatch.setattr(ot, "theta_sequence", spy)
+    monkeypatch.setattr(methods, "theta_sequence", spy)
+    rows = solve_ot(_random_instance(np.random.default_rng(8), 10, 10), 0.05).history
+    assert [row["start"] for row in rows[:4]] == ["path", "restart", "path", "path"]
+    assert horizons == [row["N"] for row in rows]
 
 
 def test_solve_ot_memory_does_not_grow_with_N():
