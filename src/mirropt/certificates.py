@@ -15,7 +15,9 @@ identity realized numerically by check_mirror_duality.  The closed forms
 take scenarios with leading batch axes and evaluate them all at once.
 The public functions take per-step lists and stack them once; they and
 check_mirror_duality share one core on stacked (..., N+1, d) arrays, so
-the sampled check builds no per-step list.
+the sampled check builds no per-step list.  The energy traces read a run
+in windows of ROW_BLOCK + 1 consecutive rows through one core, which the
+CLI feeds from a method's steps as they come.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "duality_transform",
     "check_mirror_duality",
     "DualityReport",
-    "by_row_block",
 ]
 
 # Trials drawn and evaluated together by check_mirror_duality, so that its
@@ -53,27 +54,20 @@ TRIAL_BLOCK = 1024
 ROW_BLOCK = 16
 
 
-def by_row_block(fn, *families) -> list:
-    """fn on stacked blocks of ROW_BLOCK rows, as one list of Python floats.
-
-    The families are equally long sequences of vectors; fn takes one
-    (rows, d) stack of each and returns one value per row.
-    """
-    out = []
-    for start in range(0, len(families[0]), ROW_BLOCK):
-        out += fn(*(np.asarray(fam[start:start + ROW_BLOCK], dtype=np.float64)
-                    for fam in families)).tolist()
-    return out
-
-
-def _by_step_block(fn, *families) -> list:
-    """by_row_block for the steps k -> k+1 of families of N+1 rows: fn takes
-    stacks of ROW_BLOCK + 1 consecutive rows and returns one value per step."""
-    out = []
-    for start in range(0, len(families[0]) - 1, ROW_BLOCK):
-        out += fn(*(np.asarray(fam[start:start + ROW_BLOCK + 1], dtype=np.float64)
-                    for fam in families)).tolist()
-    return out
+def _windows(steps):
+    """Stacks of ROW_BLOCK + 1 consecutive rows of a run, taken from its steps
+    as they come: each step is a tuple of vectors (one per family), and each
+    window, a tuple of (rows, d) float arrays (one per family), starts at the
+    last row of the one before, so that it holds the steps k -> k+1 from its
+    first row.  Only one window of steps, and the step after it, is held."""
+    steps = iter(steps)
+    window = [next(steps)]
+    for step in steps:
+        if len(window) == ROW_BLOCK + 1:
+            yield tuple(np.asarray(fam, dtype=np.float64) for fam in zip(*window))
+            window = window[-1:]
+        window.append(step)
+    yield tuple(np.asarray(fam, dtype=np.float64) for fam in zip(*window))
 
 
 @dataclass
@@ -125,36 +119,86 @@ class EnergyTrace:
         return float(np.max(e[1:] - e[:-1])) if len(e) > 1 else 0.0
 
 
-def _trace_inputs(pts, duals, traj, weights, name: str, f: SmoothObjective, g: DGF,
-                  L: Optional[float], sigma: Optional[float]):
-    """What both energy traces read from a run: (weights, f values, conjugate
-    values, brackets), with L and sigma checked as the runners check them.
-
-    pts/duals are (xs, ys) or (qs, rs); the weights (u or v, named by name)
-    must number one per row.  brackets holds (coco_f, coco_conjugate) for
-    each step k -> k+1.  The vector terms are evaluated on blocks of rows;
-    the float operations are those of every emitted energy trace, in the
-    same order, so traces keep their bytes.
+class _TraceRows:
+    """A run's row values, read window by window (_windows) with no row kept:
+    f at the points p_k and, when conj, the conjugate DGF at the duals d_k
+    ((x_k, y_k) or (q_k, r_k)).  Given a comparison point x, also what the
+    energy traces read, with L and sigma checked as the runners check them:
+    pair_x[k] = <grad f(p_k), x - p_k> at each row and, for each step
+    k -> k+1, the brackets (coco_f, coco_conjugate).  Given the primal
+    weights u too, it extends U_k (energies) step by step instead of keeping
+    the brackets, and appends the labelled decrements to decrements when it
+    is a list.  The float operations are those of every emitted energy
+    trace, in the same order, so traces keep their bytes.
     """
-    L, sigma = _constants(f, g, L, sigma)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(pts):
+
+    def __init__(self, f: SmoothObjective, g: DGF, conj: bool = True, x: Optional[Vector] = None,
+                 L: Optional[float] = None, sigma: Optional[float] = None,
+                 u: Optional[List[float]] = None, decrements: Optional[list] = None):
+        if x is not None:
+            L, sigma = _constants(f, g, L, sigma)
+            x = np.asarray(x, dtype=np.float64)
+        self.f, self.g, self.conj, self.x, self.L, self.sigma = f, g, conj, x, L, sigma
+        self.u, self.decrements = u, decrements
+        if u is not None:
+            self.fx = f.value(x)
+        self.f_vals, self.conj_vals, self.pair_x, self.brackets, self.energies = [], [], [], [], []
+
+    def add(self, P, Y, G, M) -> None:
+        """Read the next window: stacks of points, duals, grad f at the points
+        and the mirrors (grad of the conjugate DGF at the duals)."""
+        f, g, x = self.f, self.g, self.x
+        start = max(len(self.f_vals) - 1, 0)  # row index of the window's first row
+        new = len(self.f_vals) - start  # its first row not read yet: 0 at the start, else 1
+        self.f_vals += f.values(P[new:]).tolist()
+        if self.conj:
+            self.conj_vals += g.conjugate_values(Y[new:]).tolist()
+        if x is None:
+            return
+        self.pair_x += pairings(G[new:], x - P[new:]).tolist()
+        if self.u is not None and not self.energies:
+            # U_0 = phi(x) + phi*(y_0) - <y_0, x> - u_0 D_f(x, x_0).
+            e0 = g.value(x) + self.conj_vals[0] - pairing(Y[0], x)
+            self.energies.append(e0 - self.u[0] * (self.fx - self.f_vals[0] - self.pair_x[0]))
+        # <grad f(p_{k+1}), p_k - p_{k+1}> and ||grad f(p_k) - grad f(p_{k+1})||_q.
+        pair_f = pairings(G[1:], P[:-1] - P[1:]).tolist()
+        norm_f = lp_norms(G[:-1] - G[1:], g.q).tolist()
+        # <d_k - d_{k+1}, M_{k+1}> and ||M_{k+1} - M_k||_p.
+        pair_c = pairings(Y[:-1] - Y[1:], M[1:]).tolist()
+        norm_c = lp_norms(M[1:] - M[:-1], g.p).tolist()
+        fv, cv, u = self.f_vals, self.conj_vals, self.u
+        for j, k in enumerate(range(start, start + len(pair_f))):
+            coco_f = fv[k] - fv[k + 1] - pair_f[j] - norm_f[j] ** 2 / (2.0 * self.L)
+            coco_conj = cv[k] - cv[k + 1] - pair_c[j] - self.sigma / 2.0 * norm_c[j] ** 2
+            if u is None:
+                self.brackets.append((coco_f, coco_conj))
+                continue
+            cvx = self.fx - fv[k + 1] - self.pair_x[k + 1]  # D_f(x, x_{k+1})
+            self._decrement(cvx, coco_f, coco_conj)
+            self.energies.append(self.energies[-1] - (u[k + 1] - u[k]) * cvx - u[k] * coco_f - coco_conj)
+
+    def dual_energies(self, v: List[float]) -> List[float]:
+        """V_0 .. V_N once every window is read with x = q_N:
+        V_0 = v_0 (f(q_0) - f(q_N)), less the brackets of each step."""
+        fv, N = self.f_vals, len(self.f_vals) - 1
+        energies = [v[0] * (fv[0] - fv[N])]
+        for k, (coco_f, coco_conj) in enumerate(self.brackets):
+            cvx = fv[N] - fv[k] - self.pair_x[k]  # D_f(q_N, q_k)
+            self._decrement(cvx, coco_f, coco_conj)
+            energies.append(energies[-1] - (v[k + 1] - v[k]) * cvx - v[k + 1] * coco_f - coco_conj)
+        return energies
+
+    def _decrement(self, cvx: float, coco_f: float, coco_conj: float) -> None:
+        if self.decrements is not None:
+            self.decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
+
+
+def _weights(w: Sequence[float], n: int, name: str) -> List[float]:
+    """The weights w (u or v, named by name) as floats, one for each of the n rows."""
+    w = [float(x) for x in w]
+    if len(w) != n:
         raise ValueError(f"{name} must have length N+1")
-    f_vals = by_row_block(f.values, pts)
-    conj_vals = by_row_block(g.conjugate_values, duals)
-    grads, mirrors = traj.f_grads, traj.mirrors
-    # <grad f(x_{k+1}), x_k - x_{k+1}> and ||grad f(x_k) - grad f(x_{k+1})||_q.
-    pair_f = _by_step_block(lambda G, X: pairings(G[1:], X[:-1] - X[1:]), grads, pts)
-    norm_f = _by_step_block(lambda G: lp_norms(G[:-1] - G[1:], g.q), grads)
-    # <y_k - y_{k+1}, grad phi*(y_{k+1})> and ||grad phi*(y_{k+1}) - grad phi*(y_k)||_p.
-    pair_c = _by_step_block(lambda Y, M: pairings(Y[:-1] - Y[1:], M[1:]), duals, mirrors)
-    norm_c = _by_step_block(lambda M: lp_norms(M[1:] - M[:-1], g.p), mirrors)
-    brackets = [
-        (f_vals[k] - f_vals[k + 1] - pair_f[k] - norm_f[k] ** 2 / (2.0 * L),
-         conj_vals[k] - conj_vals[k + 1] - pair_c[k] - sigma / 2.0 * norm_c[k] ** 2)
-        for k in range(len(pts) - 1)
-    ]
-    return weights, f_vals, conj_vals, brackets
+    return w
 
 
 def primal_energy_trace(
@@ -175,20 +219,11 @@ def primal_energy_trace(
     pairing term, and the leftover U_A.
     """
     N = len(traj.xs) - 1
-    u, f_vals, phi_conj, brackets = _trace_inputs(traj.xs, traj.ys, traj, u, "u", f, g, L, sigma)
-    x = np.asarray(x, dtype=np.float64)
-    fx = f.value(x)
-    # <grad f(x_{k+1}), x - x_{k+1}>, the pairing in D_f(x, x_{k+1}).
-    pair_x = _by_step_block(lambda G, X: pairings(G[1:], x - X[1:]), traj.f_grads, traj.xs)
-
-    e0 = g.value(x) + phi_conj[0] - pairing(traj.ys[0], x)
-    e0 -= u[0] * (fx - f_vals[0] - pairing(traj.f_grads[0], x - traj.xs[0]))  # u_0 D_f(x, x_0)
-    energies = [e0]
-    decrements = []
-    for k, (coco_f, coco_conj) in enumerate(brackets):
-        cvx = fx - f_vals[k + 1] - pair_x[k]
-        decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
-        energies.append(energies[-1] - (u[k + 1] - u[k]) * cvx - u[k] * coco_f - coco_conj)
+    u = _weights(u, N + 1, "u")
+    rows = _TraceRows(f, g, x=x, L=L, sigma=sigma, u=u, decrements=[])
+    for window in _windows(zip(traj.xs, traj.ys, traj.f_grads, traj.mirrors)):
+        rows.add(*window)
+    x, fx, f_vals, phi_conj, energies = rows.x, rows.fx, rows.f_vals, rows.conj_vals, rows.energies
 
     fenchel = g.value(x) + phi_conj[N] - pairing(traj.ys[N], x)
     pairing_vec = traj.ys[N] - traj.ys[0]
@@ -206,7 +241,7 @@ def primal_energy_trace(
         "U_A": u_A,
         "certified_bound": (g.value(x) + phi_conj[0] - pairing(traj.ys[0], x)) / u[N],
     }
-    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
+    return EnergyTrace(energies=energies, decrements=rows.decrements, final_terms=final_terms,
                        f_values=f_vals, conjugate_values=phi_conj)
 
 
@@ -226,17 +261,11 @@ def dual_energy_trace(
     if g.shifted:
         raise ValueError("dual energies require an unshifted DGF (psi*(0) = 0)")
     N = len(traj.qs) - 1
-    v, f_vals, psi_conj, brackets = _trace_inputs(traj.qs, traj.rs, traj, v, "v", f, g, L, sigma)
-    # <grad f(q_k), q_N - q_k>, the pairing in D_f(q_N, q_k).
-    q_N = np.asarray(traj.qs[N], dtype=np.float64)
-    pair_q = _by_step_block(lambda G, Q: pairings(G[:-1], q_N - Q[:-1]), traj.f_grads, traj.qs)
-
-    energies = [v[0] * (f_vals[0] - f_vals[N])]
-    decrements = []
-    for k, (coco_f, coco_conj) in enumerate(brackets):
-        cvx = f_vals[N] - f_vals[k] - pair_q[k]
-        decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
-        energies.append(energies[-1] - (v[k + 1] - v[k]) * cvx - v[k + 1] * coco_f - coco_conj)
+    v = _weights(v, N + 1, "v")
+    rows = _TraceRows(f, g, x=traj.qs[N], L=L, sigma=sigma, decrements=[])
+    for window in _windows(zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors)):
+        rows.add(*window)
+    energies, psi_conj = rows.dual_energies(v), rows.conj_vals
 
     d_psi_conj_0_r0 = -psi_conj[0] + pairing(traj.rs[0], traj.mirrors[0])
     v_B = energies[N] - psi_conj[N] - d_psi_conj_0_r0
@@ -246,8 +275,8 @@ def dual_energy_trace(
         "V_B": v_B,
         "certified_bound": energies[0],
     }
-    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
-                       f_values=f_vals, conjugate_values=psi_conj)
+    return EnergyTrace(energies=energies, decrements=rows.decrements, final_terms=final_terms,
+                       f_values=rows.f_vals, conjugate_values=psi_conj)
 
 
 def _stacked(s: CoefficientSchedule, scenario: GradientScenario):

@@ -255,9 +255,18 @@ def mirror_dual_schedule(s: CoefficientSchedule) -> CoefficientSchedule:
     directly by the dual executor, its negation is the r_0 coefficient.
     Tail factors map with them: the dual's b[k+1, i] = col[N-1-k] *
     row[N-1-i] below the subdiagonal, so they are reversed and swapped.
+
+    The result skips CoefficientSchedule's checks, which s has passed:
+    anti-transposition moves every entry of a triangle into the same
+    triangle (a's subdiagonal onto itself) and keeps every value, so
+    the triangles and finiteness hold, and the swapped factors
+    reproduce the dual's b exactly, since a float product commutes.
     """
+    dual = object.__new__(CoefficientSchedule)
     tail = None if s.tail is None else (s.tail[1][::-1].copy(), s.tail[0][::-1].copy())
-    return CoefficientSchedule(N=s.N, a=anti_transpose(s.a), b=anti_transpose(s.b), tail=tail)
+    for name, value in (("N", s.N), ("a", anti_transpose(s.a)), ("b", anti_transpose(s.b)), ("tail", tail)):
+        object.__setattr__(dual, name, value)
+    return dual
 
 
 def run_dual_cfom(

@@ -7,6 +7,11 @@ Subcommands:
     dualize        write the mirror-dual of a schedule file
     ot             solve a transport instance to accuracy eps
 
+`run` and `certify` evaluate the trace rows while the method steps, on
+windows of certificates.ROW_BLOCK + 1 steps: for amd, md and dual-md they
+hold O(ROW_BLOCK d) vectors plus O(N) row scalars, whatever N.  dual-amd
+holds its whole run, O(N d), as its energies need its last point first.
+
 `run` and `certify` judge a run by one rule (_verdict); every document
 is read through one boundary (_reading), where a malformed one is a
 usage error, and every number in it by spaces' one reader, which refuses
@@ -48,9 +53,8 @@ class UsageError(Exception):
     pass
 
 
-# method -> (runner, key of its start point in the config)
-_METHODS = {"amd": (methods.run_amd, "y0"), "dual-amd": (methods.run_dual_amd, "q0"),
-            "md": (methods.run_md, "y0"), "dual-md": (methods.run_dual_md, "q0")}
+# method -> key of its start point in the config
+_METHODS = {"amd": "y0", "dual-amd": "q0", "md": "y0", "dual-md": "q0"}
 
 
 @contextlib.contextmanager
@@ -68,12 +72,18 @@ def _load_json(path: str):
 
 
 def _run_from_config(cfg: dict):
-    """Execute the configured method; returns (run, f, g).  The runners check N, L, sigma and alpha."""
+    """Execute the configured method; returns (run, rows, f, g): its trace rows
+    (_rows) and its MethodRun, with no trajectory unless the method is dual-amd.
+
+    amd, md and dual-md are evaluated while they step, through the generators
+    their runners collect.  dual-amd is collected whole first: its energy
+    V_0 = v_0 (f(q_0) - f(q_N)) and every <grad f(q_k), q_N - q_k> need q_N.
+    The runners' checks of N, L, sigma and alpha apply."""
     with _reading("config"):
         method = cfg["method"]
         if not isinstance(method, str) or method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
-        runner, key = _METHODS[method]
+        key = _METHODS[method]
         f = objective_from_descriptor(cfg["objective"])
         g = dgf_from_descriptor(cfg.get("dgf", {"kind": "euclidean"}))
         N = _json_int(cfg["N"], "N")
@@ -82,9 +92,19 @@ def _run_from_config(cfg: dict):
         L, sigma = (None if cfg.get(k) is None else _json_number(cfg[k], k) for k in ("L", "sigma"))
         alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
         start = as_vector(cfg[key], key) if key in cfg else np.zeros(_dim(cfg))
-    if alpha is not None:
-        return runner(f, g, alpha, start, N), f, g
-    return runner(f, g, start, N, L=L, sigma=sigma), f, g
+    if method == "dual-amd":
+        run = methods.run_dual_amd(f, g, start, N, L=L, sigma=sigma)
+        return run, _trace_rows(run, f, g), f, g
+    if method == "amd":
+        L, sigma = methods._constants(f, g, L, sigma)
+        th = methods.theta_sequence(N)
+        run = methods.MethodRun(method="amd", theta=th, L=L, sigma=sigma)
+        steps = methods._amd_steps(methods._f_grad(f), g.conjugate_grad, start, th, sigma / L)
+    else:
+        run = methods.MethodRun(method=method)
+        steps = (methods._md_steps if method == "md" else methods._dual_md_steps)(f, g, alpha, start, N)
+    bound_of = functools.partial(methods._bound, method, f, g, N=N, alpha=alpha, L=L, sigma=sigma, th=run.theta)
+    return run, _rows(run, steps, bound_of, f, g), f, g
 
 
 def _dim(cfg: dict) -> int:
@@ -97,39 +117,54 @@ def _dim(cfg: dict) -> int:
 
 
 def _trace_rows(run, f, g):
+    """The trace rows of a collected MethodRun."""
+    if run.traj is not None:
+        t = run.traj
+        steps = zip(t.xs, t.ys, t.f_grads, t.mirrors)
+    else:
+        t = run.dual_traj
+        steps = zip(t.qs, t.rs, t.f_grads, t.mirrors)
+    return _rows(run, steps, lambda x0: run.bound, f, g)
+
+
+def _rows(run, steps, bound_of, f, g):
     """Rows of (k, f, grad-q-norm, psi*(r_k) or None, energy or None, bound).
 
-    The per-row values are evaluated on blocks of rows (certificates.ROW_BLOCK).
-    Where the run has an energy trace, f and psi* are the values it was
+    steps yields the run's (point, dual, grad f(point), mirror), k = 0..N; the
+    rows are evaluated on windows of ROW_BLOCK + 1 of them as they come
+    (certificates._windows), and bound_of gives the bound from the first
+    point.  Where the run has an energy trace, f and psi* are the values it is
     built from, so each is evaluated once per row.
     """
-    trace = None
-    if run.traj is not None:
-        tr, pts = run.traj, run.traj.xs
-        if run.method == "amd" and f.x_star is not None:
-            th = run.theta
-            u = [(run.sigma / run.L) * th.sq(i) for i in range(th.N + 1)]
-            trace = certificates.primal_energy_trace(tr, f.x_star, u, f, g, L=run.L, sigma=run.sigma)
+    dual = run.method.startswith("dual")
+    v = None
+    if run.method == "amd" and f.x_star is not None:
+        th = run.theta
+        u = [(run.sigma / run.L) * th.sq(i) for i in range(th.N + 1)]
+        rows = certificates._TraceRows(f, g, x=f.x_star, L=run.L, sigma=run.sigma, u=u)
+    # Dual energies need psi*(0) = 0; a shifted DGF leaves the column empty.
+    elif run.method == "dual-amd" and not g.shifted:
+        th = run.theta
+        v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
+        rows = certificates._TraceRows(f, g, x=run.dual_traj.qs[-1], L=run.L, sigma=run.sigma)
     else:
-        tr, pts = run.dual_traj, run.dual_traj.qs
-        # Dual energies need psi*(0) = 0; a shifted DGF leaves the column empty.
-        if run.method == "dual-amd" and not g.shifted:
-            th = run.theta
-            v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
-            trace = certificates.dual_energy_trace(tr, v, f, g, L=run.L, sigma=run.sigma)
-    n = len(pts)
-    psi = [None] * n
-    if run.dual_traj is not None:
-        psi = certificates.by_row_block(g.conjugate_values, tr.rs) if trace is None else trace.conjugate_values
-    f_vals = certificates.by_row_block(f.values, pts) if trace is None else trace.f_values
-    energies = [None] * n if trace is None else trace.energies
-    norms = certificates.by_row_block(lambda G: lp_norms(G, g.q), tr.f_grads)
-    return list(zip(range(n), f_vals, norms, psi, energies, [run.bound] * n))
+        rows = certificates._TraceRows(f, g, conj=dual)
+    norms, bound = [], None
+    for P, Y, G, M in certificates._windows(steps):
+        if not norms:
+            bound = bound_of(P[0])
+        rows.add(P, Y, G, M)
+        norms += lp_norms(G[1 if norms else 0:], g.q).tolist()
+    n = len(norms)
+    energies = rows.energies or [None] * n  # U_k, built while an amd run steps
+    if v is not None:
+        energies = rows.dual_energies(v)
+    psi = rows.conj_vals if dual else [None] * n
+    return list(zip(range(n), rows.f_vals, norms, psi, energies, [bound] * n))
 
 
-def _write_trace(path, run, f, g, seed):
-    rows = _trace_rows(run, f, g)
-    lines = [
+def _write_trace(path, run, rows, f, g, seed):
+    header = [
         f"# method={run.method}",
         f"# N={len(rows) - 1}",
         f"# L={_fmt(run.L if run.L is not None else f.L)}",
@@ -138,11 +173,10 @@ def _write_trace(path, run, f, g, seed):
         f"# seed={seed}",
         "k,f,grad_norm_q,psi_conj_r,energy,bound",
     ]
-    for k, fv, gn, pc, en, bd in rows:
-        lines.append(f"{k},{_fmt(fv)},{_fmt(gn)},{_fmt(pc)},{_fmt(en)},{_fmt(bd)}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return rows
+        fh.write("\n".join(header) + "\n")
+        for k, fv, gn, pc, en, bd in rows:
+            fh.write(f"{k},{_fmt(fv)},{_fmt(gn)},{_fmt(pc)},{_fmt(en)},{_fmt(bd)}\n")
 
 
 def _verdict(rows, f_star) -> int:
@@ -167,40 +201,49 @@ def _verdict(rows, f_star) -> int:
 
 
 def cmd_run(args) -> int:
-    run, f, g = _run_from_config(_load_json(args.config))
-    code = _verdict(_write_trace(args.out, run, f, g, args.seed), f.f_star)
+    run, rows, f, g = _run_from_config(_load_json(args.config))
+    _write_trace(args.out, run, rows, f, g, args.seed)
+    code = _verdict(rows, f.f_star)
     if code == 0:
         print(f"wrote {args.out}")
     return code
 
 
+def _data_lines(fh):
+    """The stripped data lines of a trace file, one at a time."""
+    for ln in fh:
+        ln = ln.strip()
+        if ln and not ln.startswith(("#", "k,")):
+            yield ln
+
+
 def cmd_certify(args) -> int:
-    """Judge the recomputed rows as `run` does, then the file's rows once they match them."""
-    run, f, g = _run_from_config(_load_json(args.config))
-    rows = _trace_rows(run, f, g)
+    """Judge the recomputed rows as `run` does, then the file's rows once they match them.
+
+    The file is read line by line, twice: its row count is checked before any value."""
+    _, rows, f, g = _run_from_config(_load_json(args.config))
     code = _verdict(rows, f.f_star)
     if code:
         return code
-    with open(args.trace) as fh:
-        lines = [ln.strip() for ln in fh]
-    data = [ln for ln in lines if ln and not ln.startswith(("#", "k,"))]
-    if len(data) != len(rows):
-        raise UsageError("trace row count does not match config")
     file_rows = []
-    for ln, row in zip(data, rows):
-        parts = ln.split(",")
-        if len(parts) != len(row):
-            raise UsageError(f"trace row has {len(parts)} columns, expected {len(row)}")
-        vals = [float(p) if p else None for p in parts]
-        for got, want in zip(vals, row):
-            if (got is None) != (want is None):
-                raise UsageError("trace column shape mismatch")
-            # Relative, not 1e-9 (1 + |want|): values below 1e-9 must match
-            # too.  Written as "not <=" so that a nan in the trace fails.
-            if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
-                print(f"trace mismatch at k={row[0]}", file=sys.stderr)
-                return 2
-        file_rows.append(vals)
+    with open(args.trace) as fh:
+        if sum(1 for _ in _data_lines(fh)) != len(rows):
+            raise UsageError("trace row count does not match config")
+        fh.seek(0)
+        for ln, row in zip(_data_lines(fh), rows):
+            parts = ln.split(",")
+            if len(parts) != len(row):
+                raise UsageError(f"trace row has {len(parts)} columns, expected {len(row)}")
+            vals = [float(p) if p else None for p in parts]
+            for got, want in zip(vals, row):
+                if (got is None) != (want is None):
+                    raise UsageError("trace column shape mismatch")
+                # Relative, not 1e-9 (1 + |want|): values below 1e-9 must match
+                # too.  Written as "not <=" so that a nan in the trace fails.
+                if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
+                    print(f"trace mismatch at k={row[0]}", file=sys.stderr)
+                    return 2
+            file_rows.append(vals)
     code = _verdict(file_rows, f.f_star)
     if code == 0:
         print("trace certified")
@@ -214,8 +257,8 @@ def cmd_duality_check(args) -> int:
     if args.schedule == "amd":
         if args.N is None or args.N > MAX_N:
             raise UsageError(f"--N at most MAX_N = {MAX_N} is required with the amd keyword")
-        s = methods.amd_schedule(args.N, L, sigma)
         th = methods.theta_sequence(args.N)
+        s = methods._amd_schedule(th, L, sigma)
         u = [(sigma / L) * th.sq(i) for i in range(args.N + 1)]
     else:
         s = cfom.load_schedule(args.schedule)

@@ -126,24 +126,36 @@ def _md_loop(F, G, alpha: float, u0: Vector, N: int, u_label: str):
         u_{k+1} = u_k - alpha G(w_k),   w_{k+1} = F(u_{k+1}),   w_0 = F(u_0).
 
     MD runs it with (F, G) = (grad phi*, grad f), dual-MD with
-    (grad f, grad psi*).  Returns the lists of u, w and G(w).
+    (grad f, grad psi*).  Yields (u_k, w_k, G(w_k)) for k = 0..N; only the
+    current step's vectors are held.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if N < 1:
         raise ValueError("N >= 1 required")
-    us = [np.asarray(u0, dtype=np.float64)]
-    ws = [F(us[0])]
-    gs = [G(ws[0])]
+    u = np.asarray(u0, dtype=np.float64)
+    w = F(u)
+    gw = G(w)
+    yield u, w, gw
     for k in range(N):
-        us.append(_check_finite(us[k] - alpha * gs[k], u_label, k + 1))
-        ws.append(F(us[-1]))
-        gs.append(G(ws[-1]))
-    return us, ws, gs
+        u = _check_finite(u - alpha * gw, u_label, k + 1)
+        w = F(u)
+        gw = G(w)
+        yield u, w, gw
 
 
 def _f_grad(f: SmoothObjective):
     return lambda x: np.asarray(f.grad(x), dtype=np.float64)
+
+
+def _md_steps(f: SmoothObjective, g: DGF, alpha: float, y0: DualVector, N: int):
+    """MD's steps (x_k, y_k, grad f(x_k), grad phi*(y_k) = x_k) for k = 0..N."""
+    return ((x, y, fg, x) for y, x, fg in _md_loop(g.conjugate_grad, _f_grad(f), alpha, y0, N, "dual iterate y"))
+
+
+def _dual_md_steps(f: SmoothObjective, g: DGF, alpha: float, q0: PrimalVector, N: int):
+    """Dual-MD's steps (q_k, r_k = grad f(q_k), grad f(q_k), grad psi*(r_k)) for k = 0..N."""
+    return ((q, fg, fg, m) for q, fg, m in _md_loop(_f_grad(f), g.conjugate_grad, alpha, q0, N, "primal iterate q"))
 
 
 def run_md(
@@ -154,12 +166,9 @@ def run_md(
     N: int,
 ) -> MethodRun:
     """Mirror descent: y_{k+1} = y_k - alpha grad f(x_k), x_{k+1} = grad phi*(y_{k+1})."""
-    ys, xs, f_grads = _md_loop(g.conjugate_grad, _f_grad(f), alpha, y0, N, "dual iterate y")
-    bound = None
-    if f.x_star is not None:
-        bound = bregman(g.value, g.grad, f.x_star, xs[0]) / (alpha * N)
-    traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=list(xs))
-    return MethodRun(method="md", traj=traj, bound=bound)
+    xs, ys, f_grads, mirrors = map(list, zip(*_md_steps(f, g, alpha, y0, N)))
+    traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
+    return MethodRun(method="md", traj=traj, bound=_bound("md", f, g, xs[0], N, alpha=alpha))
 
 
 def run_dual_md(
@@ -170,12 +179,27 @@ def run_dual_md(
     N: int,
 ) -> MethodRun:
     """Dual mirror descent: q_{k+1} = q_k - alpha grad psi*(r_k), r_{k+1} = grad f(q_{k+1})."""
-    qs, f_grads, mirrors = _md_loop(_f_grad(f), g.conjugate_grad, alpha, q0, N, "primal iterate q")
-    bound = None
-    if f.f_star is not None:
-        bound = (f.value(qs[0]) - f.f_star) / (alpha * N)
-    dual_traj = DualTrajectory(qs=qs, rs=list(f_grads), f_grads=f_grads, mirrors=mirrors)
-    return MethodRun(method="dual-md", dual_traj=dual_traj, bound=bound)
+    qs, rs, f_grads, mirrors = map(list, zip(*_dual_md_steps(f, g, alpha, q0, N)))
+    dual_traj = DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
+    return MethodRun(method="dual-md", dual_traj=dual_traj, bound=_bound("dual-md", f, g, qs[0], N, alpha=alpha))
+
+
+def _bound(method: str, f: SmoothObjective, g: DGF, x0: Vector, N: int, alpha: Optional[float] = None,
+           L: Optional[float] = None, sigma: Optional[float] = None,
+           th: Optional[ThetaSequence] = None) -> Optional[float]:
+    """The certified bound on the final value of an N-step run of method from
+    its first point x0 (q_0 on a dual run), or None without x_star (f_star on a
+    dual run): D_phi(x*, x_0) / (alpha N) for MD, L D_phi(x*, x_0) /
+    (sigma theta_N^2) for AMD, and the same with f(q_0) - f* for the duals."""
+    dual = method.startswith("dual")
+    ref = f.f_star if dual else f.x_star
+    if ref is None:
+        return None
+    gap = f.value(x0) - ref if dual else bregman(g.value, g.grad, ref, x0)
+    if method in ("md", "dual-md"):
+        return gap / (alpha * N)
+    # Dual-AMD forms its factor first, AMD divides last: each keeps its bytes.
+    return (L / (sigma * th.sq(N))) * gap if dual else L * gap / (sigma * th.sq(N))
 
 
 def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[float]):
@@ -228,18 +252,21 @@ def run_amd(
     L, sigma = _constants(f, g, L, sigma)
     th = theta_sequence(N)
     xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(_f_grad(f), g.conjugate_grad, y0, th, sigma / L)))
-    bound = None
-    if f.x_star is not None:
-        bound = L * bregman(g.value, g.grad, f.x_star, xs[0]) / (sigma * th.sq(N))
     traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
+    bound = _bound("amd", f, g, xs[0], N, L=L, sigma=sigma, th=th)
     return MethodRun(method="amd", traj=traj, bound=bound, theta=th, L=L, sigma=sigma)
 
 
 def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
     """The CFOM coefficient families whose execution reproduces run_amd."""
+    return _amd_schedule(theta_sequence(N), L, sigma)
+
+
+def _amd_schedule(th: ThetaSequence, L: float, sigma: float) -> CoefficientSchedule:
+    """amd_schedule over th = theta_sequence(N)."""
     # sq[j + 2] = theta_j^2, with theta_j = 0 for j <= -1.  Entry k of the
     # vectors below belongs to step k -> k+1, which fills row k + 1 of a and b.
-    vals = theta_sequence(N).values
+    N, vals = th.N, th.values
     sq = np.concatenate([np.zeros(2), vals * vals])
     k = np.arange(N)
     sq_km2, sq_km1, sq_k, sq_kp1 = sq[k], sq[k + 1], sq[k + 2], sq[k + 3]
@@ -316,9 +343,7 @@ def _dual_amd_run(f: SmoothObjective, g: DGF, q0, fg0, th: ThetaSequence, L: flo
     """run_dual_amd from q0 and its gradient fg0 over th, with (L, sigma) already checked."""
     steps = _dual_amd_steps(_f_grad(f), g.conjugate_grad, q0, fg0, th, sigma / L)
     qs, rs, f_grads, mirrors = map(list, zip(*steps))
-    bound = None
-    if f.f_star is not None:
-        bound = (L / (sigma * th.sq(th.N))) * (f.value(qs[0]) - f.f_star)
+    bound = _bound("dual-amd", f, g, qs[0], th.N, L=L, sigma=sigma, th=th)
     dual_traj = DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
     return MethodRun(method="dual-amd", dual_traj=dual_traj, bound=bound, theta=th, L=L, sigma=sigma)
 

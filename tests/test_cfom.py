@@ -89,6 +89,27 @@ def test_mirror_dual_index_examples(rng):
     assert d.b[0, 0] == s.b[2, 2]
 
 
+@pytest.mark.parametrize("form", ["dense", "generator", "random", "random-valid"])
+@pytest.mark.parametrize("N", [1, 2, 9, 40])
+def test_mirror_dual_equals_the_checked_construction(form, N, rng):
+    """mirror_dual_schedule builds its result around CoefficientSchedule's checks;
+    it equals the schedule built through them, and the dual of its dual is s."""
+    if form in ("dense", "generator"):
+        s = amd_schedule(N, 3.0, 0.5)
+        if form == "dense":
+            s = CoefficientSchedule(N=N, a=s.a, b=s.b)
+    else:
+        s = (random_schedule if form == "random" else random_valid_schedule)(N, rng)
+    tail = None if s.tail is None else (s.tail[1][::-1], s.tail[0][::-1])
+    want = CoefficientSchedule(N=N, a=anti_transpose(s.a), b=anti_transpose(s.b), tail=tail)
+    got = mirror_dual_schedule(s)
+    for d, ref in ((got, want), (mirror_dual_schedule(got), s)):
+        assert type(d) is CoefficientSchedule and d.N == ref.N
+        for x, y in ((d.a, ref.a), (d.b, ref.b)) + (() if ref.tail is None else tuple(zip(d.tail, ref.tail))):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert (d.tail is None) == (ref.tail is None)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_mirror_dual_is_exact_involution(N, seed):

@@ -177,10 +177,18 @@ def test_run_unknown_method_exits_1(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exits_4(tmp_path, capsys):
-    # L far below the true constant 4: AMD diverges (non-finite y at k = 80).
-    cfg = _write(tmp_path / "cfg.json", dict(AMD_CONFIG, N=200, L=0.001))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 4
-    assert "numerical failure" in capsys.readouterr().err
+    """A non-finite iterate many row blocks into the run exits 4 and writes no trace."""
+    for cfg in [
+        # L far below the true constant 4: AMD diverges (non-finite y at k = 80).
+        dict(AMD_CONFIG, N=200, L=0.001),
+        # alpha = 3 multiplies the second coordinate by -11 a step: non-finite near k = 300.
+        dict(AMD_CONFIG, method="md", N=400, alpha=3.0),
+        {"method": "dual-md", "objective": AMD_CONFIG["objective"], "N": 400, "alpha": 3.0, "q0": [1.0, 1.0]},
+    ]:
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_duality_check_amd(tmp_path):

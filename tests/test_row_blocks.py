@@ -6,6 +6,7 @@ before they worked on blocks of rows.  The blocked code must give the same
 floats, compared with ==, whatever the block size.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -135,16 +136,32 @@ HORIZONS = [5, 15, 16, 40]
 BLOCKS = [certificates.ROW_BLOCK, 1, 7]
 
 
-def _runs(method, kind, p, shifted, N, seed):
+def _config(method, kind, p, shifted, N, seed):
+    """A run config for the CLI, with the objective and DGF it describes."""
     rng = np.random.default_rng(seed)
     f = _objective(kind, p, rng)
     g = squared_lp(p, x0=rng.standard_normal(DIM) if shifted else None)
-    start = rng.standard_normal(DIM)
+    cfg = {"method": method, "objective": f.to_descriptor(), "dgf": g.to_descriptor(), "N": N,
+           "q0" if method.startswith("dual") else "y0": rng.standard_normal(DIM).tolist()}
+    if method in ("md", "dual-md"):
+        cfg["alpha"] = g.sigma / f.L
+    return cfg, f, g
+
+
+def _collected(cfg, f, g):
+    """The configured method's MethodRun, from its runner."""
+    method, N = cfg["method"], cfg["N"]
+    start = np.asarray(cfg["q0" if method.startswith("dual") else "y0"])
     if method in ("md", "dual-md"):
         runner = methods.run_md if method == "md" else methods.run_dual_md
-        return runner(f, g, g.sigma / f.L, start, N), f, g
+        return runner(f, g, cfg["alpha"], start, N)
     runner = methods.run_amd if method == "amd" else methods.run_dual_amd
-    return runner(f, g, start, N), f, g
+    return runner(f, g, start, N)
+
+
+def _runs(method, kind, p, shifted, N, seed):
+    cfg, f, g = _config(method, kind, p, shifted, N, seed)
+    return _collected(cfg, f, g), f, g
 
 
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
@@ -156,6 +173,19 @@ def test_trace_rows_equal_per_row_reference(method, kind, p, shifted, monkeypatc
         for block in BLOCKS:
             monkeypatch.setattr(certificates, "ROW_BLOCK", block)
             assert cli._trace_rows(run, f, g) == want, (N, block)
+
+
+@pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
+@pytest.mark.parametrize("kind, p, shifted", SETUPS)
+def test_streamed_rows_equal_collected_rows(method, kind, p, shifted, monkeypatch):
+    """The rows `run` and `certify` evaluate while the method steps equal
+    _trace_rows on the runner's collected run, whatever the block size."""
+    for N in HORIZONS:
+        cfg = _config(method, kind, p, shifted, N, seed=N)[0]
+        for block in BLOCKS:
+            monkeypatch.setattr(certificates, "ROW_BLOCK", block)
+            run, rows, f, g = cli._run_from_config(cfg)
+            assert rows == cli._trace_rows(_collected(cfg, f, g), f, g), (N, block)
 
 
 @pytest.mark.parametrize("method, conj_rows", [("amd", 1), ("dual-amd", 1), ("md", 0), ("dual-md", 1)])
@@ -243,3 +273,28 @@ def test_trace_rows_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("method", ["amd", "md", "dual-md"])
+def test_run_and_certify_memory_is_bounded_by_the_block(method, tmp_path, capsys):
+    """At N = 2,000 and d = 1,000 one family of a run is 15 MiB, and the runners'
+    four lists 61 MiB; run and certify evaluate amd, md and dual-md while they
+    step, so neither holds more than a few blocks of rows."""
+    rng = np.random.default_rng(6)
+    d, N = 1000, 2000
+    dvec = rng.uniform(0.2, 4.0, d)
+    cfg = {"method": method, "objective": {"kind": "diag-quadratic", "d": dvec.tolist(),
+                                           "b": rng.standard_normal(d).tolist()},
+           "N": N, "q0" if method == "dual-md" else "y0": rng.standard_normal(d).tolist()}
+    if method != "amd":
+        cfg["alpha"] = 1.0 / float(dvec.max())
+    path, trace = tmp_path / "cfg.json", str(tmp_path / "t.csv")
+    path.write_text(json.dumps(cfg))
+    for argv in (["run", "--config", str(path), "--out", trace], ["certify", "--trace", trace, "--config", str(path)]):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 4 * 2 ** 20, (argv[0], code, peak)
