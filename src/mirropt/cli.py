@@ -7,10 +7,11 @@ Subcommands:
     dualize        write the mirror-dual of a schedule file
     ot             solve a transport instance to accuracy eps
 
-`run` and `certify` evaluate the trace rows while the method steps, on
+`run` and `certify` set up each method through methods._start, the one
+place a run is set up, and evaluate the trace rows while it steps, on
 windows of certificates.ROW_BLOCK + 1 steps: for amd, md and dual-md they
 hold O(ROW_BLOCK d) vectors plus O(N) row scalars, whatever N.  dual-amd
-holds its whole run, O(N d), as its energies need its last point first.
+holds its steps as a list, O(N d), as its energies need its last point first.
 
 `run` and `certify` judge a run by one rule (_verdict); every document
 is read through one boundary (_reading), where a malformed one is a
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -72,13 +74,12 @@ def _load_json(path: str):
 
 
 def _run_from_config(cfg: dict):
-    """Execute the configured method; returns (run, rows, f, g): its trace rows
-    (_rows) and its MethodRun, with no trajectory unless the method is dual-amd.
+    """Execute the configured method; returns (run, rows, f, g): its MethodRun,
+    with no trajectory, and its trace rows (_rows), evaluated while it steps.
 
-    amd, md and dual-md are evaluated while they step, through the generators
-    their runners collect.  dual-amd is collected whole first: its energy
-    V_0 = v_0 (f(q_0) - f(q_N)) and every <grad f(q_k), q_N - q_k> need q_N.
-    The runners' checks of N, L, sigma and alpha apply."""
+    dual-amd's steps are held as a list first: its energy V_0 = v_0 (f(q_0) -
+    f(q_N)) and every <grad f(q_k), q_N - q_k> need q_N.  The checks of N, L,
+    sigma and alpha are methods._start's."""
     with _reading("config"):
         method = cfg["method"]
         if not isinstance(method, str) or method not in _METHODS:
@@ -92,18 +93,9 @@ def _run_from_config(cfg: dict):
         L, sigma = (None if cfg.get(k) is None else _json_number(cfg[k], k) for k in ("L", "sigma"))
         alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
         start = as_vector(cfg[key], key) if key in cfg else np.zeros(_dim(cfg))
+    run, steps, bound_of = methods._start(method, f, g, start, N, alpha=alpha, L=L, sigma=sigma)
     if method == "dual-amd":
-        run = methods.run_dual_amd(f, g, start, N, L=L, sigma=sigma)
-        return run, _trace_rows(run, f, g), f, g
-    if method == "amd":
-        L, sigma = methods._constants(f, g, L, sigma)
-        th = methods.theta_sequence(N)
-        run = methods.MethodRun(method="amd", theta=th, L=L, sigma=sigma)
-        steps = methods._amd_steps(methods._f_grad(f), g.conjugate_grad, start, th, sigma / L)
-    else:
-        run = methods.MethodRun(method=method)
-        steps = (methods._md_steps if method == "md" else methods._dual_md_steps)(f, g, alpha, start, N)
-    bound_of = functools.partial(methods._bound, method, f, g, N=N, alpha=alpha, L=L, sigma=sigma, th=run.theta)
+        steps = list(steps)
     return run, _rows(run, steps, bound_of, f, g), f, g
 
 
@@ -116,22 +108,12 @@ def _dim(cfg: dict) -> int:
     raise UsageError("cannot infer dimension; provide y0/q0 explicitly")
 
 
-def _trace_rows(run, f, g):
-    """The trace rows of a collected MethodRun."""
-    if run.traj is not None:
-        t = run.traj
-        steps = zip(t.xs, t.ys, t.f_grads, t.mirrors)
-    else:
-        t = run.dual_traj
-        steps = zip(t.qs, t.rs, t.f_grads, t.mirrors)
-    return _rows(run, steps, lambda x0: run.bound, f, g)
-
-
 def _rows(run, steps, bound_of, f, g):
     """Rows of (k, f, grad-q-norm, psi*(r_k) or None, energy or None, bound).
 
-    steps yields the run's (point, dual, grad f(point), mirror), k = 0..N; the
-    rows are evaluated on windows of ROW_BLOCK + 1 of them as they come
+    steps yields the run's (point, dual, grad f(point), mirror), k = 0..N (a
+    list on a dual-amd run, whose energies read q_N first); the rows are
+    evaluated on windows of ROW_BLOCK + 1 of them as they come
     (certificates._windows), and bound_of gives the bound from the first
     point.  Where the run has an energy trace, f and psi* are the values it is
     built from, so each is evaluated once per row.
@@ -146,7 +128,7 @@ def _rows(run, steps, bound_of, f, g):
     elif run.method == "dual-amd" and not g.shifted:
         th = run.theta
         v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
-        rows = certificates._TraceRows(f, g, x=run.dual_traj.qs[-1], L=run.L, sigma=run.sigma)
+        rows = certificates._TraceRows(f, g, x=steps[-1][0], L=run.L, sigma=run.sigma)
     else:
         rows = certificates._TraceRows(f, g, conj=dual)
     norms, bound = [], None
@@ -163,18 +145,16 @@ def _rows(run, steps, bound_of, f, g):
     return list(zip(range(n), rows.f_vals, norms, psi, energies, [bound] * n))
 
 
+def _header(run, N, f, g, seed) -> list:
+    """The lines `run` writes above the rows of an N-step trace."""
+    L, sigma = run.L if run.L is not None else f.L, run.sigma if run.sigma is not None else g.sigma
+    return [f"# method={run.method}", f"# N={N}", f"# L={_fmt(L)}", f"# sigma={_fmt(sigma)}",
+            f"# p={_fmt(g.p)}", f"# seed={seed}", "k,f,grad_norm_q,psi_conj_r,energy,bound"]
+
+
 def _write_trace(path, run, rows, f, g, seed):
-    header = [
-        f"# method={run.method}",
-        f"# N={len(rows) - 1}",
-        f"# L={_fmt(run.L if run.L is not None else f.L)}",
-        f"# sigma={_fmt(run.sigma if run.sigma is not None else g.sigma)}",
-        f"# p={_fmt(g.p)}",
-        f"# seed={seed}",
-        "k,f,grad_norm_q,psi_conj_r,energy,bound",
-    ]
     with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
+        fh.write("\n".join(_header(run, len(rows) - 1, f, g, seed)) + "\n")
         for k, fv, gn, pc, en, bd in rows:
             fh.write(f"{k},{_fmt(fv)},{_fmt(gn)},{_fmt(pc)},{_fmt(en)},{_fmt(bd)}\n")
 
@@ -209,28 +189,36 @@ def cmd_run(args) -> int:
     return code
 
 
-def _data_lines(fh):
-    """The stripped data lines of a trace file, one at a time."""
+def _data_lines(fh, header: list):
+    """The stripped data lines of a trace file, one at a time; its header lines go to header."""
     for ln in fh:
         ln = ln.strip()
-        if ln and not ln.startswith(("#", "k,")):
+        if ln.startswith(("#", "k,")):
+            header.append(ln)
+        elif ln:
             yield ln
 
 
 def cmd_certify(args) -> int:
     """Judge the recomputed rows as `run` does, then the file's rows once they match them.
 
-    The file is read line by line, twice: its row count is checked before any value."""
-    _, rows, f, g = _run_from_config(_load_json(args.config))
+    The file is read line by line, twice: its header lines (each as `run` writes
+    them, the seed aside) and its row count are checked before any value."""
+    run, rows, f, g = _run_from_config(_load_json(args.config))
     code = _verdict(rows, f.f_star)
     if code:
         return code
-    file_rows = []
+    file_rows, header = [], []
     with open(args.trace) as fh:
-        if sum(1 for _ in _data_lines(fh)) != len(rows):
+        count = sum(1 for _ in _data_lines(fh, header))
+        for line, want in itertools.zip_longest(header, _header(run, len(rows) - 1, f, g, "")):
+            if line != want and not (want == "# seed=" and (line or "").startswith(want)):
+                print(f"trace header mismatch: {line!r} where run writes {want!r}", file=sys.stderr)
+                return 2
+        if count != len(rows):
             raise UsageError("trace row count does not match config")
         fh.seek(0)
-        for ln, row in zip(_data_lines(fh), rows):
+        for ln, row in zip(_data_lines(fh, []), rows):
             parts = ln.split(",")
             if len(parts) != len(row):
                 raise UsageError(f"trace row has {len(parts)} columns, expected {len(row)}")

@@ -6,6 +6,10 @@ the mirrored points; its mirror dual (dual-AMD) reduces psi*(grad f)
 instead of the function value.  Running AMD for N steps and then
 dual-AMD from its output yields the 1/theta_N^4 gradient-magnitude
 rate.
+
+_start is the one place a run of any of the four methods is set up; the
+runners collect its steps (_collect), and `mirropt run` and `certify`
+evaluate their trace rows while the steps come.
 """
 
 from __future__ import annotations
@@ -144,20 +148,6 @@ def _md_loop(F, G, alpha: float, u0: Vector, N: int, u_label: str):
         yield u, w, gw
 
 
-def _f_grad(f: SmoothObjective):
-    return lambda x: np.asarray(f.grad(x), dtype=np.float64)
-
-
-def _md_steps(f: SmoothObjective, g: DGF, alpha: float, y0: DualVector, N: int):
-    """MD's steps (x_k, y_k, grad f(x_k), grad phi*(y_k) = x_k) for k = 0..N."""
-    return ((x, y, fg, x) for y, x, fg in _md_loop(g.conjugate_grad, _f_grad(f), alpha, y0, N, "dual iterate y"))
-
-
-def _dual_md_steps(f: SmoothObjective, g: DGF, alpha: float, q0: PrimalVector, N: int):
-    """Dual-MD's steps (q_k, r_k = grad f(q_k), grad f(q_k), grad psi*(r_k)) for k = 0..N."""
-    return ((q, fg, fg, m) for q, fg, m in _md_loop(_f_grad(f), g.conjugate_grad, alpha, q0, N, "primal iterate q"))
-
-
 def run_md(
     f: SmoothObjective,
     g: DGF,
@@ -166,9 +156,7 @@ def run_md(
     N: int,
 ) -> MethodRun:
     """Mirror descent: y_{k+1} = y_k - alpha grad f(x_k), x_{k+1} = grad phi*(y_{k+1})."""
-    xs, ys, f_grads, mirrors = map(list, zip(*_md_steps(f, g, alpha, y0, N)))
-    traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
-    return MethodRun(method="md", traj=traj, bound=_bound("md", f, g, xs[0], N, alpha=alpha))
+    return _collect(*_start("md", f, g, y0, N, alpha=alpha))
 
 
 def run_dual_md(
@@ -179,27 +167,7 @@ def run_dual_md(
     N: int,
 ) -> MethodRun:
     """Dual mirror descent: q_{k+1} = q_k - alpha grad psi*(r_k), r_{k+1} = grad f(q_{k+1})."""
-    qs, rs, f_grads, mirrors = map(list, zip(*_dual_md_steps(f, g, alpha, q0, N)))
-    dual_traj = DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
-    return MethodRun(method="dual-md", dual_traj=dual_traj, bound=_bound("dual-md", f, g, qs[0], N, alpha=alpha))
-
-
-def _bound(method: str, f: SmoothObjective, g: DGF, x0: Vector, N: int, alpha: Optional[float] = None,
-           L: Optional[float] = None, sigma: Optional[float] = None,
-           th: Optional[ThetaSequence] = None) -> Optional[float]:
-    """The certified bound on the final value of an N-step run of method from
-    its first point x0 (q_0 on a dual run), or None without x_star (f_star on a
-    dual run): D_phi(x*, x_0) / (alpha N) for MD, L D_phi(x*, x_0) /
-    (sigma theta_N^2) for AMD, and the same with f(q_0) - f* for the duals."""
-    dual = method.startswith("dual")
-    ref = f.f_star if dual else f.x_star
-    if ref is None:
-        return None
-    gap = f.value(x0) - ref if dual else bregman(g.value, g.grad, ref, x0)
-    if method in ("md", "dual-md"):
-        return gap / (alpha * N)
-    # Dual-AMD forms its factor first, AMD divides last: each keeps its bytes.
-    return (L / (sigma * th.sq(N))) * gap if dual else L * gap / (sigma * th.sq(N))
+    return _collect(*_start("dual-md", f, g, q0, N, alpha=alpha))
 
 
 def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[float]):
@@ -249,12 +217,7 @@ def run_amd(
     sigma: Optional[float] = None,
 ) -> MethodRun:
     """Accelerated mirror descent with the equality theta sequence."""
-    L, sigma = _constants(f, g, L, sigma)
-    th = theta_sequence(N)
-    xs, ys, f_grads, mirrors = map(list, zip(*_amd_steps(_f_grad(f), g.conjugate_grad, y0, th, sigma / L)))
-    traj = Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
-    bound = _bound("amd", f, g, xs[0], N, L=L, sigma=sigma, th=th)
-    return MethodRun(method="amd", traj=traj, bound=bound, theta=th, L=L, sigma=sigma)
+    return _collect(*_start("amd", f, g, y0, N, L=L, sigma=sigma))
 
 
 def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
@@ -334,18 +297,64 @@ def run_dual_amd(
     r_0 = (theta_N^2 - theta_{N-2}^2) / theta_N^2 * grad f(q_0) is the
     one forced by r_0 = -b_{N,N} grad f(q_0) of the mirror dual.
     """
-    L, sigma = _constants(f, g, L, sigma)
-    q0 = np.asarray(q0, dtype=np.float64)
-    return _dual_amd_run(f, g, q0, _f_grad(f)(q0), theta_sequence(N), L, sigma)
+    return _collect(*_start("dual-amd", f, g, q0, N, L=L, sigma=sigma))
 
 
-def _dual_amd_run(f: SmoothObjective, g: DGF, q0, fg0, th: ThetaSequence, L: float, sigma: float) -> MethodRun:
-    """run_dual_amd from q0 and its gradient fg0 over th, with (L, sigma) already checked."""
-    steps = _dual_amd_steps(_f_grad(f), g.conjugate_grad, q0, fg0, th, sigma / L)
-    qs, rs, f_grads, mirrors = map(list, zip(*steps))
-    bound = _bound("dual-amd", f, g, qs[0], th.N, L=L, sigma=sigma, th=th)
-    dual_traj = DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
-    return MethodRun(method="dual-amd", dual_traj=dual_traj, bound=bound, theta=th, L=L, sigma=sigma)
+def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha: Optional[float] = None,
+           L: Optional[float] = None, sigma: Optional[float] = None, fg0: Optional[DualVector] = None,
+           th: Optional[ThetaSequence] = None):
+    """The one set-up of an N-step run of method from start (y_0, or q_0 on a dual
+    run): (run, steps, bound_of).  run is its MethodRun, with no trajectory yet;
+    steps yields (point, dual, grad f(point), mirror) for k = 0..N; bound_of(point_0)
+    is the certified bound on the final value: D_phi(x*, x_0) / (alpha N) for MD,
+    L D_phi(x*, x_0) / (sigma theta_N^2) for AMD, the same with f(q_0) - f* for the
+    duals, and None without x* (f* on a dual run).
+
+    MD checks alpha and N at its first step.  AMD checks (L, sigma), then takes
+    grad f(q_0) on a dual run unless fg0 is given, then theta_sequence(N) unless th is.
+    """
+    dual, md = method.startswith("dual"), method in ("md", "dual-md")
+    run = MethodRun(method=method)
+
+    def grad(x):
+        return np.asarray(f.grad(x), dtype=np.float64)
+
+    if md and dual:
+        steps = ((q, fg, fg, m) for q, fg, m in _md_loop(grad, g.conjugate_grad, alpha, start, N, "primal iterate q"))
+    elif md:
+        steps = ((x, y, fg, x) for y, x, fg in _md_loop(g.conjugate_grad, grad, alpha, start, N, "dual iterate y"))
+    else:
+        L, sigma = _constants(f, g, L, sigma)
+        if dual:
+            start = np.asarray(start, dtype=np.float64)
+            fg0 = grad(start) if fg0 is None else fg0
+        th = theta_sequence(N) if th is None else th
+        run.theta, run.L, run.sigma = th, L, sigma
+        steps = (_dual_amd_steps(grad, g.conjugate_grad, start, fg0, th, sigma / L) if dual
+                 else _amd_steps(grad, g.conjugate_grad, start, th, sigma / L))
+
+    def bound_of(x0):
+        ref = f.f_star if dual else f.x_star
+        if ref is None:
+            return None
+        gap = f.value(x0) - ref if dual else bregman(g.value, g.grad, ref, x0)
+        if md:
+            return gap / (alpha * N)
+        # Dual-AMD forms its factor first, AMD divides last: each keeps its bytes.
+        return (L / (sigma * th.sq(N))) * gap if dual else L * gap / (sigma * th.sq(N))
+
+    return run, steps, bound_of
+
+
+def _collect(run: MethodRun, steps, bound_of) -> MethodRun:
+    """run with the trajectory of its steps, collected as lists, and its bound."""
+    cols = list(map(list, zip(*steps)))
+    if run.method.startswith("dual"):
+        run.dual_traj = DualTrajectory(*cols)
+    else:
+        run.traj = Trajectory(*cols)
+    run.bound = bound_of(cols[0][0])
+    return run
 
 
 @dataclass
@@ -373,8 +382,8 @@ def run_concat(
 ) -> ConcatRun:
     """N steps of AMD from y0, then N of dual-AMD from x_N and AMD's grad f(x_N): 2N + 1 gradients."""
     first = run_amd(f, phi, y0, N, L=L, sigma=sigma1)
-    second = _dual_amd_run(f, psi, first.final_x, first.traj.f_grads[-1], first.theta,
-                           *_constants(f, psi, first.L, sigma2))
+    second = _collect(*_start("dual-amd", f, psi, first.final_x, N, L=first.L, sigma=sigma2,
+                              fg0=first.traj.f_grads[-1], th=first.theta))
     bound = None
     if f.x_star is not None:
         d0 = bregman(phi.value, phi.grad, f.x_star, first.traj.xs[0])

@@ -146,6 +146,44 @@ def test_certify_mismatch_in_k_column_exits_2(tmp_path, capsys):
         assert "trace mismatch at k=20" in capsys.readouterr().err
 
 
+def _replace(old, new):
+    return lambda lines: [new if ln == old else ln for ln in lines]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_replace("# method=amd", "# method=dual-md"), "'# method=dual-md' where run writes '# method=amd'"),
+    (_replace("# L=4", "# L=123"), "'# L=123' where run writes '# L=4'"),
+    (_replace("# p=2", "# p=1.5"), "'# p=1.5' where run writes '# p=2'"),
+    (_replace("# L=4", None), "'# sigma=1' where run writes '# L=4'"),
+    (lambda lines: [ln for ln in lines if not ln.startswith(("#", "k,"))], "None where run writes '# method=amd'"),
+    (lambda lines: lines[:7] + ["# note=1"] + lines[7:], "'# note=1' where run writes None"),
+    (_replace("k,f,grad_norm_q,psi_conj_r,energy,bound", "k,f,grad_norm_q,psi_conj_r,bound,energy"),
+     "'k,f,grad_norm_q,psi_conj_r,bound,energy' where run writes 'k,f,grad_norm_q,psi_conj_r,energy,bound'"),
+    # The header is checked before the row count: a cut last row does not make this exit 1.
+    (lambda lines: _replace("# N=20", "# N=19")(lines)[:-1], "'# N=19' where run writes '# N=20'"),
+], ids=["method", "L", "p", "missing-L", "no-header", "extra-line", "columns", "before-row-count"])
+def test_certify_checks_the_header(tmp_path, capsys, edit, named):
+    """certify exits 2 on a trace of an amd run (L = 4, p = 2) whose header has a line
+    changed, missing or added against the lines run writes for the config, and names it."""
+    cfg = _write(tmp_path / "cfg.json", AMD_CONFIG)
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    lines = [ln for ln in edit(out.read_text().splitlines()) if ln is not None]
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["certify", "--trace", str(out), "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"trace header mismatch: {named}\n"
+
+
+def test_certify_takes_any_seed(tmp_path):
+    """The seed only labels the trace: certify cannot know it, so any value passes."""
+    cfg = _write(tmp_path / "cfg.json", AMD_CONFIG)
+    out = tmp_path / "trace.csv"
+    for seed in ("0", "17", "-4"):
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        assert main(["certify", "--trace", str(out), "--config", cfg]) == 0
+
+
 # The OT dual has no "n" or "b" from which a zero start could be sized.
 OT_DUAL_OBJECTIVE = {"kind": "ot-dual", "C": [[0.0, 1.0], [1.0, 0.0]],
                      "mu": [0.5, 0.5], "nu": [0.3, 0.7], "r": 0.1}
@@ -799,6 +837,20 @@ def test_euclidean_dgf_takes_its_own_p():
     for p in (2.0, 2):
         cfg = dict(VALID_RUN, dgf={"kind": "euclidean", "p": p})
         assert [code for code, _ in _run_then_certify(cfg)] == [0, 0]
+
+
+@pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
+def test_run_and_certify_do_not_call_the_runners(method, monkeypatch):
+    """run and certify set every method up through methods._start and step it there: with
+    the four runners made to fail the test if called, both still exit 0."""
+    def runner(*args, **kwargs):
+        raise AssertionError("the CLI called a runner")
+
+    for name in ("run_md", "run_dual_md", "run_amd", "run_dual_amd"):
+        monkeypatch.setattr(methods, name, runner)
+    cfg = dict(VALID_RUN, method=method)
+    cfg["q0" if method.startswith("dual") else "y0"] = cfg.pop("y0")
+    assert [code for code, _ in _run_then_certify(cfg)] == [0, 0]
 
 
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md", None])

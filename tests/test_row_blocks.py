@@ -14,7 +14,7 @@ import pytest
 
 from mirropt import certificates, cli, methods
 from mirropt.cfom import run_cfom, run_mirror_dual
-from mirropt.dgf import DGF, euclidean, squared_lp
+from mirropt.dgf import DGF, squared_lp
 from mirropt.objectives import DenseQuadratic, DiagQuadratic
 from mirropt.spaces import lp_norm, lp_norms, pairing, pairings
 
@@ -159,33 +159,37 @@ def _collected(cfg, f, g):
     return runner(f, g, start, N)
 
 
-def _runs(method, kind, p, shifted, N, seed):
-    cfg, f, g = _config(method, kind, p, shifted, N, seed)
-    return _collected(cfg, f, g), f, g
-
-
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
 @pytest.mark.parametrize("kind, p, shifted", SETUPS)
 def test_trace_rows_equal_per_row_reference(method, kind, p, shifted, monkeypatch):
+    """The rows `run` and `certify` evaluate while the method steps equal the
+    per-row reference on the runner's collected run, whatever the block size."""
     for N in HORIZONS:
-        run, f, g = _runs(method, kind, p, shifted, N, seed=N)
-        want = ref_trace_rows(run, f, g)
+        cfg, f, g = _config(method, kind, p, shifted, N, seed=N)
+        want = ref_trace_rows(_collected(cfg, f, g), f, g)
         for block in BLOCKS:
             monkeypatch.setattr(certificates, "ROW_BLOCK", block)
-            assert cli._trace_rows(run, f, g) == want, (N, block)
+            assert cli._run_from_config(cfg)[1] == want, (N, block)
 
 
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
 @pytest.mark.parametrize("kind, p, shifted", SETUPS)
 def test_streamed_rows_equal_collected_rows(method, kind, p, shifted, monkeypatch):
     """The rows `run` and `certify` evaluate while the method steps equal
-    _trace_rows on the runner's collected run, whatever the block size."""
+    cli._rows on the steps of the runner's collected run, whatever the block size."""
     for N in HORIZONS:
-        cfg = _config(method, kind, p, shifted, N, seed=N)[0]
+        cfg, f, g = _config(method, kind, p, shifted, N, seed=N)
+        run = _collected(cfg, f, g)
+        if method.startswith("dual"):
+            tr = run.dual_traj
+            steps = list(zip(tr.qs, tr.rs, tr.f_grads, tr.mirrors))
+        else:
+            tr = run.traj
+            steps = list(zip(tr.xs, tr.ys, tr.f_grads, tr.mirrors))
         for block in BLOCKS:
             monkeypatch.setattr(certificates, "ROW_BLOCK", block)
-            run, rows, f, g = cli._run_from_config(cfg)
-            assert rows == cli._trace_rows(_collected(cfg, f, g), f, g), (N, block)
+            collected = cli._rows(run, steps, lambda _: run.bound, f, g)
+            assert cli._run_from_config(cfg)[1] == collected, (N, block)
 
 
 @pytest.mark.parametrize("method, conj_rows", [("amd", 1), ("dual-amd", 1), ("md", 0), ("dual-md", 1)])
@@ -193,7 +197,7 @@ def test_trace_rows_evaluate_each_row_once(method, conj_rows, monkeypatch):
     """f, and the conjugate DGF (phi* in AMD's energies, psi* on dual runs),
     see each of the N + 1 rows once: the rows reuse the energy trace's values."""
     N = 20
-    run, f, g = _runs(method, "diag", 1.5, False, N, seed=4)
+    cfg, f, g = _config(method, "diag", 1.5, False, N, seed=4)
     rows = {"f": 0, "conj": 0}
     f_values, conj_values = type(f).values, DGF.conjugate_values
 
@@ -207,7 +211,7 @@ def test_trace_rows_evaluate_each_row_once(method, conj_rows, monkeypatch):
 
     monkeypatch.setattr(type(f), "values", counted_f)
     monkeypatch.setattr(DGF, "conjugate_values", counted_conj)
-    cli._trace_rows(run, f, g)
+    cli._run_from_config(cfg)
     assert rows == {"f": N + 1, "conj": conj_rows * (N + 1)}
 
 
@@ -255,24 +259,6 @@ def test_row_wise_helpers_equal_per_row_functions(p, d):
         M = rng.standard_normal((d, d))
         f = DenseQuadratic(A=M @ M.T, b=rng.standard_normal(d))
         assert f.values(X).tolist() == [f.value(x) for x in X]
-
-
-def test_trace_rows_memory_is_bounded_by_the_block():
-    """At N = 200 and d = 1000 a full stack of one family is 1.5 MiB; the
-    blocked rows stay well below that."""
-    rng = np.random.default_rng(3)
-    d, N = 1000, 200
-    f = DiagQuadratic(d=rng.uniform(0.2, 4.0, d), b=rng.standard_normal(d))
-    g = euclidean()
-    run = methods.run_amd(f, g, rng.standard_normal(d), N)
-    cli._trace_rows(run, f, g)
-    tracemalloc.start()
-    try:
-        cli._trace_rows(run, f, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("method", ["amd", "md", "dual-md"])
