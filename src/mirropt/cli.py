@@ -277,6 +277,7 @@ def cmd_ot(args) -> int:
     doc = _load_json(args.instance)
     with _reading("instance"):
         inst = ot.instance_from_descriptor(doc)
+    del doc  # the parsed lists take about four times the arrays read from them
     result = ot.solve_ot(inst, args.eps)
     with open(args.out, "w") as fh:
         json.dump(result.to_json_dict(), fh, indent=1)

@@ -168,7 +168,9 @@ def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
     """Row-cap, column-cap, rank-one fix: returns a new, exactly feasible plan; the input is untouched.
 
     The total l1 movement is at most twice the input's marginal
-    violation, so the rounding cannot spoil an accurate dual solve.
+    violation, so the rounding cannot spoil an accurate dual solve.  The
+    rank-one fix err_r err_c^T / s is added in eight row blocks, so beside
+    its input the rounding holds the new plan and one block.
     """
     X = np.asarray(plan.X, dtype=np.float64)
     if np.any(X < 0):
@@ -185,8 +187,10 @@ def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
     err_c = inst.nu - X2.sum(axis=0)
     s = err_r.sum()
     if s > 0:
-        fix = np.multiply.outer(err_r, err_c)
-        X2 += np.divide(fix, s, out=fix)
+        rows_per_block = -(-X2.shape[0] // 8)
+        for i in range(0, X2.shape[0], rows_per_block):
+            fix = np.multiply.outer(err_r[i:i + rows_per_block], err_c)
+            X2[i:i + rows_per_block] += np.divide(fix, s, out=fix)
     return TransportPlan(X=X2, feasible=True)
 
 
@@ -261,13 +265,12 @@ class OTDualObjective(SmoothObjective):
         e /= self.r
         np.exp(e, out=e)
         a, b = e[:m], e[m:]
-        row = np.matmul(K, b, out=g[:m])
-        row *= a
-        tot = np.add.reduce(row)
+        np.matmul(K, b, out=g[:m])
+        np.matmul(a, K, out=g[m:])
+        g *= e  # a * (K @ b), then (a @ K) * b
+        tot = np.add.reduce(g[:m])
         if not self._floor <= tot < math.inf:
             return None
-        col = np.matmul(a, K, out=g[m:])
-        col *= b
         g /= tot
         return e, tot
 
@@ -429,8 +432,9 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     gradients spent and the history so far as its history attribute.  Only
     the current point is kept, so a solve holds the kernel plus O(m + n)
     iterates while stepping, whatever N (and O(N) theta scalars); K is then
-    released, and the finish holds at most three m x n arrays: the raw
-    plan, the rounded plan and one work array.
+    released, and the finish holds two m x n arrays: the raw plan and the
+    rounded plan, and once rounded the raw plan's buffer takes
+    |rounded - raw| and then C * rounded.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -480,15 +484,16 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     raw = h._plan(grad.z)
     del h, grad  # the kernel (or the log-domain buffer) goes before rounding
     rounded = round_plan(inst, raw)
-    work = np.multiply(inst.C, rounded.X)
-    cost = float(np.sum(work))
+    work = raw.X  # the raw plan is dead once rounded: its buffer takes |rounded - raw|, then C * rounded
+    rounding_l1 = float(np.sum(np.abs(np.subtract(rounded.X, work, out=work), out=work)))
+    cost = float(np.sum(np.multiply(inst.C, rounded.X, out=work)))
     report = {
         "N": N,
         "r": r,
         "grad_l1": grad_l1,
         "grad_tol": grad_tol,
         "grad_evals": grad_evals,
-        "rounding_l1": float(np.sum(np.abs(np.subtract(rounded.X, raw.X, out=work), out=work))),
+        "rounding_l1": rounding_l1,
         "rounding_l1_bound": 2.0 * grad_l1,
         "suboptimality_bound": r * math.log(m * n) + 2.0 * c_max * grad_l1,
         "marginal_residual": rounded.marginal_residual(inst),

@@ -119,7 +119,7 @@ def lp_norm(x: Vector, p: float) -> float:
     x = np.asarray(x, dtype=np.float64)
     if p == np.inf:
         return float(np.max(np.abs(x)))
-    if p < 1:
+    if not p >= 1:  # nan too
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if p == 1:
         return float(np.sum(np.abs(x)))
@@ -140,7 +140,7 @@ def lp_norms(X: np.ndarray, p: float) -> np.ndarray:
         raise ValueError(f"lp_norms needs an (n, d) stack, got shape {X.shape}")
     if p == np.inf:
         return np.max(np.abs(X), axis=-1)
-    if p < 1:
+    if not p >= 1:  # nan too
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if p == 1:
         return np.sum(np.abs(X), axis=-1)

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,28 @@ def test_ot_budget_exhausted_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ot, "solve_ot", functools.partial(ot.solve_ot, eval_cap=100))
     assert main(["ot", "--instance", inst, "--eps", "0.001", "--out", str(tmp_path / "o.json")]) == 4
     assert "budget 100 exhausted" in capsys.readouterr().err
+
+
+def test_ot_releases_the_parsed_instance_before_solving(tmp_path, monkeypatch):
+    """The parsed JSON lists are freed once the instance is read: at 150 x 150, solve_ot is
+    entered with at most 3 C.nbytes held (the lists alone take about four)."""
+    rng = np.random.default_rng(0)
+    m = 150
+    inst = _write(tmp_path / "inst.json", {"C": rng.uniform(0, 1, (m, m)).tolist(),
+                                           "mu": [1.0 / m] * m, "nu": [1.0 / m] * m})
+    held, solve_ot = [], ot.solve_ot
+
+    def spy(inst, eps):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return solve_ot(inst, eps)
+
+    monkeypatch.setattr(ot, "solve_ot", spy)
+    tracemalloc.start()
+    try:
+        assert main(["ot", "--instance", inst, "--eps", "0.1", "--out", str(tmp_path / "o.json")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert held[0] <= 3 * m * m * 8
 
 
 def test_ot_rejects_bad_marginals(tmp_path):

@@ -13,6 +13,7 @@ from mirropt.spaces import (
     bregman,
     finite_difference_gradient,
     lp_norm,
+    lp_norms,
     pairing,
 )
 
@@ -38,6 +39,15 @@ def test_lp_norm_examples():
 def test_lp_norm_rejects_p_below_one():
     with pytest.raises(ValueError):
         lp_norm(np.ones(2), 0.5)
+
+
+def test_lp_norms_reject_nan():
+    """p = nan is refused as p < 1 is, by lp_norm and by the row-wise lp_norms, not
+    answered with nan."""
+    with pytest.raises(ValueError, match="p >= 1"):
+        lp_norm(np.ones(2), math.nan)
+    with pytest.raises(ValueError, match="p >= 1"):
+        lp_norms(np.ones((3, 2)), math.nan)
 
 
 def test_norm_index_conjugacy():
