@@ -22,6 +22,7 @@ CLI feeds from a method's steps as they come.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
@@ -59,15 +60,28 @@ def _windows(steps):
     as they come: each step is a tuple of vectors (one per family), and each
     window, a tuple of (rows, d) float arrays (one per family), starts at the
     last row of the one before, so that it holds the steps k -> k+1 from its
-    first row.  Only one window of steps, and the step after it, is held."""
+    first row.
+
+    Each family has one float64 buffer of ROW_BLOCK + 1 rows, shaped by its
+    first step; a step is copied into its row as it comes, and every window
+    is those buffers (the last one views of their first rows), refilled in
+    place for the next.  So a consumer must read each window within its loop
+    body and keep no part of it, not even a row view: the next window
+    overwrites it.  Only the buffers and the step at hand are held."""
     steps = iter(steps)
-    window = [next(steps)]
-    for step in steps:
-        if len(window) == ROW_BLOCK + 1:
-            yield tuple(np.asarray(fam, dtype=np.float64) for fam in zip(*window))
-            window = window[-1:]
-        window.append(step)
-    yield tuple(np.asarray(fam, dtype=np.float64) for fam in zip(*window))
+    step = next(steps)
+    bufs = tuple(np.empty((ROW_BLOCK + 1,) + np.shape(v)) for v in step)
+    n = 0
+    for step in itertools.chain([step], steps):
+        if n == ROW_BLOCK + 1:
+            yield bufs
+            for buf in bufs:
+                buf[0] = buf[-1]
+            n = 1
+        for buf, v in zip(bufs, step):
+            buf[n] = v
+        n += 1
+    yield tuple(buf[:n] for buf in bufs)
 
 
 @dataclass

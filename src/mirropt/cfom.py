@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -108,22 +108,23 @@ def _checked_tail(N: int, a: np.ndarray, b: np.ndarray, tail) -> tuple:
 
 def schedule_from_entries(N: int, a_entries, b_entries) -> CoefficientSchedule:
     """Build a schedule from sparse (k, i, value) triples; omitted entries are
-    zero, except b(0,0), which defaults to -1."""
+    zero, except b(0,0), which defaults to -1.  An index given twice is refused."""
     if N < 1:
         raise ValueError("N >= 1 required")
     a = np.zeros((N + 1, N + 1))
     b = np.zeros((N + 1, N + 1))
     b[0, 0] = -1.0
-    for k, i, v in a_entries:
-        k, i = int(k), int(i)
-        if not (0 <= i < k <= N):
-            raise ValueError(f"a index ({k},{i}) outside triangle")
-        a[k, i] = float(v)
-    for k, i, v in b_entries:
-        k, i = int(k), int(i)
-        if not (0 <= i <= k <= N):
-            raise ValueError(f"b index ({k},{i}) outside triangle")
-        b[k, i] = float(v)
+    # a is strictly lower triangular, b lower triangular with its diagonal.
+    for name, arr, entries, diag in (("a", a, a_entries, 0), ("b", b, b_entries, 1)):
+        seen = set()
+        for k, i, v in entries:
+            k, i = int(k), int(i)
+            if not (0 <= i < k + diag and k <= N):
+                raise ValueError(f"{name} index ({k},{i}) outside triangle")
+            if (k, i) in seen:
+                raise ValueError(f"{name} index ({k},{i}) given twice")
+            seen.add((k, i))
+            arr[k, i] = float(v)
     return CoefficientSchedule(N=N, a=a, b=b)
 
 
@@ -147,24 +148,30 @@ def validate_schedule(s: CoefficientSchedule, tol: float = ROW_SUM_TOL) -> Valid
     return ValidityReport(residuals=s.b[1:].sum(axis=1), tol=tol)
 
 
+# One family of a run, k = 0..N: a list of vectors, or the executor's (N+1, d) array.
+_Rows = Union[List[Vector], np.ndarray]
+
+
 @dataclass
 class Trajectory:
-    """Primal CFOM run: iterates plus the cached oracle outputs."""
+    """Primal CFOM run: iterates plus the cached oracle outputs.  Each family
+    is a list, or the executor's (N+1, d) array; either is read by row."""
 
-    xs: List[Vector]        # x_0 .. x_N
-    ys: List[Vector]        # y_0 .. y_N
-    f_grads: List[Vector]   # grad f(x_k)
-    mirrors: List[Vector]   # grad phi*(y_k)
+    xs: _Rows       # x_0 .. x_N
+    ys: _Rows       # y_0 .. y_N
+    f_grads: _Rows  # grad f(x_k)
+    mirrors: _Rows  # grad phi*(y_k)
 
 
 @dataclass
 class DualTrajectory:
-    """Mirror-dual run: q/r iterates plus cached oracle outputs."""
+    """Mirror-dual run: q/r iterates plus cached oracle outputs.  Each family
+    is a list, or the executor's (N+1, d) array; either is read by row."""
 
-    qs: List[Vector]        # q_0 .. q_N
-    rs: List[Vector]        # r_0 .. r_N
-    f_grads: List[Vector]   # grad f(q_k)
-    mirrors: List[Vector]   # grad psi*(r_k)
+    qs: _Rows       # q_0 .. q_N
+    rs: _Rows       # r_0 .. r_N
+    f_grads: _Rows  # grad f(q_k)
+    mirrors: _Rows  # grad psi*(r_k)
 
 
 def _check_finite(v: Vector, what: str, k: int) -> Vector:
@@ -241,11 +248,12 @@ def run_cfom(
     """Execute the CFOM defined by s for N steps from y0.
 
     x0 = -b[0, 0] grad phi*(y0), which is grad phi*(y0) under the primal
-    b[0, 0] = -1 convention.
+    b[0, 0] = -1 convention.  Each family of the trajectory is one (N+1, d)
+    array, row k its k-th vector.
     """
     ys, xs, mirrors, f_grads = _run_coupled(
         s, g.conjugate_grad, f.grad, y0, "dual iterate y", "primal iterate x")
-    return Trajectory(xs=list(xs), ys=list(ys), f_grads=list(f_grads), mirrors=list(mirrors))
+    return Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
 
 
 def mirror_dual_schedule(s: CoefficientSchedule) -> CoefficientSchedule:
@@ -276,10 +284,11 @@ def run_dual_cfom(
     q0: PrimalVector,
 ) -> DualTrajectory:
     """Execute a dual-form schedule directly: coefficients read as stored,
-    r_0 = -b[0, 0] grad f(q_0).  The primal executor with the oracles swapped."""
+    r_0 = -b[0, 0] grad f(q_0).  The primal executor with the oracles swapped,
+    its families (N+1, d) arrays as well."""
     qs, rs, f_grads, mirrors = _run_coupled(
         s_dual, f.grad, g.conjugate_grad, q0, "primal iterate q", "dual iterate r")
-    return DualTrajectory(qs=list(qs), rs=list(rs), f_grads=list(f_grads), mirrors=list(mirrors))
+    return DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
 
 
 def run_mirror_dual(

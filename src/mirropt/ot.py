@@ -173,14 +173,16 @@ def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
     its input the rounding holds the new plan and one block.
     """
     X = np.asarray(plan.X, dtype=np.float64)
-    if np.any(X < 0):
-        raise ValueError("round_plan requires a nonnegative plan")
+    # Two reductions, no m x n mask: a nan fails both comparisons.
+    if not (X.min() >= 0 and X.max() < math.inf):
+        raise ValueError("round_plan requires a nonnegative, finite plan")
     rows = X.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal sum overflows the quotient to inf, and min(1, inf) = 1 is the scale.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         row_scale = np.where(rows > 0, np.minimum(1.0, inst.mu / rows), 1.0)
     X2 = X * row_scale[:, None]
     cols = X2.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         col_scale = np.where(cols > 0, np.minimum(1.0, inst.nu / cols), 1.0)
     X2 *= col_scale[None, :]
     err_r = inst.mu - X2.sum(axis=1)

@@ -208,8 +208,8 @@ def test_criterion_06_dual_amd_equivalence(capsys):
         via_schedule = run_mirror_dual(amd_schedule(N, f.L, g.sigma), f, g, q0)
         closed = run_dual_amd(f, g, q0, N)
         for a, b in zip(
-            via_schedule.qs + via_schedule.rs,
-            closed.dual_traj.qs + closed.dual_traj.rs,
+            [*via_schedule.qs, *via_schedule.rs],
+            [*closed.dual_traj.qs, *closed.dual_traj.rs],
         ):
             err = np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b)))
             worst = max(worst, err)

@@ -253,6 +253,21 @@ def test_schedule_rejects_bad_shapes():
         CoefficientSchedule(N=2, a=a, b=np.zeros((3, 3)))
 
 
+def test_executors_return_their_arrays(rng):
+    """Each family of an executor's run is one (N+1, d) array, rows equal to the
+    closed form's list, and read by index, len and iteration as a list is."""
+    N, f, g = 9, _quadratic(rng), squared_lp(1.5)
+    s, start = amd_schedule(N, f.L, g.sigma), rng.standard_normal(5)
+    tr, dt = run_cfom(s, f, g, start), run_dual_cfom(mirror_dual_schedule(s), f, g, start)
+    closed, closed_dual = run_amd(f, g, start, N).traj, run_dual_amd(f, g, start, N).dual_traj
+    for got, want in ((tr, closed), (dt, closed_dual)):
+        for name, fam in vars(got).items():
+            assert isinstance(fam, np.ndarray) and fam.shape == (N + 1, 5), name
+            assert len(fam) == len(getattr(want, name)) == N + 1
+            for a, b in zip(fam, getattr(want, name)):
+                assert np.allclose(a, b, rtol=1e-10, atol=1e-10), name
+
+
 def test_schedule_file_round_trip(tmp_path, rng):
     s = random_valid_schedule(5, rng)
     path = tmp_path / "s.json"
@@ -373,6 +388,8 @@ def test_generator_executor_reports_divergence(rng):
     {"N": 2, "a": [[1, 0, "0.5"]]},
     {"N": 2, "a": [[1, 0]]},
     {"N": 2, "a": [[1, 0, 10 ** 400]]},      # beyond the float range: no OverflowError
+    {"N": 2, "a": [[1, 0, 0.5], [1, 0, 0.7]]},   # one coefficient given twice
+    {"N": 2, "b": [[2, 1, 0.5], [2, 1, 0.5]]},   # twice, with one value
 ])
 def test_load_schedule_rejects_malformed_documents(doc, tmp_path):
     path = tmp_path / "s.json"

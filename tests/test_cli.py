@@ -301,6 +301,23 @@ def test_dualize_amd_matches_closed_form(tmp_path, rng):
         assert np.allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
+def test_schedule_with_a_repeated_entry_exits_1(tmp_path, capsys):
+    """A coefficient given twice is a usage error, named, not a silent last-value-wins."""
+    path = _write(tmp_path / "s.json", {"N": 2, "a": [[1, 0, 0.5], [1, 0, 0.7]], "b": [[1, 0, 1.0], [1, 1, -1.0]]})
+    assert main(["dualize", "--schedule", path, "--out", str(tmp_path / "d.json")]) == 1
+    assert not (tmp_path / "d.json").exists()
+    assert main(["duality-check", "--schedule", path, "--trials", "2", "--dim", "2"]) == 1
+    assert capsys.readouterr().err.count("a index (1,0) given twice") == 2
+
+
+def test_ot_on_a_subnormal_column_sum_warns_nothing(tmp_path, capsys):
+    """At eps 1e-6 the raw plan's middle column sums to a subnormal: nu / cols overflows
+    to inf, whose scale min(1, inf) = 1 is the right one, so no RuntimeWarning is raised."""
+    inst = _write(tmp_path / "inst.json", {"C": [[0.0, 0.0003359375, 0.0]], "mu": [1.0], "nu": [0.5, 5e-13, 0.5]})
+    assert main(["ot", "--instance", inst, "--eps", "1e-6", "--out", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_dualize_empty_schedule(tmp_path):
     p0 = tmp_path / "s.json"
     p0.write_text(json.dumps({"N": 3, "a": [], "b": []}))
@@ -470,7 +487,7 @@ def malformed_schedules(draw):
     doc = json.loads(json.dumps(VALID_SCHEDULE))
     key = draw(st.sampled_from(["a", "b"]))
     kind = draw(st.sampled_from(["top", "N", "no-N", "small-N", "entries", "entry",
-                                 "index", "value", "triangle"]))
+                                 "index", "value", "repeated", "triangle"]))
     if kind == "top":
         return draw(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3)))
     if kind == "N":
@@ -491,6 +508,8 @@ def malformed_schedules(draw):
             doc[key][j] = [draw(NOT_INT), i, v] if draw(st.booleans()) else [k, draw(NOT_INT), v]
         elif kind == "value":
             doc[key][j] = [k, i, draw(NOT_NUMBER)]
+        elif kind == "repeated":
+            doc[key].append([k, i, draw(st.floats(-2.0, 2.0))])
         else:
             doc[key][j] = [*draw(_outside(key, doc["N"])), v]
     return doc

@@ -342,6 +342,26 @@ def test_round_plan_rejects_negative():
         TransportPlan(X=np.array([[-0.1, 0.6], [0.3, 0.2]]))
 
 
+def test_round_plan_scales_a_subnormal_sum_without_a_warning():
+    """A positive column (or row) sum of 5e-324 overflows nu / cols (or mu / rows) to
+    inf; the scale min(1, inf) = 1 is the right one, and no overflow warning is raised."""
+    for inst, X in [(OTInstance(C=[[0, 1, 0]], mu=[1], nu=[0.5, 5e-13, 0.5]), [[0.5, 5e-324, 0.5]]),
+                    (OTInstance(C=[[0, 1], [1, 0]], mu=[1 - 5e-13, 5e-13], nu=[0.5, 0.5]),
+                     [[0.5, 0.5], [5e-324, 0.0]])]:
+        out = round_plan(inst, TransportPlan(X=X))
+        with np.errstate(over="ignore"):
+            want, _ = _round_plan_reference(inst, np.array(X))
+        assert out.feasible and out.X.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_round_plan_rejects_a_non_finite_plan(bad):
+    X = np.full((2, 2), 0.25)
+    X[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        round_plan(_uniform2(), TransportPlan(X=X))
+
+
 def _round_plan_reference(inst, X):
     """round_plan's floats from fresh arrays and np.outer (the reference), and its s."""
     rows = X.sum(axis=1)
