@@ -269,7 +269,7 @@ def test_windows_equal_the_stacked_rows(N, monkeypatch):
     for block in BLOCKS:
         monkeypatch.setattr(certificates, "ROW_BLOCK", block)
         start = 0
-        for window in certificates._windows(iter(rows)):
+        for window in certificates._windows(rows):
             n = len(window[0])
             assert n <= block + 1 and (n == block + 1 or start + n == N + 1)
             for j, fam in enumerate(window):
