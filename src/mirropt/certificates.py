@@ -16,14 +16,16 @@ take scenarios with leading batch axes and evaluate them all at once.
 The public functions take per-step lists and stack them once; they and
 check_mirror_duality share one core on stacked (..., N+1, d) arrays, so
 the sampled check builds no per-step list.  The energy traces read a run
-in windows of ROW_BLOCK + 1 consecutive rows through one core, which the
-CLI feeds from a method's steps as they come.
+in windows of ROW_BLOCK + 1 consecutive rows into float64 columns, which
+the CLI feeds from a method's steps as they come; U_k and V_k come from
+one recurrence on them, each step of V_k the step of U_k mirrored.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
@@ -134,77 +136,71 @@ class EnergyTrace:
 
 
 class _TraceRows:
-    """A run's row values, read window by window (_windows) with no row kept:
-    f at the points p_k and, when conj, the conjugate DGF at the duals d_k
-    ((x_k, y_k) or (q_k, r_k)).  Given a comparison point x, also what the
-    energy traces read, with L and sigma checked as the runners check them:
-    pair_x[k] = <grad f(p_k), x - p_k> at each row and, for each step
-    k -> k+1, the brackets (coco_f, coco_conjugate).  Given the primal
-    weights u too, it extends U_k (energies) step by step instead of keeping
-    the brackets, and appends the labelled decrements to decrements when it
-    is a list.  The float operations are those of every emitted energy
-    trace, in the same order, so traces keep their bytes.
+    """A run's row values, read window by window (_windows) with no row kept,
+    into float64 columns: per row, f at the points p_k, ||grad f(p_k)||_q and,
+    when conj, the conjugate DGF at the duals d_k ((x_k, y_k) or (q_k, r_k)).
+    Given a comparison point x, also what the energies read, with L and sigma
+    checked as the runners check them: f(x) and <d_0, x> once,
+    pair_x[k] = <grad f(p_k), x - p_k> per row and, per step k -> k+1, the
+    brackets coco_f and coco_conj.
     """
 
     def __init__(self, f: SmoothObjective, g: DGF, conj: bool = True, x: Optional[Vector] = None,
-                 L: Optional[float] = None, sigma: Optional[float] = None,
-                 u: Optional[List[float]] = None, decrements: Optional[list] = None):
+                 L: Optional[float] = None, sigma: Optional[float] = None):
         if x is not None:
             L, sigma = _constants(f, g, L, sigma)
             x = np.asarray(x, dtype=np.float64)
-        self.f, self.g, self.conj, self.x, self.L, self.sigma = f, g, conj, x, L, sigma
-        self.u, self.decrements = u, decrements
-        if u is not None:
             self.fx = f.value(x)
-        self.f_vals, self.conj_vals, self.pair_x, self.brackets, self.energies = [], [], [], [], []
+        self.f, self.g, self.conj, self.x, self.L, self.sigma = f, g, conj, x, L, sigma
+        self.f_vals, self.norms, self.conj_vals, self.pair_x, self.coco_f, self.coco_conj = (
+            array("d") for _ in range(6))
 
     def add(self, P, Y, G, M) -> None:
         """Read the next window: stacks of points, duals, grad f at the points
         and the mirrors (grad of the conjugate DGF at the duals)."""
         f, g, x = self.f, self.g, self.x
-        start = max(len(self.f_vals) - 1, 0)  # row index of the window's first row
-        new = len(self.f_vals) - start  # its first row not read yet: 0 at the start, else 1
-        self.f_vals += f.values(P[new:]).tolist()
+        new = 1 if self.f_vals else 0  # the window's first row not read yet
+        self.f_vals.extend(f.values(P[new:]).tolist())
+        self.norms.extend(lp_norms(G[new:], g.q).tolist())
         if self.conj:
-            self.conj_vals += g.conjugate_values(Y[new:]).tolist()
+            self.conj_vals.extend(g.conjugate_values(Y[new:]).tolist())
         if x is None:
             return
-        self.pair_x += pairings(G[new:], x - P[new:]).tolist()
-        if self.u is not None and not self.energies:
-            # U_0 = phi(x) + phi*(y_0) - <y_0, x> - u_0 D_f(x, x_0).
-            e0 = g.value(x) + self.conj_vals[0] - pairing(Y[0], x)
-            self.energies.append(e0 - self.u[0] * (self.fx - self.f_vals[0] - self.pair_x[0]))
+        if not new:
+            self.y0x = pairing(Y[0], x)
+        self.pair_x.extend(pairings(G[new:], x - P[new:]).tolist())
         # <grad f(p_{k+1}), p_k - p_{k+1}> and ||grad f(p_k) - grad f(p_{k+1})||_q.
         pair_f = pairings(G[1:], P[:-1] - P[1:]).tolist()
         norm_f = lp_norms(G[:-1] - G[1:], g.q).tolist()
         # <d_k - d_{k+1}, M_{k+1}> and ||M_{k+1} - M_k||_p.
         pair_c = pairings(Y[:-1] - Y[1:], M[1:]).tolist()
         norm_c = lp_norms(M[1:] - M[:-1], g.p).tolist()
-        fv, cv, u = self.f_vals, self.conj_vals, self.u
-        for j, k in enumerate(range(start, start + len(pair_f))):
-            coco_f = fv[k] - fv[k + 1] - pair_f[j] - norm_f[j] ** 2 / (2.0 * self.L)
-            coco_conj = cv[k] - cv[k + 1] - pair_c[j] - self.sigma / 2.0 * norm_c[j] ** 2
-            if u is None:
-                self.brackets.append((coco_f, coco_conj))
-                continue
-            cvx = self.fx - fv[k + 1] - self.pair_x[k + 1]  # D_f(x, x_{k+1})
-            self._decrement(cvx, coco_f, coco_conj)
-            self.energies.append(self.energies[-1] - (u[k + 1] - u[k]) * cvx - u[k] * coco_f - coco_conj)
+        fv, cv = self.f_vals, self.conj_vals
+        # Python's scalar ** 2, not numpy's array square, keeps the brackets' bytes.
+        for j, k in enumerate(range(len(fv) - len(P), len(fv) - 1)):
+            self.coco_f.append(fv[k] - fv[k + 1] - pair_f[j] - norm_f[j] ** 2 / (2.0 * self.L))
+            self.coco_conj.append(cv[k] - cv[k + 1] - pair_c[j] - self.sigma / 2.0 * norm_c[j] ** 2)
 
-    def dual_energies(self, v: List[float]) -> List[float]:
-        """V_0 .. V_N once every window is read with x = q_N:
-        V_0 = v_0 (f(q_0) - f(q_N)), less the brackets of each step."""
-        fv, N = self.f_vals, len(self.f_vals) - 1
-        energies = [v[0] * (fv[0] - fv[N])]
-        for k, (coco_f, coco_conj) in enumerate(self.brackets):
-            cvx = fv[N] - fv[k] - self.pair_x[k]  # D_f(q_N, q_k)
-            self._decrement(cvx, coco_f, coco_conj)
-            energies.append(energies[-1] - (v[k + 1] - v[k]) * cvx - v[k + 1] * coco_f - coco_conj)
+    def energies(self, w: List[float], dual: bool, decrements: Optional[list] = None) -> List[float]:
+        """The energies once every window is read: U_0 .. U_N with w = u or, when
+        dual, V_0 .. V_N with w = v and x = q_N.  They start from
+
+            U_0 = phi(x) + phi*(y_0) - <y_0, x> - u_0 D_f(x, x_0),   V_0 = v_0 (f(q_0) - f(q_N)),
+
+        and step k -> k+1 subtracts (w_{k+1} - w_k) D_f(x, p_j), w_i coco_f and
+        coco_conj, with (j, i) = (k+1, k) for U and (k, k+1) for V: each step of
+        V is the step of U mirrored.  The labelled decrements go to decrements
+        when it is a list."""
+        fx, fv, px = self.fx, self.f_vals, self.pair_x
+        energies = [w[0] * (fv[0] - fx) if dual else
+                    self.g.value(self.x) + self.conj_vals[0] - self.y0x - w[0] * (fx - fv[0] - px[0])]
+        for k, (coco_f, coco_conj) in enumerate(zip(self.coco_f, self.coco_conj)):
+            j, i = (k, k + 1) if dual else (k + 1, k)
+            cvx = fx - fv[j] - px[j]  # D_f(x, p_j)
+            if decrements is not None:
+                decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
+            energies.append(energies[-1] - (w[k + 1] - w[k]) * cvx - w[i] * coco_f - coco_conj)
         return energies
-
-    def _decrement(self, cvx: float, coco_f: float, coco_conj: float) -> None:
-        if self.decrements is not None:
-            self.decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
 
 
 def _weights(w: Sequence[float], n: int, name: str) -> List[float]:
@@ -213,6 +209,14 @@ def _weights(w: Sequence[float], n: int, name: str) -> List[float]:
     if len(w) != n:
         raise ValueError(f"{name} must have length N+1")
     return w
+
+
+def _positive_u(u: Sequence[float], n: int) -> List[float]:
+    """The weights u, by _weights, each positive (so not nan), as the bijection divides by them."""
+    u = _weights(u, n, "u")
+    if not all(x > 0 for x in u):
+        raise ValueError("u must be positive")
+    return u
 
 
 def primal_energy_trace(
@@ -234,28 +238,26 @@ def primal_energy_trace(
     """
     N = len(traj.xs) - 1
     u = _weights(u, N + 1, "u")
-    rows = _TraceRows(f, g, x=x, L=L, sigma=sigma, u=u, decrements=[])
+    rows, decrements = _TraceRows(f, g, x=x, L=L, sigma=sigma), []
     for window in _windows(zip(traj.xs, traj.ys, traj.f_grads, traj.mirrors)):
         rows.add(*window)
-    x, fx, f_vals, phi_conj, energies = rows.x, rows.fx, rows.f_vals, rows.conj_vals, rows.energies
+    energies = rows.energies(u, False, decrements)
+    x, fx, f_vals, phi_conj = rows.x, rows.fx, rows.f_vals.tolist(), rows.conj_vals.tolist()
 
     fenchel = g.value(x) + phi_conj[N] - pairing(traj.ys[N], x)
     pairing_vec = traj.ys[N] - traj.ys[0]
-    prev = 0.0
-    for i in range(N + 1):
-        pairing_vec = pairing_vec + (u[i] - prev) * traj.f_grads[i]
-        prev = u[i]
+    for du, f_grad in zip(np.diff(u, prepend=0.0), traj.f_grads):
+        pairing_vec = pairing_vec + du * f_grad
     value_term = u[N] * (f_vals[N] - fx)
-    u_A = energies[N] - value_term - fenchel - pairing(pairing_vec, x)
     final_terms = {
         "value_term": value_term,
         "fenchel_residual": fenchel,
         "pairing_term": pairing(pairing_vec, x),
         "pairing_vector_norm": lp_norm(pairing_vec, 2),
-        "U_A": u_A,
-        "certified_bound": (g.value(x) + phi_conj[0] - pairing(traj.ys[0], x)) / u[N],
+        "U_A": energies[N] - value_term - fenchel - pairing(pairing_vec, x),
+        "certified_bound": (g.value(x) + phi_conj[0] - rows.y0x) / u[N],
     }
-    return EnergyTrace(energies=energies, decrements=rows.decrements, final_terms=final_terms,
+    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
                        f_values=f_vals, conjugate_values=phi_conj)
 
 
@@ -276,21 +278,20 @@ def dual_energy_trace(
         raise ValueError("dual energies require an unshifted DGF (psi*(0) = 0)")
     N = len(traj.qs) - 1
     v = _weights(v, N + 1, "v")
-    rows = _TraceRows(f, g, x=traj.qs[N], L=L, sigma=sigma, decrements=[])
+    rows, decrements = _TraceRows(f, g, x=traj.qs[N], L=L, sigma=sigma), []
     for window in _windows(zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors)):
         rows.add(*window)
-    energies, psi_conj = rows.dual_energies(v), rows.conj_vals
+    energies, psi_conj = rows.energies(v, True, decrements), rows.conj_vals.tolist()
 
     d_psi_conj_0_r0 = -psi_conj[0] + pairing(traj.rs[0], traj.mirrors[0])
-    v_B = energies[N] - psi_conj[N] - d_psi_conj_0_r0
     final_terms = {
         "psi_conj_final": psi_conj[N],
         "bregman_zero_r0": d_psi_conj_0_r0,
-        "V_B": v_B,
+        "V_B": energies[N] - psi_conj[N] - d_psi_conj_0_r0,
         "certified_bound": energies[0],
     }
-    return EnergyTrace(energies=energies, decrements=rows.decrements, final_terms=final_terms,
-                       f_values=rows.f_vals, conjugate_values=psi_conj)
+    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
+                       f_values=rows.f_vals.tolist(), conjugate_values=psi_conj)
 
 
 def _stacked(s: CoefficientSchedule, scenario: GradientScenario):
@@ -381,7 +382,7 @@ def evaluate_U(
 ):
     """Closed-form U_A from the gradient families alone, one value per scenario."""
     A, B = _stacked(s, scenario)
-    return _per_scenario(_Stacked(s, L, sigma, norm, u=u).U(A, B)[0])
+    return _per_scenario(_Stacked(s, L, sigma, norm, u=_weights(u, s.N + 1, "u")).U(A, B)[0])
 
 
 def evaluate_V(
@@ -394,20 +395,19 @@ def evaluate_V(
 ):
     """Closed-form V_B of the mirror dual of s on (C, D), one value per scenario."""
     C, D = _stacked(s, scenario)
-    return _per_scenario(_Stacked(s, L, sigma, norm, v=v).V(C, D))
+    return _per_scenario(_Stacked(s, L, sigma, norm, v=_weights(v, s.N + 1, "v")).V(C, D))
 
 
 def duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
     """Map (A, B) to (C, D) per the bijection; invertible since u > 0."""
-    u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0):
-        raise ValueError("u must be positive")
+    u = np.asarray(_positive_u(u, scenario.N + 1))
     C = _bijection(_steps(u, np.stack(scenario.A, axis=-2))[1])
     return GradientScenario(A=list(np.moveaxis(C, -2, 0)), B=scenario.B[::-1])
 
 
 def inverse_duality_transform(u: Sequence[float], scenario: GradientScenario) -> GradientScenario:
-    u = np.asarray(u, dtype=np.float64)
+    """Map (C, D) back to (A, B); u is checked as duality_transform checks it."""
+    u = np.asarray(_positive_u(u, scenario.N + 1))
     # A_N = C_0 / u_N and A_i = A_{i+1} + (C_{N-i} - C_{N-i-1}) / u_i.
     steps = np.diff(np.stack(scenario.A, axis=-2), axis=-2, prepend=0.0)[..., ::-1, :] / u[:, None]
     A = np.cumsum(steps[..., ::-1, :], axis=-2)[..., ::-1, :]
@@ -444,23 +444,21 @@ def check_mirror_duality(
 ) -> DualityReport:
     """Sample random scenarios and assert U_A(A,B) = V_B(C,D) under the bijection.
 
-    The weights u must be positive, as duality_transform, the bijection
-    sampled, requires.  v defaults to the conjugate weights 1/u_{N-i};
-    passing anything else breaks the identity and is reported as failures.
-    At least one trial in at least one dimension is required: with none,
-    nothing is checked; so is a tolerance 0 <= tol < inf, as a negative or
-    nan one fails every trial and an infinite one passes any.  A nan
-    residual, as when the magnitude overflows the norms, fails its trial.
+    The weights u, N + 1 of them as of v, must be positive, as
+    duality_transform, the bijection sampled, requires.  v defaults to the
+    conjugate weights 1/u_{N-i}; passing anything else breaks the identity
+    and is reported as failures.  At least one trial in at least one
+    dimension is required: with none, nothing is checked; so is a tolerance
+    0 <= tol < inf, as a negative or nan one fails every trial and an
+    infinite one passes any.  A nan residual, as when the magnitude
+    overflows the norms, fails its trial.
     """
     if not (trials >= 1 and dim >= 1 and 0 <= tol < math.inf):
         raise ValueError("check_mirror_duality needs trials >= 1 and dim >= 1, and 0 <= tol < inf")
-    u = [float(x) for x in u]
-    if any(x <= 0 for x in u):
-        raise ValueError("u must be positive")
-    rng = np.random.default_rng(seed)
     N = s.N
-    if v is None:
-        v = [1.0 / u[N - i] for i in range(N + 1)]
+    u = _positive_u(u, N + 1)
+    v = [1.0 / u[N - i] for i in range(N + 1)] if v is None else _weights(v, N + 1, "v")
+    rng = np.random.default_rng(seed)
     core = _Stacked(s, L, sigma, norm, u=u, v=v)
     max_res = 0.0
     failures = []

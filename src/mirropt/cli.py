@@ -9,9 +9,10 @@ Subcommands:
 
 `run` and `certify` set up each method through methods._start, the one
 place a run is set up, and evaluate the trace rows while it steps, on
-windows of certificates.ROW_BLOCK + 1 steps: for amd, md and dual-md they
-hold O(ROW_BLOCK d) vectors plus O(N) row scalars, whatever N.  dual-amd
-holds its steps as a list, O(N d), as its energies need its last point first.
+windows of certificates.ROW_BLOCK + 1 steps, into float64 columns that the
+energies are built from once it ends: for amd, md and dual-md they hold
+O(ROW_BLOCK d) vectors plus O(N) row scalars, whatever N.  dual-amd holds
+its steps as a list, O(N d), as its energies need its last point first.
 
 `run` and `certify` judge a run by one rule (_verdict); every document
 is read through one boundary (_reading), where a malformed one is a
@@ -39,7 +40,7 @@ import numpy as np
 from . import certificates, cfom, methods, ot
 from .dgf import dgf_from_descriptor
 from .objectives import objective_from_descriptor
-from .spaces import _json_int, _json_number, as_vector, lp_norms
+from .spaces import _json_int, _json_number, as_vector
 
 BOUND_SLACK = 1e-9
 MAX_N = 2 ** 20  # the largest N a config or --N may give (the default OT gradient budget)
@@ -119,30 +120,20 @@ def _rows(run, steps, bound_of, f, g):
     built from, so each is evaluated once per row.
     """
     dual = run.method.startswith("dual")
-    v = None
-    if run.method == "amd" and f.x_star is not None:
-        th = run.theta
-        u = [(run.sigma / run.L) * th.sq(i) for i in range(th.N + 1)]
-        rows = certificates._TraceRows(f, g, x=f.x_star, L=run.L, sigma=run.sigma, u=u)
-    # Dual energies need psi*(0) = 0; a shifted DGF leaves the column empty.
-    elif run.method == "dual-amd" and not g.shifted:
-        th = run.theta
-        v = [run.L / (run.sigma * th.sq(th.N - i)) for i in range(th.N + 1)]
-        rows = certificates._TraceRows(f, g, x=steps[-1][0], L=run.L, sigma=run.sigma)
-    else:
-        rows = certificates._TraceRows(f, g, conj=dual)
-    norms, bound = [], None
+    x = None  # the energies' comparison point: x* for U_k, q_N for V_k, which needs psi*(0) = 0
+    if run.method == "amd" or (run.method == "dual-amd" and not g.shifted):
+        x = steps[-1][0] if dual else f.x_star
+    rows = certificates._TraceRows(f, g, conj=dual or x is not None, x=x, L=run.L, sigma=run.sigma)
+    bound = None
     for P, Y, G, M in certificates._windows(steps):
-        if not norms:
+        if not rows.f_vals:
             bound = bound_of(P[0])
         rows.add(P, Y, G, M)
-        norms += lp_norms(G[1 if norms else 0:], g.q).tolist()
-    n = len(norms)
-    energies = rows.energies or [None] * n  # U_k, built while an amd run steps
-    if v is not None:
-        energies = rows.dual_energies(v)
-    psi = rows.conj_vals if dual else [None] * n
-    return list(zip(range(n), rows.f_vals, norms, psi, energies, [bound] * n))
+    none = itertools.repeat(None)
+    energies = none if x is None else rows.energies(
+        methods._energy_weights(run.theta, run.L, run.sigma, dual), dual)
+    psi = rows.conj_vals if dual else none
+    return list(zip(range(len(rows.f_vals)), rows.f_vals, rows.norms, psi, energies, itertools.repeat(bound)))
 
 
 def _header(run, N, f, g, seed) -> list:
@@ -190,12 +181,15 @@ def cmd_run(args) -> int:
 
 
 def _data_lines(fh, header: list):
-    """The stripped data lines of a trace file, one at a time; its header lines go to header."""
+    """The stripped data lines of a trace file, one at a time; its header lines go to header,
+    one below a row (run writes none there) after a None, which the header check refuses."""
+    below = False
     for ln in fh:
         ln = ln.strip()
         if ln.startswith(("#", "k,")):
-            header.append(ln)
+            header += [None, ln] if below else [ln]
         elif ln:
+            below = True
             yield ln
 
 
@@ -247,7 +241,7 @@ def cmd_duality_check(args) -> int:
             raise UsageError(f"--N at most MAX_N = {MAX_N} is required with the amd keyword")
         th = methods.theta_sequence(args.N)
         s = methods._amd_schedule(th, L, sigma)
-        u = [(sigma / L) * th.sq(i) for i in range(args.N + 1)]
+        u = methods._energy_weights(th, L, sigma, False)
     else:
         s = cfom.load_schedule(args.schedule)
         u = np.cumsum(np.random.default_rng(args.seed).uniform(0.1, 1.0, s.N + 1)).tolist()

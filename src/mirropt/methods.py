@@ -179,6 +179,12 @@ def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[f
     return L, sigma
 
 
+def _energy_weights(th: ThetaSequence, L: float, sigma: float, dual: bool) -> list:
+    """AMD's energy weights over th = theta_sequence(N), i = 0..N: u_i = (sigma / L) theta_i^2
+    for U_k or, when dual, v_i = L / (sigma theta_{N-i}^2) for dual-AMD's V_k."""
+    return [L / (sigma * th.sq(th.N - i)) if dual else (sigma / L) * th.sq(i) for i in range(th.N + 1)]
+
+
 def _amd_steps(grad, conjugate_grad, y0: DualVector, th: ThetaSequence, step: float):
     """AMD's recurrence from y0 over th = theta_sequence(N), step = sigma / L: yields (x_k, y_k,
     grad f(x_k), grad phi*(y_k)) for k = 0..N, so it evaluates N + 1 gradients, at x_0 .. x_N.

@@ -217,6 +217,31 @@ def test_check_mirror_duality_rejects_nonpositive_u(u, monkeypatch):
         check_mirror_duality(amd_schedule(3, 1.0, 1.0), u, 1.0, 1.0, trials=5)
 
 
+_S3 = amd_schedule(3, 1.0, 1.0)
+_SC3 = GradientScenario(A=[np.ones(2)] * 4, B=[np.ones(2)] * 4)
+_U3 = [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_mirror_duality(_S3, _U3[:3], 1.0, 1.0, trials=5), "u must have length N\\+1"),
+    (lambda: check_mirror_duality(_S3, _U3, 1.0, 1.0, trials=5, v=_U3 + [5.0]), "v must have length N\\+1"),
+    (lambda: evaluate_U(_S3, _U3[:3], 1.0, 1.0, _SC3), "u must have length N\\+1"),
+    (lambda: evaluate_V(_S3, _U3 + [5.0], 1.0, 1.0, _SC3), "v must have length N\\+1"),
+    (lambda: duality_transform(_U3[:3], _SC3), "u must have length N\\+1"),
+    (lambda: inverse_duality_transform(_U3[:3], _SC3), "u must have length N\\+1"),
+    (lambda: inverse_duality_transform([1.0, 0.0, 3.0, 4.0], _SC3), "u must be positive"),
+    (lambda: inverse_duality_transform([1.0, -2.0, 3.0, 4.0], _SC3), "u must be positive"),
+    (lambda: duality_transform([1.0, math.nan, 3.0, 4.0], _SC3), "u must be positive"),
+    (lambda: check_mirror_duality(_S3, [1.0, math.nan, 3.0, 4.0], 1.0, 1.0, trials=5), "u must be positive"),
+], ids=["check-u", "check-v", "evaluate-U", "evaluate-V", "transform", "inverse", "inverse-zero",
+        "inverse-negative", "transform-nan", "check-nan"])
+def test_duality_api_checks_its_weights(call, message):
+    """The duality API reads u and v as the energy traces do, N + 1 of them, named,
+    and the inverse transform refuses the u the forward transform refuses."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10_000))
 def test_duality_identity_random_schedules(N, seed):

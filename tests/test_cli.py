@@ -162,7 +162,10 @@ def _replace(old, new):
      "'k,f,grad_norm_q,psi_conj_r,bound,energy' where run writes 'k,f,grad_norm_q,psi_conj_r,energy,bound'"),
     # The header is checked before the row count: a cut last row does not make this exit 1.
     (lambda lines: _replace("# N=20", "# N=19")(lines)[:-1], "'# N=19' where run writes '# N=20'"),
-], ids=["method", "L", "p", "missing-L", "no-header", "extra-line", "columns", "before-row-count"])
+    # run writes the header above the rows: below them it does not certify.
+    (lambda lines: lines[7:] + lines[:7], "None where run writes '# method=amd'"),
+], ids=["method", "L", "p", "missing-L", "no-header", "extra-line", "columns", "before-row-count",
+        "below-rows"])
 def test_certify_checks_the_header(tmp_path, capsys, edit, named):
     """certify exits 2 on a trace of an amd run (L = 4, p = 2) whose header has a line
     changed, missing or added against the lines run writes for the config, and names it."""

@@ -15,7 +15,7 @@ import pytest
 from mirropt import certificates, cli, methods
 from mirropt.cfom import run_cfom, run_mirror_dual
 from mirropt.dgf import DGF, squared_lp
-from mirropt.objectives import DenseQuadratic, DiagQuadratic
+from mirropt.objectives import DenseQuadratic, DiagQuadratic, LogSumExp
 from mirropt.spaces import lp_norm, lp_norms, pairing, pairings
 
 DIM = 5
@@ -124,13 +124,17 @@ def ref_trace_rows(run, f, g):
 def _objective(kind, p, rng):
     if kind == "diag":
         return DiagQuadratic(d=rng.uniform(0.2, 4.0, DIM), b=rng.standard_normal(DIM), norm_p=p)
+    if kind == "lse":
+        return LogSumExp(r=0.5, n=DIM)
     M = rng.standard_normal((DIM, DIM))
     return DenseQuadratic(A=M @ M.T / DIM, b=rng.standard_normal(DIM))
 
 
 # (objective kind, p, shifted DGF); dense-quadratic declares L for p = 2 only.
-SETUPS = [("diag", 2.0, False), ("diag", 1.5, False), ("diag", 2.0, True), ("diag", 1.5, True),
-          ("dense", 2.0, False), ("dense", 2.0, True)]
+ENERGY_SETUPS = [("diag", 2.0, False), ("diag", 1.5, False), ("diag", 2.0, True), ("diag", 1.5, True),
+                 ("dense", 2.0, False), ("dense", 2.0, True)]
+# Log-sum-exp has no x* or f*: amd rows with no energy or bound, dual-amd's V_k with no bound.
+SETUPS = ENERGY_SETUPS + [("lse", 2.0, False), ("lse", 1.5, True)]
 # Below, at (N + 1 = 16 rows, N = 16 steps) and above one block of 16.
 HORIZONS = [5, 15, 16, 40]
 BLOCKS = [certificates.ROW_BLOCK, 1, 7]
@@ -225,7 +229,7 @@ def _schedule_trajectories(kind, p, shifted, N, seed):
     return run_cfom(s, f, g, start), run_mirror_dual(s, f, g, start), f, g
 
 
-@pytest.mark.parametrize("kind, p, shifted", SETUPS)
+@pytest.mark.parametrize("kind, p, shifted", ENERGY_SETUPS)
 def test_energy_traces_equal_per_row_reference(kind, p, shifted, monkeypatch):
     for N in HORIZONS:
         primal, dual, f, g = _schedule_trajectories(kind, p, shifted, N, seed=100 + N)
