@@ -55,6 +55,7 @@ TRIAL_BLOCK = 1024
 # Trajectory rows stacked and evaluated together by the energy traces and
 # the CLI trace rows, so that their memory is bounded by the block, whatever N.
 ROW_BLOCK = 16
+LAST = object()  # the comparison point of _TraceRows when it is the run's last point (V_k's q_N)
 
 
 def _windows(steps):
@@ -136,24 +137,25 @@ class EnergyTrace:
 
 
 class _TraceRows:
-    """A run's row values, read window by window (_windows) with no row kept,
-    into float64 columns: per row, f at the points p_k, ||grad f(p_k)||_q and,
-    when conj, the conjugate DGF at the duals d_k ((x_k, y_k) or (q_k, r_k)).
-    Given a comparison point x, also what the energies read, with L and sigma
+    """A run's row values, read window by window (_windows), into float64
+    columns: per row, f at the points p_k, ||grad f(p_k)||_q and, when conj,
+    the conjugate DGF at the duals d_k ((x_k, y_k) or (q_k, r_k)).  Given a
+    float64 comparison point x, also what the energies read, with L and sigma
     checked as the runners check them: f(x) and <d_0, x> once,
     pair_x[k] = <grad f(p_k), x - p_k> per row and, per step k -> k+1, the
-    brackets coco_f and coco_conj.
+    brackets coco_f and coco_conj.  No row is kept unless x is LAST, the last
+    row's point: the points and gradients are then copied, O(N d), and f(x) and
+    pair_x computed from them once it comes (not <d_0, x>: V_k does not read it).
     """
 
     def __init__(self, f: SmoothObjective, g: DGF, conj: bool = True, x: Optional[Vector] = None,
                  L: Optional[float] = None, sigma: Optional[float] = None):
         if x is not None:
             L, sigma = _constants(f, g, L, sigma)
-            x = np.asarray(x, dtype=np.float64)
-            self.fx = f.value(x)
+            self.fx = None if x is LAST else f.value(x)
         self.f, self.g, self.conj, self.x, self.L, self.sigma = f, g, conj, x, L, sigma
-        self.f_vals, self.norms, self.conj_vals, self.pair_x, self.coco_f, self.coco_conj = (
-            array("d") for _ in range(6))
+        self.f_vals, self.norms, self.conj_vals, self.pair_x, self.coco_f, self.coco_conj, *self.kept = (
+            array("d") for _ in range(8))
 
     def add(self, P, Y, G, M) -> None:
         """Read the next window: stacks of points, duals, grad f at the points
@@ -166,9 +168,13 @@ class _TraceRows:
             self.conj_vals.extend(g.conjugate_values(Y[new:]).tolist())
         if x is None:
             return
-        if not new:
-            self.y0x = pairing(Y[0], x)
-        self.pair_x.extend(pairings(G[new:], x - P[new:]).tolist())
+        if x is LAST:
+            for kept, rows in zip(self.kept, (P, G)):
+                kept.frombytes(rows[new:].tobytes())  # a copy: the window is refilled in place
+        else:
+            if not new:
+                self.y0x = pairing(Y[0], x)
+            self.pair_x.extend(pairings(G[new:], x - P[new:]).tolist())
         # <grad f(p_{k+1}), p_k - p_{k+1}> and ||grad f(p_k) - grad f(p_{k+1})||_q.
         pair_f = pairings(G[1:], P[:-1] - P[1:]).tolist()
         norm_f = lp_norms(G[:-1] - G[1:], g.q).tolist()
@@ -181,9 +187,9 @@ class _TraceRows:
             self.coco_f.append(fv[k] - fv[k + 1] - pair_f[j] - norm_f[j] ** 2 / (2.0 * self.L))
             self.coco_conj.append(cv[k] - cv[k + 1] - pair_c[j] - self.sigma / 2.0 * norm_c[j] ** 2)
 
-    def energies(self, w: List[float], dual: bool, decrements: Optional[list] = None) -> List[float]:
-        """The energies once every window is read: U_0 .. U_N with w = u or, when
-        dual, V_0 .. V_N with w = v and x = q_N.  They start from
+    def energies(self, w: List[float], dual: bool, decrements: Optional[list] = None) -> array:
+        """The energies, a float64 column, once every window is read: U_0 .. U_N
+        with w = u or, when dual, V_0 .. V_N with w = v and x = q_N.  They start from
 
             U_0 = phi(x) + phi*(y_0) - <y_0, x> - u_0 D_f(x, x_0),   V_0 = v_0 (f(q_0) - f(q_N)),
 
@@ -191,9 +197,13 @@ class _TraceRows:
         coco_conj, with (j, i) = (k+1, k) for U and (k, k+1) for V: each step of
         V is the step of U mirrored.  The labelled decrements go to decrements
         when it is a list."""
+        if self.x is LAST:
+            P, G = (np.frombuffer(kept).reshape(len(self.f_vals), -1) for kept in self.kept)
+            self.x, self.fx = P[-1].copy(), self.f.value(P[-1])
+            self.pair_x.frombytes(pairings(G, np.subtract(self.x, P, out=P)).tobytes())
         fx, fv, px = self.fx, self.f_vals, self.pair_x
-        energies = [w[0] * (fv[0] - fx) if dual else
-                    self.g.value(self.x) + self.conj_vals[0] - self.y0x - w[0] * (fx - fv[0] - px[0])]
+        energies = array("d", [w[0] * (fv[0] - fx) if dual else
+                               self.g.value(self.x) + self.conj_vals[0] - self.y0x - w[0] * (fx - fv[0] - px[0])])
         for k, (coco_f, coco_conj) in enumerate(zip(self.coco_f, self.coco_conj)):
             j, i = (k, k + 1) if dual else (k + 1, k)
             cvx = fx - fv[j] - px[j]  # D_f(x, p_j)
@@ -238,8 +248,8 @@ def primal_energy_trace(
     """
     N = len(traj.xs) - 1
     u = _weights(u, N + 1, "u")
-    rows, decrements = _TraceRows(f, g, x=x, L=L, sigma=sigma), []
-    for window in _windows(zip(traj.xs, traj.ys, traj.f_grads, traj.mirrors)):
+    rows, decrements = _TraceRows(f, g, x=np.asarray(x, dtype=np.float64), L=L, sigma=sigma), []
+    for window in _windows(zip(traj.xs, traj.ys, traj.f_grads, traj.mirrors, strict=True)):
         rows.add(*window)
     energies = rows.energies(u, False, decrements)
     x, fx, f_vals, phi_conj = rows.x, rows.fx, rows.f_vals.tolist(), rows.conj_vals.tolist()
@@ -257,7 +267,7 @@ def primal_energy_trace(
         "U_A": energies[N] - value_term - fenchel - pairing(pairing_vec, x),
         "certified_bound": (g.value(x) + phi_conj[0] - rows.y0x) / u[N],
     }
-    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
+    return EnergyTrace(energies=energies.tolist(), decrements=decrements, final_terms=final_terms,
                        f_values=f_vals, conjugate_values=phi_conj)
 
 
@@ -278,8 +288,8 @@ def dual_energy_trace(
         raise ValueError("dual energies require an unshifted DGF (psi*(0) = 0)")
     N = len(traj.qs) - 1
     v = _weights(v, N + 1, "v")
-    rows, decrements = _TraceRows(f, g, x=traj.qs[N], L=L, sigma=sigma), []
-    for window in _windows(zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors)):
+    rows, decrements = _TraceRows(f, g, x=LAST, L=L, sigma=sigma), []
+    for window in _windows(zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors, strict=True)):
         rows.add(*window)
     energies, psi_conj = rows.energies(v, True, decrements), rows.conj_vals.tolist()
 
@@ -290,7 +300,7 @@ def dual_energy_trace(
         "V_B": energies[N] - psi_conj[N] - d_psi_conj_0_r0,
         "certified_bound": energies[0],
     }
-    return EnergyTrace(energies=energies, decrements=decrements, final_terms=final_terms,
+    return EnergyTrace(energies=energies.tolist(), decrements=decrements, final_terms=final_terms,
                        f_values=rows.f_vals.tolist(), conjugate_values=psi_conj)
 
 

@@ -9,10 +9,10 @@ Subcommands:
 
 `run` and `certify` set up each method through methods._start, the one
 place a run is set up, and evaluate the trace rows while it steps, on
-windows of certificates.ROW_BLOCK + 1 steps, into float64 columns that the
-energies are built from once it ends: for amd, md and dual-md they hold
-O(ROW_BLOCK d) vectors plus O(N) row scalars, whatever N.  dual-amd holds
-its steps as a list, O(N d), as its energies need its last point first.
+windows of certificates.ROW_BLOCK + 1 steps, into the float64 columns that
+are written, compared and judged: O(ROW_BLOCK d) vectors plus O(N) row
+scalars, whatever N, but on dual-amd, whose energies read its last point,
+copies of two of its families until that point comes, O(N d).
 
 `run` and `certify` judge a run by one rule (_verdict); every document
 is read through one boundary (_reading), where a malformed one is a
@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import sys
+from array import array
 
 import numpy as np
 
@@ -75,12 +76,10 @@ def _load_json(path: str):
 
 
 def _run_from_config(cfg: dict):
-    """Execute the configured method; returns (run, rows, f, g): its MethodRun,
-    with no trajectory, and its trace rows (_rows), evaluated while it steps.
-
-    dual-amd's steps are held as a list first: its energy V_0 = v_0 (f(q_0) -
-    f(q_N)) and every <grad f(q_k), q_N - q_k> need q_N.  The checks of N, L,
-    sigma and alpha are methods._start's."""
+    """Execute the configured method; returns (run, (cols, bound), f, g): its
+    MethodRun, with no trajectory, and its trace columns and bound (_rows),
+    evaluated while it steps, as on every method.  The checks of N, L, sigma
+    and alpha are methods._start's."""
     with _reading("config"):
         method = cfg["method"]
         if not isinstance(method, str) or method not in _METHODS:
@@ -95,8 +94,6 @@ def _run_from_config(cfg: dict):
         alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
         start = as_vector(cfg[key], key) if key in cfg else np.zeros(_dim(cfg))
     run, steps, bound_of = methods._start(method, f, g, start, N, alpha=alpha, L=L, sigma=sigma)
-    if method == "dual-amd":
-        steps = list(steps)
     return run, _rows(run, steps, bound_of, f, g), f, g
 
 
@@ -110,30 +107,32 @@ def _dim(cfg: dict) -> int:
 
 
 def _rows(run, steps, bound_of, f, g):
-    """Rows of (k, f, grad-q-norm, psi*(r_k) or None, energy or None, bound).
+    """The trace's value columns [f, grad-q-norm, psi*(r_k), energy], float64
+    (None where the run has none), and its bound, or None.
 
-    steps yields the run's (point, dual, grad f(point), mirror), k = 0..N (a
-    list on a dual-amd run, whose energies read q_N first); the rows are
-    evaluated on windows of ROW_BLOCK + 1 of them as they come
-    (certificates._windows), and bound_of gives the bound from the first
-    point.  Where the run has an energy trace, f and psi* are the values it is
-    built from, so each is evaluated once per row.
+    steps yields the run's (point, dual, grad f(point), mirror), k = 0..N; the
+    rows are evaluated on windows of ROW_BLOCK + 1 of them as they come
+    (certificates._windows), and bound_of gives the bound from the first point.
+    f and psi* are the values any energies are built from: one of each a row.
     """
     dual = run.method.startswith("dual")
     x = None  # the energies' comparison point: x* for U_k, q_N for V_k, which needs psi*(0) = 0
     if run.method == "amd" or (run.method == "dual-amd" and not g.shifted):
-        x = steps[-1][0] if dual else f.x_star
+        x = certificates.LAST if dual else f.x_star
     rows = certificates._TraceRows(f, g, conj=dual or x is not None, x=x, L=run.L, sigma=run.sigma)
     bound = None
     for P, Y, G, M in certificates._windows(steps):
         if not rows.f_vals:
             bound = bound_of(P[0])
         rows.add(P, Y, G, M)
-    none = itertools.repeat(None)
-    energies = none if x is None else rows.energies(
+    energies = None if x is None else rows.energies(
         methods._energy_weights(run.theta, run.L, run.sigma, dual), dual)
-    psi = rows.conj_vals if dual else none
-    return list(zip(range(len(rows.f_vals)), rows.f_vals, rows.norms, psi, energies, itertools.repeat(bound)))
+    return [rows.f_vals, rows.norms, rows.conj_vals if dual else None, energies], bound
+
+
+def _cells(cols, bound):
+    """The trace rows' cells, k first and the bound last, one row at a time."""
+    return zip(itertools.count(), *(itertools.repeat(c) if c is None else c for c in cols), itertools.repeat(bound))
 
 
 def _header(run, N, f, g, seed) -> list:
@@ -143,38 +142,36 @@ def _header(run, N, f, g, seed) -> list:
             f"# p={_fmt(g.p)}", f"# seed={seed}", "k,f,grad_norm_q,psi_conj_r,energy,bound"]
 
 
-def _write_trace(path, run, rows, f, g, seed):
+def _write_trace(path, run, cols, bound, f, g, seed):
     with open(path, "w") as fh:
-        fh.write("\n".join(_header(run, len(rows) - 1, f, g, seed)) + "\n")
-        for k, fv, gn, pc, en, bd in rows:
-            fh.write(f"{k},{_fmt(fv)},{_fmt(gn)},{_fmt(pc)},{_fmt(en)},{_fmt(bd)}\n")
+        fh.write("\n".join(_header(run, len(cols[0]) - 1, f, g, seed)) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in _cells(cols, bound))
 
 
-def _verdict(rows, f_star) -> int:
-    """The one judgment of a run, on trace rows as `run` writes them: 4 at a
-    non-finite value; 2 at an energy increase past BOUND_SLACK or a final
-    value (psi*(r_N), or f(x_N) - f_star) above the bound, reported on stderr."""
-    cols = list(zip(*rows))
-    finite = np.isfinite(np.array([c for c in cols if c[0] is not None], dtype=np.float64)).all(axis=0)
+def _verdict(cols, bound, f_star) -> int:
+    """The one judgment of a run, on its value columns (_rows) and bound, reported
+    on stderr: 4 at a non-finite value (a bound's at k=0); 2 at an energy increase
+    past BOUND_SLACK or a final value (psi*(r_N), or f(x_N) - f_star) above the bound."""
+    f_vals, _, psi, energies = cols
+    finite = np.isfinite(np.array([c for c in cols if c is not None])).all(axis=0) & math.isfinite(bound or 0)
     if not finite.all():
         print(f"numerical failure: non-finite trace value at k={np.argmin(finite)}", file=sys.stderr)
         return 4
-    energies = np.array(cols[4], dtype=np.float64)  # all nan, never increasing, when absent
+    energies = np.asarray(energies if energies is not None else [])  # never increasing when absent
     rises = np.flatnonzero(energies[1:] > energies[:-1] + BOUND_SLACK)
     if rises.size:
         print(f"energy increased at k={rises[0] + 1}", file=sys.stderr)
         return 2
-    _, f_N, _, psi_N, _, bound = rows[-1]
-    if bound is not None and (f_N - f_star if psi_N is None else psi_N) > bound + BOUND_SLACK:
+    if bound is not None and (f_vals[-1] - f_star if psi is None else psi[-1]) > bound + BOUND_SLACK:
         print("certified bound violated", file=sys.stderr)
         return 2
     return 0
 
 
 def cmd_run(args) -> int:
-    run, rows, f, g = _run_from_config(_load_json(args.config))
-    _write_trace(args.out, run, rows, f, g, args.seed)
-    code = _verdict(rows, f.f_star)
+    run, (cols, bound), f, g = _run_from_config(_load_json(args.config))
+    _write_trace(args.out, run, cols, bound, f, g, args.seed)
+    code = _verdict(cols, bound, f.f_star)
     if code == 0:
         print(f"wrote {args.out}")
     return code
@@ -194,25 +191,25 @@ def _data_lines(fh, header: list):
 
 
 def cmd_certify(args) -> int:
-    """Judge the recomputed rows as `run` does, then the file's rows once they match them.
+    """Judge the recomputed columns as `run` does, then the file's once they match them.
 
     The file is read line by line, twice: its header lines (each as `run` writes
-    them, the seed aside) and its row count are checked before any value."""
-    run, rows, f, g = _run_from_config(_load_json(args.config))
-    code = _verdict(rows, f.f_star)
+    them, the seed aside) and row count first, then each row into the file's columns."""
+    run, (cols, bound), f, g = _run_from_config(_load_json(args.config))
+    code = _verdict(cols, bound, f.f_star)
     if code:
         return code
-    file_rows, header = [], []
+    file_cols, header = [None if c is None else array("d") for c in cols], []
     with open(args.trace) as fh:
         count = sum(1 for _ in _data_lines(fh, header))
-        for line, want in itertools.zip_longest(header, _header(run, len(rows) - 1, f, g, "")):
+        for line, want in itertools.zip_longest(header, _header(run, len(cols[0]) - 1, f, g, "")):
             if line != want and not (want == "# seed=" and (line or "").startswith(want)):
                 print(f"trace header mismatch: {line!r} where run writes {want!r}", file=sys.stderr)
                 return 2
-        if count != len(rows):
+        if count != len(cols[0]):
             raise UsageError("trace row count does not match config")
         fh.seek(0)
-        for ln, row in zip(_data_lines(fh, []), rows):
+        for ln, row in zip(_data_lines(fh, []), _cells(cols, bound)):
             parts = ln.split(",")
             if len(parts) != len(row):
                 raise UsageError(f"trace row has {len(parts)} columns, expected {len(row)}")
@@ -225,8 +222,10 @@ def cmd_certify(args) -> int:
                 if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
                     print(f"trace mismatch at k={row[0]}", file=sys.stderr)
                     return 2
-            file_rows.append(vals)
-    code = _verdict(file_rows, f.f_star)
+            for col, got in zip(file_cols, vals[1:5]):
+                if col is not None:
+                    col.append(got)
+    code = _verdict(file_cols, vals[5], f.f_star)  # the bound of the file's last row
     if code == 0:
         print("trace certified")
     return code

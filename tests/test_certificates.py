@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirropt import certificates
-from mirropt.cfom import anti_transpose
+from mirropt.cfom import DualTrajectory, Trajectory, anti_transpose
 from mirropt.certificates import (
     GradientScenario,
     check_mirror_duality,
@@ -114,6 +114,21 @@ def test_energy_traces_refuse_what_the_runners_refuse(rng, bad):
             primal_energy_trace(primal.traj, f.x_star, u, f, g, **constants)
         with pytest.raises(ValueError, match="L and sigma must be positive and finite"):
             dual_energy_trace(dual.dual_traj, v, f, g, **constants)
+
+
+def test_energy_traces_refuse_families_of_different_lengths(rng):
+    """A run whose four families differ in length is refused, neither indexed past its end
+    nor cut to its shortest family."""
+    f, g = _quadratic(rng), euclidean()
+    primal, dual = run_amd(f, g, rng.standard_normal(5), 6), run_dual_amd(f, g, rng.standard_normal(5), 6)
+    u, v = _amd_weights(6, f.L, g.sigma)
+    tr, dt = primal.traj, dual.dual_traj
+    with pytest.raises(ValueError):
+        primal_energy_trace(Trajectory(tr.xs, tr.ys[:-1], tr.f_grads, tr.mirrors), f.x_star, u, f, g)
+    with pytest.raises(ValueError):
+        dual_energy_trace(DualTrajectory(dt.qs, dt.rs, dt.f_grads[:-1], dt.mirrors), v, f, g)
+    with pytest.raises(ValueError):
+        dual_energy_trace(DualTrajectory(dt.qs[:-1], dt.rs, dt.f_grads, dt.mirrors), v[:-1], f, g)
 
 
 def test_evaluate_u_zero_scenario(rng):

@@ -116,6 +116,27 @@ def test_dual_amd_shifted_dgf_trace_certifies(tmp_path):
     assert main(["certify", "--trace", str(out), "--config", cfg]) == 0
 
 
+def test_certify_judges_the_file_s_own_values(tmp_path, capsys):
+    """Two neighbouring energies on a plateau of a long AMD run, nudged apart by
+    4e-10 of their value, stay within certify's 1e-9 relative tolerance of the
+    recomputed ones but rise by more than BOUND_SLACK: certify, which judges the
+    file's values as well as the run's, exits 2."""
+    doc = dict(AMD_CONFIG, objective={"kind": "diag-quadratic", "d": [1.0, 4.0], "b": [0.3, -0.2]},
+               N=400, y0=[30.0, -20.0])
+    cfg, out = _write(tmp_path / "cfg.json", doc), tmp_path / "trace.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    j = lines.index(next(ln for ln in lines if ln.startswith("300,")))
+    cells = [lines[i].split(",") for i in (j, j + 1)]
+    assert cells[0][4] == cells[1][4] and float(cells[0][4]) > 10.0  # on the plateau
+    for i, row, scale in zip((j, j + 1), cells, (1.0 - 4e-10, 1.0 + 4e-10)):
+        row[4] = format(float(row[4]) * scale, ".17g")
+        lines[i] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["certify", "--trace", str(out), "--config", cfg]) == 2
+    assert "energy increased at k=301" in capsys.readouterr().err
+
+
 def _trace_with_row(tmp_path, edit):
     """A certified AMD trace whose last data row is replaced by edit(its cells)."""
     cfg = _write(tmp_path / "cfg.json", AMD_CONFIG)
