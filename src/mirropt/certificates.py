@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, anti_transpose
+from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, mirror_dual_schedule
 from .dgf import DGF
 from .methods import _constants
 from .objectives import SmoothObjective
@@ -55,7 +55,7 @@ TRIAL_BLOCK = 1024
 # Trajectory rows stacked and evaluated together by the energy traces and
 # the CLI trace rows, so that their memory is bounded by the block, whatever N.
 ROW_BLOCK = 16
-LAST = object()  # the comparison point of _TraceRows when it is the run's last point (V_k's q_N)
+LAST = object()  # _TraceRows' x for the last point of a run read as it steps (cli's dual-amd q_N)
 
 
 def _windows(steps):
@@ -144,8 +144,9 @@ class _TraceRows:
     checked as the runners check them: f(x) and <d_0, x> once,
     pair_x[k] = <grad f(p_k), x - p_k> per row and, per step k -> k+1, the
     brackets coco_f and coco_conj.  No row is kept unless x is LAST, the last
-    row's point: the points and gradients are then copied, O(N d), and f(x) and
-    pair_x computed from them once it comes (not <d_0, x>: V_k does not read it).
+    point of a run read as it steps: points and gradients are then copied,
+    O(N d), and f(x) and pair_x computed from them once it comes (V_k reads
+    no <d_0, x>).  dual_energy_trace, whose run is whole, passes its q_N.
     """
 
     def __init__(self, f: SmoothObjective, g: DGF, conj: bool = True, x: Optional[Vector] = None,
@@ -288,7 +289,7 @@ def dual_energy_trace(
         raise ValueError("dual energies require an unshifted DGF (psi*(0) = 0)")
     N = len(traj.qs) - 1
     v = _weights(v, N + 1, "v")
-    rows, decrements = _TraceRows(f, g, x=LAST, L=L, sigma=sigma), []
+    rows, decrements = _TraceRows(f, g, x=np.asarray(traj.qs[N], dtype=np.float64), L=L, sigma=sigma), []
     for window in _windows(zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors, strict=True)):
         rows.add(*window)
     energies, psi_conj = rows.energies(v, True, decrements), rows.conj_vals.tolist()
@@ -340,7 +341,8 @@ class _Stacked:
 
     What depends only on the schedule, the weights and the norm is built
     once, here, for every block of families: the weight arrays, the steps
-    of v, and the mirror dual of s read as stored.  u serves U_A, v V_B.
+    of v, and mirror_dual_schedule(s), the transform dualize writes, read as
+    stored.  u serves U_A, v V_B.
     """
 
     def __init__(self, s: CoefficientSchedule, L: float, sigma: float, norm: Optional[NormIndex],
@@ -352,9 +354,7 @@ class _Stacked:
         if v is not None:
             v = np.asarray(v, dtype=np.float64)
             self.v, self.v_col, self.dv_col = v[1:], v[1:, None], np.diff(v)[:, None]
-            # The mirror dual of s: r_{k-1} - r_k = (b_dual @ C)_k and
-            # q_k - q_{k+1} = (a_dual[1:] @ D)_k.
-            self.a_dual, self.b_dual = anti_transpose(s.a)[1:], anti_transpose(s.b)
+            self.dual = mirror_dual_schedule(s)  # r_{k-1} - r_k = (b @ C)_k, q_k - q_{k+1} = (a[1:] @ D)_k
 
     def U(self, A: np.ndarray, B: np.ndarray):
         """U_A(A, B), with what the bijection and V_B reuse: (U_A, uA, nB) where
@@ -378,8 +378,8 @@ class _Stacked:
         bracket = self.v_col * C[..., 1:, :] - (self.dv_col * C[..., :-1, :]).cumsum(axis=-2)
         return (_sq_norms(C[..., 1:, :] - C[..., :-1, :], self.q) @ self.v / (2.0 * self.L)
                 + self.sigma / 2.0 * np.add.reduce(nD, axis=-1)
-                + np.add.reduce((self.b_dual @ C) * D, axis=(-2, -1))
-                + np.add.reduce(bracket * (self.a_dual @ D), axis=(-2, -1)))
+                + np.add.reduce((self.dual.b @ C) * D, axis=(-2, -1))
+                + np.add.reduce(bracket * (self.dual.a[1:] @ D), axis=(-2, -1)))
 
 
 def evaluate_U(

@@ -15,7 +15,7 @@ evaluate their trace rows while the steps come.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -44,20 +44,23 @@ class ThetaSequence:
     """Nesterov-type scalars with theta_i^2 - theta_i = theta_{i-1}^2.
 
     theta_j = 0 for every j <= -1, theta_0 = 1, and theta_N = theta_{N-1}.
-    Built by theta_sequence, a pure function with O(N) work per call.
+    Built by theta_sequence, a pure function with O(N) work per call.  The
+    squares are one table, _sq[j + 2] = theta_j^2 for j = -2..N, which
+    AMD's schedule and steps read, and dual-AMD's steps read reversed.
     """
 
     N: int
     values: np.ndarray  # theta_0 .. theta_N
+    _sq: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_sq", np.concatenate([np.zeros(2), np.square(self.values)]))
 
     def __getitem__(self, j: int) -> float:
-        if j <= -1:
-            return 0.0
-        return float(self.values[j])
+        return 0.0 if j <= -1 else float(self.values[j])
 
     def sq(self, j: int) -> float:
-        t = self[j]
-        return t * t
+        return 0.0 if j <= -1 else float(self._sq[j + 2])
 
 
 def theta_sequence(N: int) -> ThetaSequence:
@@ -191,24 +194,23 @@ def _amd_steps(grad, conjugate_grad, y0: DualVector, th: ThetaSequence, step: fl
 
     theta_N = theta_{N-1}.  Only the current step's vectors are held.
     """
-    N, vals = th.N, th.values
-    sq = [0.0] + (vals * vals).tolist()  # sq[j + 1] = theta_j^2, theta_{-1} = 0
+    sq = th._sq.tolist()  # sq[j + 2] = theta_j^2
     y = np.asarray(y0, dtype=np.float64)
     x = mirror = conjugate_grad(y)
-    for k in range(N):
+    for k in range(th.N):
         fg = grad(x)
         yield x, y, fg, mirror
-        y_next = np.multiply(step * (sq[k + 1] - sq[k]), fg)
+        sq_prev, sq_k, sq_next = sq[k + 1], sq[k + 2], sq[k + 3]  # theta_{k-1}^2, theta_k^2, theta_{k+1}^2
+        y_next = np.multiply(step * (sq_k - sq_prev), fg)
         np.subtract(y, y_next, out=y_next)
         y = _check_finite(y_next, "dual iterate y", k + 1)
         mirror_next = conjugate_grad(y)
-        # x_{k+1} from x_k and the mirrors, with theta_{k+1}^2 = sq[k + 2]
-        sq_next = sq[k + 2]
-        x_next = np.multiply(sq[k + 1] / sq_next, x)
-        t = np.multiply((sq_next - sq[k + 1]) / sq_next, mirror_next)
+        # x_{k+1} from x_k and the mirrors
+        x_next = np.multiply(sq_k / sq_next, x)
+        t = np.multiply((sq_next - sq_k) / sq_next, mirror_next)
         x_next += t
         np.subtract(mirror_next, mirror, out=t)
-        t *= (sq[k + 1] - sq[k]) / sq_next
+        t *= (sq_k - sq_prev) / sq_next
         x_next += t
         x, mirror = _check_finite(x_next, "primal iterate x", k + 1), mirror_next
     yield x, y, grad(x), mirror
@@ -233,10 +235,9 @@ def amd_schedule(N: int, L: float, sigma: float) -> CoefficientSchedule:
 
 def _amd_schedule(th: ThetaSequence, L: float, sigma: float) -> CoefficientSchedule:
     """amd_schedule over th = theta_sequence(N)."""
-    # sq[j + 2] = theta_j^2, with theta_j = 0 for j <= -1.  Entry k of the
-    # vectors below belongs to step k -> k+1, which fills row k + 1 of a and b.
-    N, vals = th.N, th.values
-    sq = np.concatenate([np.zeros(2), vals * vals])
+    # sq[j + 2] = theta_j^2.  Entry k of the vectors below belongs to
+    # step k -> k+1, which fills row k + 1 of a and b.
+    N, sq = th.N, th._sq
     k = np.arange(N)
     sq_km2, sq_km1, sq_k, sq_kp1 = sq[k], sq[k + 1], sq[k + 2], sq[k + 3]
     # b[k+1, s] for s < k: (1/theta_k^2 - 1/theta_{k+1}^2)(theta_{s-1}^2 - theta_{s-2}^2),
@@ -259,9 +260,8 @@ def _dual_amd_steps(grad, conjugate_grad, q0: PrimalVector, fg0: DualVector, th:
 
     Only the current step's vectors are held.
     """
-    # w[i] = theta_{N-i}^2, with theta_j = 0 for j <= -1.
-    N, vals = th.N, th.values
-    w = (vals * vals)[::-1].tolist() + [0.0, 0.0, 0.0]
+    # w[i] = theta_{N-i}^2 for i = 0..N + 2: AMD's table reversed.
+    N, w = th.N, th._sq[::-1].tolist()
     q, fg = q0, fg0
     r = (w[0] - w[2]) / w[0] * fg
     gk = fg / w[1]

@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 MARGINAL_TOL = 1e-12
-FEASIBILITY_TOL = 1e-10
 DEFAULT_EVAL_CAP = 2 ** 20
 _TINY = np.finfo(np.float64).tiny
 # exp(-x) is a normal float for every x <= _LOG_TINY (about 708.4).

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirropt import certificates
-from mirropt.cfom import DualTrajectory, Trajectory, anti_transpose
+from mirropt.cfom import CoefficientSchedule, DualTrajectory, Trajectory, anti_transpose, mirror_dual_schedule
 from mirropt.certificates import (
     GradientScenario,
     check_mirror_duality,
@@ -23,7 +23,7 @@ from mirropt.methods import amd_schedule, run_amd, run_dual_amd, theta_sequence
 from mirropt.objectives import DiagQuadratic
 from mirropt.spaces import NormIndex
 
-from conftest import random_schedule
+from conftest import random_schedule, random_valid_schedule
 
 
 def _quadratic(rng, n=5, p=2.0):
@@ -274,6 +274,28 @@ def test_duality_identity_amd():
     rep = check_mirror_duality(s, u, L, sigma, trials=200, dim=6, seed=0)
     assert rep.ok
     assert rep.max_residual <= 1e-9
+
+
+def test_duality_check_samples_the_shipped_transform(monkeypatch):
+    """check_mirror_duality certifies mirror_dual_schedule, the transform that
+    dualize writes: with it replaced by the true dual whose b is scaled by 1.1,
+    the check fails on an AMD schedule and on a random valid one."""
+    N, L, sigma = 12, 2.0, 1.0
+    u_amd, _ = _amd_weights(N, L, sigma)
+    rng = np.random.default_rng(9)
+    cases = [(amd_schedule(N, L, sigma), u_amd),
+             (random_valid_schedule(N, rng), np.cumsum(rng.uniform(0.1, 1.0, N + 1)).tolist())]
+
+    def scaled_dual(s):
+        d = mirror_dual_schedule(s)
+        return CoefficientSchedule(N=d.N, a=d.a, b=1.1 * d.b)
+
+    for s, u in cases:
+        assert check_mirror_duality(s, u, L, sigma, trials=20, dim=3, seed=1).ok
+    monkeypatch.setattr(certificates, "mirror_dual_schedule", scaled_dual)
+    for s, u in cases:
+        rep = check_mirror_duality(s, u, L, sigma, trials=20, dim=3, seed=1)
+        assert len(rep.failures) == 20, rep.max_residual
 
 
 @pytest.mark.parametrize("trials, dim", [(0, 4), (-2, 4), (5, 0)])

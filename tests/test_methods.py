@@ -47,6 +47,13 @@ def test_theta_last_repeats_and_recursion():
             assert th[i] >= (i + 2) / 2.0
 
 
+@pytest.mark.parametrize("N", [1, 5])
+def test_theta_sq_is_zero_below_the_start(N):
+    """theta_j^2 = 0 for every j <= -1, not only for the table's two leading zeros."""
+    th = theta_sequence(N)
+    assert [th.sq(j) for j in (-1, -2, -3, -10)] == [0.0] * 4
+
+
 def test_theta_rejects_n_zero():
     with pytest.raises(ValueError):
         theta_sequence(0)
