@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .dgf import DGF
+from .dgf import DGF, _identity
 from .objectives import SmoothObjective
 from .spaces import DualVector, PrimalVector, Vector, _json_int, _json_number
 
@@ -155,7 +155,8 @@ _Rows = Union[List[Vector], np.ndarray]
 @dataclass
 class Trajectory:
     """Primal CFOM run: iterates plus the cached oracle outputs.  Each family
-    is a list, or the executor's (N+1, d) array; either is read by row."""
+    is a list, or the executor's (N+1, d) array; either is read by row.  For an
+    unshifted p = 2 DGF mirrors is ys's storage, equal in value to conjugate_grad."""
 
     xs: _Rows       # x_0 .. x_N
     ys: _Rows       # y_0 .. y_N
@@ -166,7 +167,8 @@ class Trajectory:
 @dataclass
 class DualTrajectory:
     """Mirror-dual run: q/r iterates plus cached oracle outputs.  Each family
-    is a list, or the executor's (N+1, d) array; either is read by row."""
+    is a list, or the executor's (N+1, d) array; either is read by row.  For an
+    unshifted p = 2 DGF mirrors is rs's storage, equal in value to conjugate_grad."""
 
     qs: _Rows       # q_0 .. q_N
     rs: _Rows       # r_0 .. r_N
@@ -220,22 +222,26 @@ def _run_coupled(s: CoefficientSchedule, F, G, u0: Vector, u_label: str, w_label
 
     The sums are dense row products, or O(d) generator-form updates when
     s carries its tail factors.  Returns the (N+1, d) arrays of u, w, F(u)
-    and G(w).
+    and G(w); when F (or G) is the identity of DGF._mirror_map, F(u) is the
+    array of u itself (G(w) that of w), and no step calls it.
     """
     N = s.N
     u0 = np.asarray(u0, dtype=np.float64)
     F0 = np.asarray(F(u0), dtype=np.float64)
-    U, GW = np.empty((N + 1,) + u0.shape), np.empty((N + 1,) + u0.shape)
-    W, FU = np.empty((N + 1,) + F0.shape), np.empty((N + 1,) + F0.shape)
+    U, W = np.empty((N + 1,) + u0.shape), np.empty((N + 1,) + F0.shape)
+    FU = U if F is _identity else np.empty_like(W)
+    GW = W if G is _identity else np.empty_like(U)
     U[0], FU[0] = u0, F0
     W[0] = -s.b[0, 0] * F0
     GW[0] = G(W[0])
     step_u, step_w = (_dense_steps if s.tail is None else _generator_steps)(s, FU, GW)
     for k in range(N):
         _check_finite(np.subtract(U[k], step_u(k), out=U[k + 1]), u_label, k + 1)
-        FU[k + 1] = F(U[k + 1])
+        if FU is not U:
+            FU[k + 1] = F(U[k + 1])
         _check_finite(np.subtract(W[k], step_w(k), out=W[k + 1]), w_label, k + 1)
-        GW[k + 1] = G(W[k + 1])
+        if GW is not W:
+            GW[k + 1] = G(W[k + 1])
     return U, W, FU, GW
 
 
@@ -249,10 +255,10 @@ def run_cfom(
 
     x0 = -b[0, 0] grad phi*(y0), which is grad phi*(y0) under the primal
     b[0, 0] = -1 convention.  Each family of the trajectory is one (N+1, d)
-    array, row k its k-th vector.
+    array, row k its k-th vector; for an unshifted p = 2 DGF mirrors is ys.
     """
     ys, xs, mirrors, f_grads = _run_coupled(
-        s, g.conjugate_grad, f.grad, y0, "dual iterate y", "primal iterate x")
+        s, g._mirror_map, f.grad, y0, "dual iterate y", "primal iterate x")
     return Trajectory(xs=xs, ys=ys, f_grads=f_grads, mirrors=mirrors)
 
 
@@ -285,9 +291,9 @@ def run_dual_cfom(
 ) -> DualTrajectory:
     """Execute a dual-form schedule directly: coefficients read as stored,
     r_0 = -b[0, 0] grad f(q_0).  The primal executor with the oracles swapped,
-    its families (N+1, d) arrays as well."""
+    its families (N+1, d) arrays as well; mirrors is rs for an unshifted p = 2 DGF."""
     qs, rs, f_grads, mirrors = _run_coupled(
-        s_dual, f.grad, g.conjugate_grad, q0, "primal iterate q", "dual iterate r")
+        s_dual, f.grad, g._mirror_map, q0, "primal iterate q", "dual iterate r")
     return DualTrajectory(qs=qs, rs=rs, f_grads=f_grads, mirrors=mirrors)
 
 

@@ -47,6 +47,11 @@ def _norm_power_map(z: Vector, r: float) -> Vector:
     return np.ldexp(out, e) if e else out
 
 
+def _identity(y: DualVector) -> PrimalVector:
+    """grad phi* of an unshifted p = 2 DGF as the runners step it: y itself, no copy."""
+    return y
+
+
 @dataclass(frozen=True)
 class DGF:
     """Bundle of phi, phi*, grad phi, grad phi* with shift x0 and modulus sigma."""
@@ -81,6 +86,13 @@ class DGF:
         if self.p == 2.0:
             return "shifted-euclidean" if self.shifted else "euclidean"
         return "shifted-squared-lp" if self.shifted else "squared-lp"
+
+    @property
+    def _mirror_map(self):
+        """grad phi* as every runner and executor steps it: for an unshifted p = 2 DGF
+        the identity, so a run's mirror family is its dual family's storage, equal in
+        value to conjugate_grad (a -0.0 stays -0.0); conjugate_grad otherwise."""
+        return _identity if self.kind == "euclidean" else self.conjugate_grad
 
     def _shift(self, x: Vector) -> Vector:
         return x if self.x0 is None else x - self.x0
@@ -122,6 +134,8 @@ class DGF:
         also where ||y||_2^2 underflows (every |y_i| below about 1e-162):
         the general formula, at any q, rescales a y whose ||y||_q under- or
         overflows by a power of two (the map is 1-homogeneous).
+        It returns a new array; the runners step an unshifted p = 2 DGF with
+        _mirror_map instead, whose mirror family is the dual family's storage.
         """
         y = np.asarray(y, dtype=np.float64)
         out = y + 0.0 if self.p == 2.0 else _norm_power_map(y, self.q)

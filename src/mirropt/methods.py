@@ -127,20 +127,19 @@ class MethodRun:
         return self.traj.xs[-1]
 
 
-def _md_loop(F, G, alpha: float, u0: Vector, N: int, u_label: str):
+def _md_loop(F, G, alpha: float, u: Vector, N: int, u_label: str):
     """The one recurrence behind MD and its mirror dual:
 
         u_{k+1} = u_k - alpha G(w_k),   w_{k+1} = F(u_{k+1}),   w_0 = F(u_0).
 
     MD runs it with (F, G) = (grad phi*, grad f), dual-MD with
-    (grad f, grad psi*).  Yields (u_k, w_k, G(w_k)) for k = 0..N; only the
-    current step's vectors are held.
+    (grad f, grad psi*), from u_0 = u, a float64 array.  Yields (u_k, w_k,
+    G(w_k)) for k = 0..N; only the current step's vectors are held.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if N < 1:
         raise ValueError("N >= 1 required")
-    u = np.asarray(u0, dtype=np.float64)
     w = F(u)
     gw = G(w)
     yield u, w, gw
@@ -188,14 +187,13 @@ def _energy_weights(th: ThetaSequence, L: float, sigma: float, dual: bool) -> li
     return [L / (sigma * th.sq(th.N - i)) if dual else (sigma / L) * th.sq(i) for i in range(th.N + 1)]
 
 
-def _amd_steps(grad, conjugate_grad, y0: DualVector, th: ThetaSequence, step: float):
-    """AMD's recurrence from y0 over th = theta_sequence(N), step = sigma / L: yields (x_k, y_k,
+def _amd_steps(grad, conjugate_grad, y: DualVector, th: ThetaSequence, step: float):
+    """AMD's recurrence over th = theta_sequence(N), step = sigma / L: yields (x_k, y_k,
     grad f(x_k), grad phi*(y_k)) for k = 0..N, so it evaluates N + 1 gradients, at x_0 .. x_N.
 
-    theta_N = theta_{N-1}.  Only the current step's vectors are held.
+    y_0 = y, a float64 array; theta_N = theta_{N-1}.  Only the current step's vectors are held.
     """
     sq = th._sq.tolist()  # sq[j + 2] = theta_j^2
-    y = np.asarray(y0, dtype=np.float64)
     x = mirror = conjugate_grad(y)
     for k in range(th.N):
         fg = grad(x)
@@ -316,28 +314,31 @@ def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha
     L D_phi(x*, x_0) / (sigma theta_N^2) for AMD, the same with f(q_0) - f* for the
     duals, and None without x* (f* on a dual run).
 
+    start is copied once, so no row is the caller's array.  The mirror map is
+    g._mirror_map: for an unshifted p = 2 DGF each step's mirror is its y_k (r_k) itself.
+
     MD checks alpha and N at its first step.  AMD checks (L, sigma), then takes
     grad f(q_0) on a dual run unless fg0 is given, then theta_sequence(N) unless th is.
     """
     dual, md = method.startswith("dual"), method in ("md", "dual-md")
-    run = MethodRun(method=method)
+    run, mirror = MethodRun(method=method), g._mirror_map
+    start = np.array(start, dtype=np.float64)  # the run's own copy
 
     def grad(x):
         return np.asarray(f.grad(x), dtype=np.float64)
 
     if md and dual:
-        steps = ((q, fg, fg, m) for q, fg, m in _md_loop(grad, g.conjugate_grad, alpha, start, N, "primal iterate q"))
+        steps = ((q, fg, fg, m) for q, fg, m in _md_loop(grad, mirror, alpha, start, N, "primal iterate q"))
     elif md:
-        steps = ((x, y, fg, x) for y, x, fg in _md_loop(g.conjugate_grad, grad, alpha, start, N, "dual iterate y"))
+        steps = ((x, y, fg, x) for y, x, fg in _md_loop(mirror, grad, alpha, start, N, "dual iterate y"))
     else:
         L, sigma = _constants(f, g, L, sigma)
-        if dual:
-            start = np.asarray(start, dtype=np.float64)
-            fg0 = grad(start) if fg0 is None else fg0
+        if dual and fg0 is None:
+            fg0 = grad(start)
         th = theta_sequence(N) if th is None else th
         run.theta, run.L, run.sigma = th, L, sigma
-        steps = (_dual_amd_steps(grad, g.conjugate_grad, start, fg0, th, sigma / L) if dual
-                 else _amd_steps(grad, g.conjugate_grad, start, th, sigma / L))
+        steps = (_dual_amd_steps(grad, mirror, start, fg0, th, sigma / L) if dual
+                 else _amd_steps(grad, mirror, start, th, sigma / L))
 
     def bound_of(x0):
         ref = f.f_star if dual else f.x_star
@@ -353,7 +354,8 @@ def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha
 
 
 def _collect(run: MethodRun, steps, bound_of) -> MethodRun:
-    """run with the trajectory of its steps, collected as lists, and its bound."""
+    """run with the trajectory of its steps, collected as lists (a vector yielded in two
+    families, as an identity mirror is, stored once), and its bound."""
     cols = list(map(list, zip(*steps)))
     if run.method.startswith("dual"):
         run.dual_traj = DualTrajectory(*cols)

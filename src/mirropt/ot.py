@@ -449,7 +449,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     h = OTDualObjective(inst, r=r)
     grad = _CountedGrad(h.grad, grad_tol, eval_cap)
     N_c = _fallback_horizon(inst, r, grad_tol, h.L, eval_cap)
-    conjugate_grad, step = euclidean().conjugate_grad, 1.0 / h.L
+    mirror, step = euclidean()._mirror_map, 1.0 / h.L
     history = []
     N, q, fg = 1, None, None
     while True:
@@ -458,11 +458,11 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
         th = theta_sequence(N)
         try:
             if not restart:
-                for q, _, fg, _ in _amd_steps(grad, conjugate_grad, np.zeros(m + n), th, step):
+                for q, _, fg, _ in _amd_steps(grad, mirror, np.zeros(m + n), th, step):
                     if grad.z is not None:
                         break
             if grad.z is None:
-                for q, _, fg, _ in _dual_amd_steps(grad, conjugate_grad, q, fg, th, step):
+                for q, _, fg, _ in _dual_amd_steps(grad, mirror, q, fg, th, step):
                     if grad.z is not None:
                         break
         except RuntimeError as e:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,3 +455,79 @@ def test_relative_convexity_sampler(rng):
     assert ok >= -1e-10
     bad = sample_relative_convexity(g.value, f.value, lam=0.5, dim=2, trials=50, seed=3)
     assert bad < 0.0
+
+
+_RUNNERS = {
+    "amd": lambda f, g, start, N: run_amd(f, g, start, N).traj,
+    "dual-amd": lambda f, g, start, N: run_dual_amd(f, g, start, N).dual_traj,
+    "md": lambda f, g, start, N: run_md(f, g, 0.25, start, N).traj,
+    "dual-md": lambda f, g, start, N: run_dual_md(f, g, 0.25, start, N).dual_traj,
+}
+
+
+@pytest.mark.parametrize("run", list(_RUNNERS.values()), ids=list(_RUNNERS))
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_runners_keep_no_reference_to_the_start(rng, run, p):
+    """Row 0 of every family is the run's own: changing the caller's float64 start
+    after the run leaves the trajectory as it was."""
+    f = _quadratic(rng, p=p)
+    start = rng.standard_normal(5)
+    traj = run(f, euclidean() if p == 2.0 else squared_lp(p), start, 6)
+    families = [getattr(traj, name) for name in ("xs", "ys", "qs", "rs", "f_grads", "mirrors") if hasattr(traj, name)]
+    before = [np.array(fam) for fam in families]
+    assert not any(np.shares_memory(fam[0], start) for fam in families)
+    start[:] = 7.0
+    assert all(np.array_equal(np.array(fam), b) for fam, b in zip(families, before))
+
+
+def _executor_and_closed_runs(f, g, start, N):
+    s = amd_schedule(N, f.L, g.sigma)
+    return ([run_cfom(s, f, g, start), run_mirror_dual(s, f, g, start)]
+            + [run(f, g, start, N) for run in _RUNNERS.values()])
+
+
+@pytest.mark.parametrize("g", [euclidean(), squared_lp(2.0)], ids=["euclidean", "squared-lp-2"])
+def test_euclidean_mirror_family_is_the_dual_family(rng, g):
+    """For an unshifted p = 2 DGF, grad phi* is the identity: both executors return the
+    dual iterates' array as the mirrors, and the closed-form runners the dual vectors
+    themselves, each row equal to conjugate_grad of it."""
+    f, start, N = _quadratic(rng), rng.standard_normal(5), 9
+    for traj in _executor_and_closed_runs(f, g, start, N):
+        duals = traj.ys if hasattr(traj, "ys") else traj.rs
+        if isinstance(duals, np.ndarray):
+            assert traj.mirrors is duals
+        else:
+            assert all(m is y for m, y in zip(traj.mirrors, duals, strict=True))
+        assert all(np.array_equal(m, g.conjugate_grad(y)) for m, y in zip(traj.mirrors, duals))
+
+
+@pytest.mark.parametrize("g", [squared_lp(1.5), euclidean(x0=[0.3, -0.2, 0.5, 1.0, -0.7])],
+                         ids=["squared-lp-1.5", "shifted-euclidean"])
+def test_other_dgfs_keep_their_own_mirror_storage(rng, g):
+    """A DGF whose grad phi* is not the identity keeps a mirror family of its own."""
+    f, start, N = _quadratic(rng, p=g.p), rng.standard_normal(5), 9
+    for traj in _executor_and_closed_runs(f, g, start, N):
+        duals = traj.ys if hasattr(traj, "ys") else traj.rs
+        assert not any(np.shares_memory(m, y) for m, y in zip(traj.mirrors, duals, strict=True))
+        assert all(np.array_equal(m, g.conjugate_grad(y)) for m, y in zip(traj.mirrors, duals))
+
+
+def test_euclidean_runs_hold_three_families_each():
+    """At N = 200 and d = 200 one family is (N+1) d 8 bytes.  run_cfom, run_mirror_dual,
+    run_amd and run_dual_amd on the Euclidean amd_schedule hold three families each
+    (the mirrors are the duals), about 12.5 with the lists' array headers; a fourth
+    family per run would be 16.7."""
+    N, d = 200, 200
+    rng = np.random.default_rng(3)
+    f, g, start = _quadratic(rng, n=d), euclidean(), rng.standard_normal(d)
+    s = amd_schedule(N, f.L, g.sigma)
+    tracemalloc.start()
+    try:
+        runs = [run_cfom(s, f, g, start), run_mirror_dual(s, f, g, start),
+                run_amd(f, g, start, N), run_dual_amd(f, g, start, N)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 4
+    family = (N + 1) * d * 8
+    assert held <= 13.5 * family, held / family
