@@ -337,11 +337,14 @@ def anti_transpose(H: np.ndarray) -> np.ndarray:
 
 
 def schedule_to_json_dict(s: CoefficientSchedule) -> dict:
-    """The nonzero entries of both triangles as [k, i, value], row by row;
+    """The nonzero entries of both triangles as [k, i, value], row by row, values as
+    plain floats, and b(0,0) always, which load_schedule would read as -1 if omitted;
     construction has checked that nothing lies outside the triangles."""
+    b_kept = s.b != 0
+    b_kept[0, 0] = True
     return {"N": s.N,
-            "a": [[int(k), int(i), s.a[k, i]] for k, i in np.argwhere(s.a)],
-            "b": [[int(k), int(i), s.b[k, i]] for k, i in np.argwhere(s.b)]}
+            "a": [[int(k), int(i), float(s.a[k, i])] for k, i in np.argwhere(s.a)],
+            "b": [[int(k), int(i), float(s.b[k, i])] for k, i in np.argwhere(b_kept)]}
 
 
 def save_schedule(s: CoefficientSchedule, path: str) -> None:
@@ -366,7 +369,8 @@ def _json_entries(doc: dict, key: str) -> list:
 
 
 def load_schedule(path_or_dict) -> CoefficientSchedule:
-    """Load the JSON schedule format; an omitted b(0,0) defaults to -1.
+    """Load the JSON schedule format; an omitted b(0,0) defaults to -1.  A document
+    schedule_to_json_dict (or save_schedule) wrote reads back as the schedule written.
 
     Raises ValueError on a document that is not a schedule: not an object,
     a non-integer N or index, or an entry that is not [k, i, number].

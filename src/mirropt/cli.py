@@ -93,8 +93,8 @@ def _run_from_config(cfg: dict):
         L, sigma = (None if cfg.get(k) is None else _json_number(cfg[k], k) for k in ("L", "sigma"))
         alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
         start = as_vector(cfg[key], key) if key in cfg else np.zeros(_dim(cfg))
-    run, steps, bound_of = methods._start(method, f, g, start, N, alpha=alpha, L=L, sigma=sigma)
-    return run, _rows(run, steps, bound_of, f, g), f, g
+    run, steps = methods._start(method, f, g, start, N, alpha=alpha, L=L, sigma=sigma)
+    return run, _rows(run, steps, f, g), f, g
 
 
 def _dim(cfg: dict) -> int:
@@ -106,28 +106,25 @@ def _dim(cfg: dict) -> int:
     raise UsageError("cannot infer dimension; provide y0/q0 explicitly")
 
 
-def _rows(run, steps, bound_of, f, g):
+def _rows(run, steps, f, g):
     """The trace's value columns [f, grad-q-norm, psi*(r_k), energy], float64
-    (None where the run has none), and its bound, or None.
+    (None where the run has none), and run.bound, set with the run (methods._start).
 
     steps yields the run's (point, dual, grad f(point), mirror), k = 0..N; the
     rows are evaluated on windows of ROW_BLOCK + 1 of them as they come
-    (certificates._windows), and bound_of gives the bound from the first point.
-    f and psi* are the values any energies are built from: one of each a row.
+    (certificates._windows).  f and psi* are the values any energies are built
+    from: one of each a row.
     """
     dual = run.method.startswith("dual")
     x = None  # the energies' comparison point: x* for U_k, q_N for V_k, which needs psi*(0) = 0
     if run.method == "amd" or (run.method == "dual-amd" and not g.shifted):
         x = certificates.LAST if dual else f.x_star
     rows = certificates._TraceRows(f, g, conj=dual or x is not None, x=x, L=run.L, sigma=run.sigma)
-    bound = None
-    for P, Y, G, M in certificates._windows(steps):
-        if not rows.f_vals:
-            bound = bound_of(P[0])
-        rows.add(P, Y, G, M)
+    for window in certificates._windows(steps):
+        rows.add(*window)
     energies = None if x is None else rows.energies(
         methods._energy_weights(run.theta, run.L, run.sigma, dual), dual)
-    return [rows.f_vals, rows.norms, rows.conj_vals if dual else None, energies], bound
+    return [rows.f_vals, rows.norms, rows.conj_vals if dual else None, energies], run.bound
 
 
 def _cells(cols, bound):

@@ -7,13 +7,14 @@ instead of the function value.  Running AMD for N steps and then
 dual-AMD from its output yields the 1/theta_N^4 gradient-magnitude
 rate.
 
-_start is the one place a run of any of the four methods is set up; the
-runners collect its steps (_collect), and `mirropt run` and `certify`
-evaluate their trace rows while the steps come.
+_start is the one place a run of any of the four methods is set up, with its
+bound, from the first step it takes; the runners collect its steps (_collect),
+and `mirropt run` and `certify` evaluate their trace rows while the steps come.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -308,11 +309,11 @@ def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha
            L: Optional[float] = None, sigma: Optional[float] = None, fg0: Optional[DualVector] = None,
            th: Optional[ThetaSequence] = None):
     """The one set-up of an N-step run of method from start (y_0, or q_0 on a dual
-    run): (run, steps, bound_of).  run is its MethodRun, with no trajectory yet;
-    steps yields (point, dual, grad f(point), mirror) for k = 0..N; bound_of(point_0)
-    is the certified bound on the final value: D_phi(x*, x_0) / (alpha N) for MD,
-    L D_phi(x*, x_0) / (sigma theta_N^2) for AMD, the same with f(q_0) - f* for the
-    duals, and None without x* (f* on a dual run).
+    run): (run, steps).  steps yields (point, dual, grad f(point), mirror) for
+    k = 0..N; the first is taken here, so run, its MethodRun with no trajectory
+    yet, has its bound set from point_0: the certified bound on the final value,
+    D_phi(x*, x_0) / (alpha N) for MD, L D_phi(x*, x_0) / (sigma theta_N^2) for AMD,
+    the same with f(q_0) - f* for the duals, and None without x* (f* on a dual run).
 
     start is copied once, so no row is the caller's array.  The mirror map is
     g._mirror_map: for an unshifted p = 2 DGF each step's mirror is its y_k (r_k) itself.
@@ -339,29 +340,25 @@ def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha
         run.theta, run.L, run.sigma = th, L, sigma
         steps = (_dual_amd_steps(grad, mirror, start, fg0, th, sigma / L) if dual
                  else _amd_steps(grad, mirror, start, th, sigma / L))
-
-    def bound_of(x0):
-        ref = f.f_star if dual else f.x_star
-        if ref is None:
-            return None
-        gap = f.value(x0) - ref if dual else bregman(g.value, g.grad, ref, x0)
+    first = next(steps)
+    ref = f.f_star if dual else f.x_star
+    if ref is not None:
+        gap = f.value(first[0]) - ref if dual else bregman(g.value, g.grad, ref, first[0])
         if md:
-            return gap / (alpha * N)
-        # Dual-AMD forms its factor first, AMD divides last: each keeps its bytes.
-        return (L / (sigma * th.sq(N))) * gap if dual else L * gap / (sigma * th.sq(N))
+            run.bound = gap / (alpha * N)
+        else:  # Dual-AMD forms its factor first, AMD divides last: each keeps its bytes.
+            run.bound = (L / (sigma * th.sq(N))) * gap if dual else L * gap / (sigma * th.sq(N))
+    return run, itertools.chain([first], steps)
 
-    return run, steps, bound_of
 
-
-def _collect(run: MethodRun, steps, bound_of) -> MethodRun:
+def _collect(run: MethodRun, steps) -> MethodRun:
     """run with the trajectory of its steps, collected as lists (a vector yielded in two
-    families, as an identity mirror is, stored once), and its bound."""
+    families, as an identity mirror is, stored once)."""
     cols = list(map(list, zip(*steps)))
     if run.method.startswith("dual"):
         run.dual_traj = DualTrajectory(*cols)
     else:
         run.traj = Trajectory(*cols)
-    run.bound = bound_of(cols[0][0])
     return run
 
 

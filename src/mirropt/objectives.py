@@ -78,6 +78,8 @@ class DiagQuadratic(SmoothObjective):
 
     def __post_init__(self):
         self.d, self.b = as_vector(self.d, "d"), as_vector(self.b, "b")
+        if self.d.size != self.b.size:
+            raise ValueError(f"d and b must have one length, got {self.d.size} and {self.b.size}")
         if np.any(self.d < 0):
             raise ValueError("diagonal entries must be nonnegative")
         if not (1.0 < self.norm_p <= 2.0):

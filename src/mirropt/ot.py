@@ -116,11 +116,18 @@ class TransportPlan:
         )
 
 
+def _dual_point(inst: OTInstance, u: Vector, v: Vector) -> Tuple[Vector, Vector]:
+    """(u, v) as float64 arrays, refused unless u has shape (m,) and v (n,)."""
+    (m, n), u, v = inst.shape, np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if u.shape != (m,) or v.shape != (n,):
+        raise ValueError(f"dual point must be u of shape ({m},) and v of shape ({n},), got {u.shape} and {v.shape}")
+    return u, v
+
+
 def ot_dual_value(inst: OTInstance, r: float, u: Vector, v: Vector) -> float:
     if r <= 0:
         raise ValueError("temperature r must be positive")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u, v = _dual_point(inst, u, v)
     out = np.empty(inst.shape)
     lse = _shifted_exp(inst, r, u, v, out) + math.log(float(np.sum(out)))
     return r * lse - float(inst.mu @ u) - float(inst.nu @ v)
@@ -154,13 +161,13 @@ def _scaling_kernel(inst: OTInstance, r: float) -> Optional[np.ndarray]:
 
 def ot_dual_grad(inst: OTInstance, r: float, u: Vector, v: Vector) -> Tuple[Vector, Vector]:
     """(softmax-plan marginals) minus (mu, nu); both blocks sum to zero."""
-    g = OTDualObjective(inst, r=r).grad(np.concatenate([u, v]))
+    g = OTDualObjective(inst, r=r).grad(np.concatenate(_dual_point(inst, u, v)))
     return g[: inst.shape[0]], g[inst.shape[0]:]
 
 
 def plan_from_dual(inst: OTInstance, r: float, u: Vector, v: Vector) -> TransportPlan:
     """Normalized Gibbs kernel X = B / sum(B); entries sum to 1."""
-    return OTDualObjective(inst, r=r)._plan(np.concatenate([u, v]))
+    return OTDualObjective(inst, r=r)._plan(np.concatenate(_dual_point(inst, u, v)))
 
 
 def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
@@ -172,6 +179,8 @@ def round_plan(inst: OTInstance, plan: TransportPlan) -> TransportPlan:
     its input the rounding holds the new plan and one block.
     """
     X = np.asarray(plan.X, dtype=np.float64)
+    if X.shape != inst.shape:
+        raise ValueError(f"round_plan requires a plan of shape {inst.shape}, got {X.shape}")
     # Two reductions, no m x n mask: a nan fails both comparisons.
     if not (X.min() >= 0 and X.max() < math.inf):
         raise ValueError("round_plan requires a nonnegative, finite plan")

@@ -15,6 +15,7 @@ from mirropt.cfom import (
     run_mirror_dual,
     save_schedule,
     schedule_from_entries,
+    schedule_to_json_dict,
     to_h_matrix,
     validate_schedule,
 )
@@ -275,6 +276,33 @@ def test_schedule_file_round_trip(tmp_path, rng):
     s2 = load_schedule(str(path))
     assert np.allclose(s2.a, s.a)
     assert np.allclose(s2.b, s.b)
+
+
+def _zero_last_diagonal(rng):
+    """A valid schedule with b[N,N] = 0, so that its mirror dual has b(0,0) = 0."""
+    s = random_valid_schedule(4, rng)
+    s.b[4, 3] += s.b[4, 4]
+    s.b[4, 4] = 0.0
+    return s
+
+
+@pytest.mark.parametrize("make", [lambda rng: amd_schedule(3, 1.0, 1.0), lambda rng: amd_schedule(9, 2.5, 0.5),
+                                  lambda rng: random_schedule(5, rng), lambda rng: random_valid_schedule(6, rng),
+                                  lambda rng: mirror_dual_schedule(random_valid_schedule(5, rng)),
+                                  _zero_last_diagonal,
+                                  lambda rng: mirror_dual_schedule(_zero_last_diagonal(rng))],
+                         ids=["amd-3", "amd-9", "random", "valid", "dual", "zero-bNN", "dual-of-zero-bNN"])
+def test_schedule_document_reads_back_as_written(make, rng, tmp_path):
+    """load_schedule of schedule_to_json_dict(s), in memory and through save_schedule,
+    is s: every value a plain float, and b(0,0) written even when it is 0."""
+    s = make(rng)
+    doc = schedule_to_json_dict(s)
+    assert all(type(e[2]) is float for key in ("a", "b") for e in doc[key])
+    assert doc["b"][0] == [0, 0, float(s.b[0, 0])]
+    path = tmp_path / "s.json"
+    save_schedule(s, str(path))
+    for back in (load_schedule(doc), load_schedule(str(path))):
+        assert back.N == s.N and np.array_equal(back.a, s.a) and np.array_equal(back.b, s.b)
 
 
 def test_load_defaults_b00_to_minus_one(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirropt import methods, ot
-from mirropt.cfom import load_schedule, run_dual_cfom, save_schedule
+from mirropt.cfom import load_schedule, run_dual_cfom, save_schedule, schedule_to_json_dict
 from mirropt.cli import MAX_N, main
 from mirropt.dgf import euclidean
 from mirropt.methods import amd_schedule, run_dual_amd
@@ -232,6 +232,16 @@ def test_run_without_inferable_start_exits_1(tmp_path, capsys):
     assert "cannot infer dimension" in capsys.readouterr().err
 
 
+def test_run_with_d_and_b_of_different_lengths_exits_1(tmp_path, capsys):
+    """A diag-quadratic whose d has one entry and b three is refused, with no trace written."""
+    obj = {"kind": "diag-quadratic", "d": [2.0], "b": [0.3, -0.2, 0.5]}
+    cfg = _write(tmp_path / "cfg.json", {"method": "amd", "objective": obj, "N": 5})
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "1 and 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unknown_method_exits_1(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", dict(AMD_CONFIG, method="newton"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
@@ -309,6 +319,19 @@ def test_dualize_involution(tmp_path, rng):
     assert json.loads(p0.read_text()) == json.loads(p2.read_text())
 
 
+def test_dualize_involution_with_a_zero_last_diagonal(tmp_path):
+    """b[N,N] = 0 is the dual's b(0,0): written, it is not read back as the default -1,
+    so dualizing twice through files gives back the schedule's document."""
+    paths = [_write(tmp_path / "s.json", {"N": 2, "a": [[1, 0, 0.5], [2, 1, 0.5]],
+                                          "b": [[1, 0, 1.0], [1, 1, -1.0], [2, 0, -1.0], [2, 1, 1.0]]})]
+    for name in ("d.json", "dd.json", "ddd.json"):
+        assert main(["dualize", "--schedule", paths[-1], "--out", str(tmp_path / name)]) == 0
+        paths.append(str(tmp_path / name))
+    docs = [json.loads(Path(p).read_text()) for p in paths]
+    assert docs[1]["b"][0] == [0, 0, 0.0]
+    assert docs[1] == docs[3] and docs[2] == schedule_to_json_dict(load_schedule(paths[0]))
+
+
 def test_dualize_amd_matches_closed_form(tmp_path, rng):
     f = DiagQuadratic(d=[1.0, 3.0], b=[0.2, -0.4])
     N = 7
@@ -349,7 +372,8 @@ def test_dualize_empty_schedule(tmp_path):
     assert main(["dualize", "--schedule", str(p0), "--out", str(p1)]) == 0
     doc = json.loads(p1.read_text())
     assert doc["a"] == []
-    assert doc["b"] == [[3, 3, -1.0]]  # the carried b(0,0) = -1 lands at (N,N)
+    # The carried b(0,0) = -1 lands at (N,N); the dual's b(0,0), the zero b(N,N), is written too.
+    assert doc["b"] == [[0, 0, 0.0], [3, 3, -1.0]]
 
 
 def test_schedule_too_large_to_allocate_exits_1(tmp_path, monkeypatch, capsys):

@@ -480,6 +480,27 @@ def test_runners_keep_no_reference_to_the_start(rng, run, p):
     assert all(np.array_equal(np.array(fam), b) for fam, b in zip(families, before))
 
 
+@pytest.mark.parametrize("method", ["md", "dual-md", "amd", "dual-amd"])
+@pytest.mark.parametrize("p, shifted", [(2.0, False), (1.5, False), (1.5, True)])
+def test_start_sets_the_runners_bound(rng, method, p, shifted):
+    """_start returns (run, steps) with run.bound set from the first step, equal to the
+    runner's bound, and steps still yields all N + 1 steps from that first one."""
+    f, N = _quadratic(rng, p=p), 7
+    g = squared_lp(p, x0=rng.standard_normal(5) if shifted else None)
+    start = rng.standard_normal(5)
+    alpha = 0.25 if method in ("md", "dual-md") else None
+    run, steps = methods._start(method, f, g, start, N, alpha=alpha)
+    assert run.bound is not None
+    if alpha is None:
+        want = {"amd": run_amd, "dual-amd": run_dual_amd}[method](f, g, start, N)
+    else:
+        want = {"md": run_md, "dual-md": run_dual_md}[method](f, g, alpha, start, N)
+    assert run.bound == want.bound
+    points = [step[0] for step in steps]
+    want_points = want.traj.xs if want.traj is not None else want.dual_traj.qs
+    assert len(points) == N + 1 and all(np.array_equal(a, b) for a, b in zip(points, want_points))
+
+
 def _executor_and_closed_runs(f, g, start, N):
     s = amd_schedule(N, f.L, g.sigma)
     return ([run_cfom(s, f, g, start), run_mirror_dual(s, f, g, start)]

@@ -193,6 +193,13 @@ def test_diag_quadratic_validation():
         DiagQuadratic(d=[1.0, 1.0], b=[0.0, 0.0], norm_p=3.0)
 
 
+@pytest.mark.parametrize("d, b", [([2.0], [0.1, 0.2, 0.3]), ([1.0, 2.0, 3.0], [0.1, 0.2])])
+def test_diag_quadratic_refuses_d_and_b_of_different_lengths(d, b):
+    """A d of one entry is not broadcast over b, nor a longer d cut to it: both lengths are named."""
+    with pytest.raises(ValueError, match=f"{len(d)} and {len(b)}"):
+        DiagQuadratic(d=d, b=b)
+
+
 def test_log_sum_exp_overflow_safety():
     f = LogSumExp(r=0.01, n=3)
     x = np.array([1000.0, -1000.0, 0.0])

@@ -362,6 +362,27 @@ def test_round_plan_rejects_a_non_finite_plan(bad):
         round_plan(_uniform2(), TransportPlan(X=X))
 
 
+@pytest.mark.parametrize("u_len, v_len", [(4, 3), (2, 5), (3, 3), (12, 0)])
+def test_dual_functions_refuse_a_point_of_the_wrong_shape(u_len, v_len):
+    """On a 3x4 instance u must have 3 entries and v 4: a point of the right total
+    length split elsewhere is refused, not re-split at m."""
+    inst, rng = _random_instance(np.random.default_rng(0), 3, 4), np.random.default_rng(1)
+    u, v = rng.standard_normal(u_len), rng.standard_normal(v_len)
+    for fn in (ot_dual_value, ot_dual_grad, plan_from_dual):
+        with pytest.raises(ValueError, match="dual point must be"):
+            fn(inst, 0.5, u, v)
+    with pytest.raises(ValueError, match="dual point must be"):
+        ot_dual_grad(inst, 0.5, u.reshape(1, -1), v)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 1), (4, 3), (12,)])
+def test_round_plan_refuses_a_plan_of_the_wrong_shape(shape):
+    """A plan that would broadcast against a 3x4 instance is refused, not rounded."""
+    inst = _random_instance(np.random.default_rng(0), 3, 4)
+    with pytest.raises(ValueError, match=r"plan of shape \(3, 4\)"):
+        round_plan(inst, TransportPlan(X=np.full(shape, 1.0 / np.prod(shape))))
+
+
 def _round_plan_reference(inst, X):
     """round_plan's floats from fresh arrays and np.outer (the reference), and its s."""
     rows = X.sum(axis=1)

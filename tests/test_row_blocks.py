@@ -199,7 +199,7 @@ def test_streamed_rows_equal_collected_rows(method, kind, p, shifted, monkeypatc
             steps = list(zip(tr.xs, tr.ys, tr.f_grads, tr.mirrors))
         for block in BLOCKS:
             monkeypatch.setattr(certificates, "ROW_BLOCK", block)
-            collected = _as_rows(cli._rows(run, steps, lambda _: run.bound, f, g))
+            collected = _as_rows(cli._rows(run, steps, f, g))
             assert _as_rows(cli._run_from_config(cfg)[1]) == collected, (N, block)
 
 
