@@ -35,7 +35,7 @@ from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, mirror_dual_s
 from .dgf import DGF
 from .methods import _constants
 from .objectives import SmoothObjective
-from .spaces import NormIndex, Vector, lp_norm, lp_norms, pairing, pairings
+from .spaces import NormIndex, Vector, _positive_finite, lp_norm, lp_norms, pairing, pairings
 
 __all__ = [
     "GradientScenario",
@@ -347,6 +347,7 @@ class _Stacked:
 
     def __init__(self, s: CoefficientSchedule, L: float, sigma: float, norm: Optional[NormIndex],
                  u: Optional[Sequence[float]] = None, v: Optional[Sequence[float]] = None):
+        _positive_finite(L=L, sigma=sigma)
         self.s, self.L, self.sigma = s, L, sigma
         self.p, self.q = (2.0, 2.0) if norm is None else (norm.p, norm.q)
         if u is not None:
@@ -457,7 +458,8 @@ def check_mirror_duality(
     The weights u, N + 1 of them as of v, must be positive, as
     duality_transform, the bijection sampled, requires.  v defaults to the
     conjugate weights 1/u_{N-i}; passing anything else breaks the identity
-    and is reported as failures.  At least one trial in at least one
+    and is reported as failures.  L and sigma must be positive and finite,
+    as the runners require.  At least one trial in at least one
     dimension is required: with none, nothing is checked; so is a tolerance
     0 <= tol < inf, as a negative or nan one fails every trial and an
     infinite one passes any.  A nan residual, as when the magnitude

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import (DualVector, NormIndex, PrimalVector, Vector, _json_number, as_vector, lp_norm, lp_norms,
-                     pairing, pairings)
+from .spaces import DualVector, NormIndex, PrimalVector, Vector, _json_number, as_vector, lp_norm, lp_norms, pairings
 
 __all__ = ["DGF", "euclidean", "squared_lp", "dgf_from_descriptor"]
 
@@ -107,21 +106,17 @@ class DGF:
         return _norm_power_map(z, self.p)
 
     def conjugate_value(self, y: DualVector) -> float:
-        """phi*(y) = (1/2) ||y||_q^2 + <y, x0>."""
-        y = np.asarray(y, dtype=np.float64)
-        val = 0.5 * lp_norm(y, self.q) ** 2
-        if self.x0 is not None:
-            val += pairing(y, self.x0)
-        return val
+        """phi*(y) = (1/2) ||y||_q^2 + <y, x0>, the one-row case of conjugate_values."""
+        return float(self.conjugate_values(np.reshape(y, (1, -1)))[0])
 
     def conjugate_values(self, Y: np.ndarray) -> np.ndarray:
-        """phi* at each row of an (n, d) stack, equal to conjugate_value row by row.
+        """phi* at each row of an (n, d) stack; conjugate_value is its one-row case.
 
-        The square of each norm is a scalar power, as in conjugate_value.
+        The square of each norm is a Python float's power, as the roots of lp_norms are.
         """
         vals = np.array([0.5 * nq ** 2 for nq in lp_norms(Y, self.q).tolist()], dtype=np.float64)
         if self.x0 is not None:
-            vals = vals + pairings(Y, np.broadcast_to(self.x0, np.shape(Y)))
+            vals = vals + pairings(Y, np.broadcast_to(self.x0, (len(Y), self.x0.size)))
         return vals
 
     def conjugate_grad(self, y: DualVector) -> PrimalVector:

@@ -24,7 +24,7 @@ import numpy as np
 from .cfom import CoefficientSchedule, DualTrajectory, Trajectory, _check_finite
 from .dgf import DGF
 from .objectives import SmoothObjective
-from .spaces import DualVector, PrimalVector, Vector, bregman
+from .spaces import DualVector, PrimalVector, Vector, _positive_finite, bregman
 
 __all__ = [
     "ThetaSequence",
@@ -177,8 +177,7 @@ def _constants(f: SmoothObjective, g: DGF, L: Optional[float], sigma: Optional[f
     """(L, sigma), defaulting to f.L and g.sigma; each must be positive and finite."""
     L = f.L if L is None else L
     sigma = g.sigma if sigma is None else sigma
-    if not (0 < L < math.inf and 0 < sigma < math.inf):
-        raise ValueError("L and sigma must be positive and finite")
+    _positive_finite(L=L, sigma=sigma)
     return L, sigma
 
 

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spaces import DualVector, PrimalVector, Vector, _as_matrix, _json_int, _json_number, as_vector, pairings
+from .spaces import (DualVector, PrimalVector, Vector, _as_matrix, _json_int, _json_number, _positive_finite,
+                     as_vector, pairings)
 
 __all__ = [
     "SmoothObjective",
@@ -161,8 +162,7 @@ class LogSumExp(SmoothObjective):
     n: int
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("temperature r must be positive")
+        _positive_finite(r=self.r)
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         self.kind = "log-sum-exp"

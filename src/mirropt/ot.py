@@ -44,7 +44,7 @@ import numpy as np
 from .dgf import euclidean
 from .methods import _amd_steps, _dual_amd_steps, theta_sequence
 from .objectives import SmoothObjective
-from .spaces import Vector, _as_matrix, as_vector
+from .spaces import Vector, _as_matrix, _json_int, _positive_finite, as_vector
 
 __all__ = [
     "OTInstance",
@@ -110,6 +110,8 @@ class TransportPlan:
             raise ValueError("transport plan has negative entries")
 
     def marginal_residual(self, inst: OTInstance) -> float:
+        if self.X.shape != inst.shape:
+            raise ValueError(f"marginal_residual requires a plan of shape {inst.shape}, got {self.X.shape}")
         return float(
             np.max(np.abs(self.X.sum(axis=1) - inst.mu))
             + np.max(np.abs(self.X.sum(axis=0) - inst.nu))
@@ -125,8 +127,7 @@ def _dual_point(inst: OTInstance, u: Vector, v: Vector) -> Tuple[Vector, Vector]
 
 
 def ot_dual_value(inst: OTInstance, r: float, u: Vector, v: Vector) -> float:
-    if r <= 0:
-        raise ValueError("temperature r must be positive")
+    _positive_finite(r=r)
     u, v = _dual_point(inst, u, v)
     out = np.empty(inst.shape)
     lse = _shifted_exp(inst, r, u, v, out) + math.log(float(np.sum(out)))
@@ -218,8 +219,7 @@ class OTDualObjective(SmoothObjective):
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("temperature r must be positive")
+        _positive_finite(r=self.r)
         self.kind = "ot-dual"
         self.norm_p = 2.0
         self.L = 1.0 / self.r
@@ -448,6 +448,8 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if _json_int(eval_cap, "eval_cap") < 1:  # a nan or fractional cap would cut N_c to 1
+        raise ValueError(f"eval_cap must be at least 1, got {eval_cap}")
     m, n = inst.shape
     if m * n < 2:
         raise ValueError("instance must have at least two cells")

@@ -8,6 +8,7 @@ norm indices (p for primal, q = p/(p-1) for dual) carry the geometry.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -64,6 +65,13 @@ def _json_number(v, what: str) -> float:
     return float(v)
 
 
+def _positive_finite(**values) -> None:
+    """Refuse, naming them, values that are not each positive and finite (so not nan)."""
+    if not all(0 < v < math.inf for v in values.values()):
+        raise ValueError(f"{' and '.join(values)} must be positive and finite, got "
+                         + ", ".join(f"{k}={v!r}" for k, v in values.items()))
+
+
 def as_vector(x, name: str = "vector") -> Vector:
     """A finite, non-empty 1-d float64 array from an array, or from a list (or tuple) of ints and
     floats, screened by entry type in one pass: a bool, string, null or nested entry is refused."""
@@ -93,19 +101,14 @@ def _as_matrix(rows, name: str) -> np.ndarray:
 
 
 def pairing(u: DualVector, x: PrimalVector) -> float:
-    """Canonical pairing <u, x> = sum_i u_i x_i."""
-    u = np.asarray(u, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if u.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {x.shape}")
-    return float(u @ x)
+    """Canonical pairing <u, x> = sum_i u_i x_i, the one-row case of pairings."""
+    return float(pairings([u], [x])[0])
 
 
 def pairings(U: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row-wise pairings <U_k, X_k> of two (n, d) stacks.
 
-    Each row is one dot product, as in pairing, so every value equals
-    pairing(U[k], X[k]) bit for bit.
+    Each row is one dot product; pairing is its one-row case.
     """
     U = np.asarray(U, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -115,25 +118,18 @@ def pairings(U: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def lp_norm(x: Vector, p: float) -> float:
-    """l_p norm for p in [1, inf]; p = inf gives the max norm."""
-    x = np.asarray(x, dtype=np.float64)
-    if p == np.inf:
-        return float(np.max(np.abs(x)))
-    if not p >= 1:  # nan too
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    if p == 1:
-        return float(np.sum(np.abs(x)))
-    if p == 2:
-        return float(np.linalg.norm(x))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+    """l_p norm for p in [1, inf]; p = inf gives the max norm.  The one-row case of
+    lp_norms, with x read as one row whatever its shape."""
+    return float(lp_norms(np.asarray(x, dtype=np.float64).reshape(1, -1), p)[0])
 
 
 def lp_norms(X: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise lp_norm of an (n, d) stack, equal to lp_norm row by row bit for bit.
+    """Row-wise l_p norms of an (n, d) stack; lp_norm is its one-row case.
 
-    The sums run over the last axis, row by row as lp_norm's; the root
-    1/p is taken per scalar, since numpy's array power may round it
-    differently from the scalar power lp_norm uses.
+    The sums run over the last axis; the root 1/p is taken per sum, as a
+    Python float, whose power is the libm pow numpy's scalar power calls,
+    since numpy's array power may round it differently.  An inf or nan sum
+    gives an inf or nan root, not an error.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -143,10 +139,10 @@ def lp_norms(X: np.ndarray, p: float) -> np.ndarray:
     if not p >= 1:  # nan too
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if p == 1:
-        return np.sum(np.abs(X), axis=-1)
+        return np.add.reduce(np.abs(X), axis=-1)
     if p == 2:
         return np.sqrt(pairings(X, X))
-    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(X) ** p, axis=-1)])
+    return np.array([s ** (1.0 / p) for s in np.add.reduce(np.abs(X) ** p, axis=-1).tolist()])
 
 
 def bregman(

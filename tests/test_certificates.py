@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,18 @@ def test_duality_api_checks_its_weights(call, message):
     and the inverse transform refuses the u the forward transform refuses."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("L, sigma", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_duality_api_refuses_the_constants_the_runners_refuse(L, sigma):
+    """L = 0 or nan made every trial a nan failure, and sigma = -1 or 0 reported ok: the
+    duality API reads L and sigma by the runners' rule and names them."""
+    message = re.escape(f"L and sigma must be positive and finite, got L={L!r}, sigma={sigma!r}")
+    for call in (lambda: check_mirror_duality(_S3, _U3, L, sigma, trials=5),
+                 lambda: evaluate_U(_S3, _U3, L, sigma, _SC3), lambda: evaluate_V(_S3, _U3, L, sigma, _SC3)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @settings(max_examples=25, deadline=None)

@@ -189,3 +189,13 @@ def test_kind_and_descriptor_round_trip():
 def test_rejects_nonfinite_shift():
     with pytest.raises(ValueError):
         DGF(NormIndex(2.0), x0=np.array([1.0, np.inf]))
+
+
+def test_conjugate_values_refuse_rows_longer_than_the_shift():
+    """A length-1 shift was broadcast over rows of length 3 by conjugate_values, while
+    conjugate_value refused them; its one-row case now refuses them as the stack does."""
+    g = squared_lp(1.5, x0=[0.5])
+    with pytest.raises(ValueError, match=r"\(2, 3\) vs \(2, 1\)"):
+        g.conjugate_values(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"\(1, 3\) vs \(1, 1\)"):
+        g.conjugate_value(np.ones(3))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ def test_grad_examples():
 def test_log_sum_exp_needs_a_coordinate(n):
     with pytest.raises(ValueError, match="^n must be at least 1"):
         LogSumExp(r=1.0, n=n)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_log_sum_exp_needs_a_positive_finite_temperature(r):
+    with pytest.raises(ValueError, match=f"^r must be positive and finite, got r={r!r}$"):
+        LogSumExp(r=r, n=2)
 
 
 def _sample_objectives(rng):

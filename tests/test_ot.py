@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -85,6 +86,17 @@ def test_dual_value_zero_cost_example():
 def test_dual_value_rejects_bad_temperature():
     with pytest.raises(ValueError):
         ot_dual_value(_uniform2(), 0.0, np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+def test_ot_entry_points_refuse_a_temperature_not_positive_and_finite(r):
+    """r = nan gave a nan gradient, and r = inf (K all ones, L = 0) a zero gradient at
+    every point of an instance with uniform marginals: each is refused, and named."""
+    inst, z = _uniform2(), np.zeros(2)
+    for call in (lambda: ot_dual_value(inst, r, z, z), lambda: ot_dual_grad(inst, r, z, z),
+                 lambda: plan_from_dual(inst, r, z, z), lambda: OTDualObjective(inst, r=r)):
+        with pytest.raises(ValueError, match=f"^r must be positive and finite, got r={r!r}$"):
+            call()
 
 
 @settings(max_examples=40, deadline=None)
@@ -383,6 +395,15 @@ def test_round_plan_refuses_a_plan_of_the_wrong_shape(shape):
         round_plan(inst, TransportPlan(X=np.full(shape, 1.0 / np.prod(shape))))
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2,), (4,), (2, 2, 1)])
+def test_marginal_residual_refuses_a_plan_of_the_wrong_shape(shape):
+    """On a 2x2 instance with mu = nu = (1/2, 1/2), a (1, 2) plan broadcast to read 0.5
+    and a 1-d plan raised numpy's AxisError: each is refused, with both shapes named."""
+    plan = TransportPlan(X=np.full(shape, 0.5))
+    with pytest.raises(ValueError, match=re.escape(f"plan of shape (2, 2), got {shape}")):
+        plan.marginal_residual(_uniform2())
+
+
 def _round_plan_reference(inst, X):
     """round_plan's floats from fresh arrays and np.outer (the reference), and its s."""
     rows = X.sum(axis=1)
@@ -483,6 +504,14 @@ def test_solve_ot_validation_and_cap():
     inst = OTInstance(C=[[0.0, 5.0], [5.0, 0.0]], mu=[0.3, 0.7], nu=[0.6, 0.4])
     with pytest.raises(RuntimeError):
         solve_ot(inst, 0.001, eval_cap=8)
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.5, 2.0, True, 0, -3])
+def test_solve_ot_refuses_a_cap_that_is_not_an_int_of_at_least_one(cap):
+    """eval_cap = nan switched the budget off and cut the fallback horizon N_c to 1, so that
+    every attempt restarted from 0; 0.5 was taken as a cap.  A bool is no int here."""
+    with pytest.raises(ValueError, match=f"^eval_cap must be .*, got {cap!r}$"):
+        solve_ot(_uniform2(), 0.1, eval_cap=cap)
 
 
 def _record_grads(monkeypatch):

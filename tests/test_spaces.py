@@ -50,6 +50,44 @@ def test_lp_norms_reject_nan():
         lp_norms(np.ones((3, 2)), math.nan)
 
 
+def _lp_norm_reference(x, p):
+    """The l_p norm of one row with numpy's reductions and its scalar power for the root."""
+    a = np.abs(x)
+    if p == np.inf:
+        return np.max(a)
+    if p == 1:
+        return np.sum(a)
+    if p == 2:
+        return np.sqrt(x @ x)
+    return np.sum(a ** p) ** (1.0 / p)
+
+
+_EXTREME_ROWS = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [5e-324, -1e-310, 0.0, 2.5e-308],  # subnormal
+    [1e150, -1e150, 3.0, 0.0],  # |x|^p, or the sum, overflows for p >= 2
+    [1e150, 1e-300, -1e150, 1e150],
+    [math.inf, 1.0, -2.0, 0.0],
+    [-math.inf, math.inf, 0.0, 1e-320],
+    [math.nan, 1.0, 0.0, -2.0],
+    [math.inf, math.nan, 1e150, 0.0],
+])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_lp_norms_on_extreme_rows_match_a_scalar_reference(p):
+    """The roots of lp_norms, taken on Python floats, equal numpy's scalar power on rows of
+    zeros, subnormals, overflowing, infinite and nan entries, with no OverflowError or
+    ValueError, and lp_norm, its one-row case, equals them row by row."""
+    with np.errstate(over="ignore"):  # as _norm_power_map sets it
+        want = [_lp_norm_reference(x, p) for x in _EXTREME_ROWS]
+        got = lp_norms(_EXTREME_ROWS, p)
+        one_row = [lp_norm(x, p) for x in _EXTREME_ROWS]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(one_row, want)
+    assert got[0] == 0.0 and math.isinf(got[4]) and math.isnan(got[6])
+
+
 def test_norm_index_conjugacy():
     for p in (1.2, 1.5, 2.0, 3.0):
         ni = NormIndex(p)
