@@ -163,7 +163,7 @@ class LogSumExp(SmoothObjective):
 
     def __post_init__(self):
         _positive_finite(r=self.r)
-        if self.n < 1:
+        if _json_int(self.n, "n") < 1:  # a float or bool n would build and then fail every call
             raise ValueError(f"n must be at least 1, got {self.n}")
         self.kind = "log-sum-exp"
         self.norm_p = np.inf

@@ -13,22 +13,24 @@ feasibility yields a plan whose cost is within epsilon of optimal.
 
 The Gibbs kernel is separable, exp((u_i + v_j - c_ij) / r) =
 e^{u_i/r} K_ij e^{v_j/r} with K = exp(-C/r), so the gradient and the
-plan are taken in this scaling form: K once per solve, then two
-matrix-vector products and m + n exponentials per gradient.  The log
-domain (shift by the max, exponentiate, normalize) is kept where K
-would lose floats: when C.max()/r exceeds -log(tiny) (some K_ij would
-not be a normal float), and, as a backstop, when the scaled total is
-not finite or so small that entries within 2^-52 of the largest could
-underflow.  Both rules depend only on (C, r, u, v), so the gradient is a
-pure function of the point.  The rounding and suboptimality bounds use
-only the gradient at the returned point, so the solver stops at the
-first gradient it evaluates within tolerance, whatever path led there:
-it doubles dual-AMD's horizon and restarts each attempt from the last
-one's final iterate, and switches to the AMD + dual-AMD concatenation
-from 0 at a horizon computed from the instance, where the concatenation's
-bound certifies (solve_ot, _fallback_horizon).  A tiny exact LP oracle
-(basic-solution enumeration up to 12 cells) supplies the reference
-optimum for the accuracy checks.
+plan are taken in this scaling form alone: K once per solve, then two
+matrix-vector products and m + n exponentials per gradient.  When the
+scaled total at a point fails its floor (past C.max()/r = -log(tiny)
+some K_ij are not normal floats, and a point far from 0 can leave every
+term tiny), K is rebuilt in place at that point, the anchor, and each
+later gradient scales the rebuilt kernel by exp((z - anchor)/r): the
+absorption step of stabilized scaling (Schmitzer 2019; Peyre-Cuturi
+2019, ch. 4).  So a gradient is a function of the point and of the
+anchor, which only a failed floor moves; the stop gradient and the plan
+at its point read the same anchor.  The rounding and suboptimality
+bounds use only the gradient at the returned point, so the solver stops
+at the first gradient it evaluates within tolerance, whatever path led
+there: it doubles dual-AMD's horizon and restarts each attempt from the
+last one's final iterate, and switches to the AMD + dual-AMD
+concatenation from 0 at a horizon computed from the instance, where the
+concatenation's bound certifies (solve_ot, _fallback_horizon).  A tiny
+exact LP oracle (basic-solution enumeration up to 12 cells) supplies
+the reference optimum for the accuracy checks.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ __all__ = [
 MARGINAL_TOL = 1e-12
 DEFAULT_EVAL_CAP = 2 ** 20
 _TINY = np.finfo(np.float64).tiny
-# exp(-x) is a normal float for every x <= _LOG_TINY (about 708.4).
-_LOG_TINY = -math.log(_TINY)
 
 
 @dataclass
@@ -145,21 +145,6 @@ def _shifted_exp(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarr
     return top
 
 
-def _gibbs(inst: OTInstance, r: float, u: Vector, v: Vector, out: np.ndarray) -> np.ndarray:
-    """Normalized Gibbs kernel exp((u_i + v_j - c_ij) / r) / sum in out: shift by the max, exp, normalize."""
-    _shifted_exp(inst, r, u, v, out)
-    out /= out.sum()
-    return out
-
-
-def _scaling_kernel(inst: OTInstance, r: float) -> Optional[np.ndarray]:
-    """K = exp(-C/r) if every entry is a normal float, else None (the gate)."""
-    if inst.C.max() / r > _LOG_TINY:
-        return None
-    K = np.divide(inst.C, -r)
-    return np.exp(K, out=K)
-
-
 def ot_dual_grad(inst: OTInstance, r: float, u: Vector, v: Vector) -> Tuple[Vector, Vector]:
     """(softmax-plan marginals) minus (mu, nu); both blocks sum to zero."""
     g = OTDualObjective(inst, r=r).grad(np.concatenate(_dual_point(inst, u, v)))
@@ -211,8 +196,10 @@ class OTDualObjective(SmoothObjective):
 
     L = 1/r in l2 (norm_p = 2), the norm of the solver's Euclidean DGF;
     the sup-norm constant is 4/r (see smoothness_constant).  The scaling
-    kernel K = exp(-C/r) is formed once, here; the log-domain buffer is
-    allocated on the first gradient that needs it.
+    kernel K = exp(-C/r) is formed once, here, with no anchor.  A gradient
+    or plan whose scaled total fails the floor (_scaling) rebuilds K in
+    place at its point z', K_ij = exp((u'_i + v'_j - c_ij)/r - max), and
+    from then on every gradient and plan at z scales K by exp((z - z')/r).
     """
 
     inst: OTInstance
@@ -226,12 +213,12 @@ class OTDualObjective(SmoothObjective):
         self.x_star = None
         self.f_star = None
         self._m, self._n = self.inst.shape
-        self._K = _scaling_kernel(self.inst, self.r)
+        self._K = np.exp(np.divide(self.inst.C, -self.r))
+        self._anchor = None  # the point K was last rebuilt at; None while K = exp(-C/r)
         self._mu_nu = np.concatenate([self.inst.mu, self.inst.nu])
         self._blocks = np.array([0, self._m])  # where u and v start in z
         self._block_of = np.repeat([0, 1], [self._m, self._n])
         self._floor = self._m * self._n * 2.0 ** 52 * _TINY
-        self._buffer = None  # log-domain kernel, reused once allocated
 
     def split(self, z: Vector) -> Tuple[Vector, Vector]:
         z = self._check_dim(z, self._m + self._n)
@@ -245,33 +232,30 @@ class OTDualObjective(SmoothObjective):
         """Row sums, then column sums, of the normalized Gibbs kernel at z, minus (mu, nu)."""
         z = self._check_dim(z, self._m + self._n)
         g = np.empty(z.size)
-        if self._scaling(z, g) is None:
-            m = self._m
-            if self._buffer is None:
-                self._buffer = np.empty(self.inst.shape)
-            P = _gibbs(self.inst, self.r, z[:m], z[m:], self._buffer)
-            P.sum(axis=1, out=g[:m])
-            P.sum(axis=0, out=g[m:])
+        self._scaling(z, g)
         g -= self._mu_nu
         return g
 
-    def _scaling(self, z: Vector, g: Vector) -> Optional[Tuple[Vector, float]]:
-        """The scaling form at z = (u, v): marginals into g, and (e, tot); None for the log domain.
+    def _scaling(self, z: Vector, g: Vector) -> Tuple[Vector, float]:
+        """The scaling form at z = (u, v): marginals into g, and (e, tot).
 
-        e = exp((z - block max)/r) stacks a = exp((u - max u)/r) and
-        b = exp((v - max v)/r), one exp over m + n entries; the Gibbs
-        kernel is a_i K_ij b_j / tot.  g gets the row sums a * (K @ b),
-        then the column sums (a @ K) * b, both divided by their total tot.
-        None when K is None (the gate) or tot is not finite or below
-        m n 2^52 tiny (the backstop): above that floor every entry within
-        2^-52 of the largest is a normal float, and the terms lost to
-        underflow sum to at most 2^-52 tot.  g is then left part-written.
+        With d = z - anchor (z itself while there is none), e =
+        exp((d - block max)/r) stacks a and b, one exp over m + n entries,
+        each at most 1; the Gibbs kernel is a_i K_ij b_j / tot.  g gets the
+        row sums a * (K @ b), then the column sums (a @ K) * b, both divided
+        by their total tot.  The floor: tot finite and at least m n 2^52
+        tiny.  Each term lost to underflow, in K or in a product, is below
+        tiny, so the lost terms sum to at most 2^-52 tot and every entry
+        within 2^-52 of the largest is a normal float.  On a failed floor K
+        is rebuilt in place at the anchor z and the form retaken: then
+        a = b = 1 and the largest entry of K is exactly 1, so tot >= 1
+        passes whenever m n < 2^970.  Where some (u_i + v_j - c_ij)/r is
+        not finite (a nan or infinite z) K is kept and g is nan, as is tot.
         """
         K, m = self._K, self._m
-        if K is None:
-            return None
-        e = np.maximum.reduceat(z, self._blocks)[self._block_of]
-        np.subtract(z, e, out=e)
+        d = z if self._anchor is None else z - self._anchor
+        e = np.maximum.reduceat(d, self._blocks)[self._block_of]
+        np.subtract(d, e, out=e)
         e /= self.r
         np.exp(e, out=e)
         a, b = e[:m], e[m:]
@@ -280,20 +264,23 @@ class OTDualObjective(SmoothObjective):
         g *= e  # a * (K @ b), then (a @ K) * b
         tot = np.add.reduce(g[:m])
         if not self._floor <= tot < math.inf:
-            return None
+            u, v = z[:m], z[m:]
+            bounds = np.array([u.min() + v.min() - self.inst.C.max(), u.max() + v.max()]) / self.r
+            if np.isfinite(bounds).all():  # so is every exponent (u_i + v_j - c_ij)/r, and K stays finite
+                _shifted_exp(self.inst, self.r, u, v, K)
+                self._anchor = z.copy()
+                return self._scaling(z, g)
+            g.fill(math.nan)
+            return e, math.nan
         g /= tot
         return e, tot
 
     def _plan(self, z: Vector) -> TransportPlan:
-        """plan_from_dual at z = (u, v), in the form the gradient at z takes."""
+        """plan_from_dual at z = (u, v), in the form and from the anchor the gradient at z takes."""
         z = self._check_dim(z, self._m + self._n)
-        m = self._m
-        s = self._scaling(z, np.empty(z.size))
-        if s is None:
-            return TransportPlan(X=_gibbs(self.inst, self.r, z[:m], z[m:], np.empty(self.inst.shape)))
-        e, tot = s
-        X = self._K * e[:m, None]
-        X *= e[None, m:]
+        e, tot = self._scaling(z, np.empty(z.size))
+        X = self._K * e[: self._m, None]
+        X *= e[None, self._m:]
         X /= tot
         return TransportPlan(X=X)
 
@@ -337,7 +324,7 @@ class _CountedGrad:
         if sq < self.min_sq:
             self.min_sq = sq
         if sq <= self._screen:
-            grad_l1 = float(np.sum(np.abs(g)))
+            grad_l1 = float(np.add.reduce(np.abs(g)))
             if grad_l1 <= self.grad_tol:
                 self.z, self.grad_l1 = x, grad_l1
         return g
@@ -439,7 +426,10 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     hands its last point and gradient on: AMD's x_N to dual-AMD as q_0, and
     dual-AMD's q_N to the next restart, so no gradient is taken twice.  The
     call past eval_cap is refused: RuntimeError, with exactly eval_cap
-    gradients spent and the history so far as its history attribute.  Only
+    gradients spent and the history so far as its history attribute.  Every
+    gradient and the raw plan take the scaling form from one kernel K, which
+    a failed floor re-anchors in place (OTDualObjective._scaling), so the
+    stop gradient and the raw plan read the same anchor.  Only
     the current point is kept, so a solve holds the kernel plus O(m + n)
     iterates while stepping, whatever N (and O(N) theta scalars); K is then
     released, and the finish holds two m x n arrays: the raw plan and the
@@ -494,7 +484,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
 
     grad_l1, grad_evals = grad.grad_l1, grad.grad_evals
     raw = h._plan(grad.z)
-    del h, grad  # the kernel (or the log-domain buffer) goes before rounding
+    del h, grad  # the kernel, anchored or not, goes before rounding
     rounded = round_plan(inst, raw)
     work = raw.X  # the raw plan is dead once rounded: its buffer takes |rounded - raw|, then C * rounded
     rounding_l1 = float(np.sum(np.abs(np.subtract(rounded.X, work, out=work), out=work)))

@@ -36,6 +36,13 @@ def test_log_sum_exp_needs_a_coordinate(n):
         LogSumExp(r=1.0, n=n)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 2.0])
+def test_log_sum_exp_needs_an_integer_n(n):
+    """A float n would build an objective whose every value and grad fails; True is no count."""
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+        LogSumExp(r=1.0, n=n)
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_log_sum_exp_needs_a_positive_finite_temperature(r):
     with pytest.raises(ValueError, match=f"^r must be positive and finite, got r={r!r}$"):

@@ -16,8 +16,6 @@ from mirropt.ot import (
     OTInstance,
     TransportPlan,
     _CountedGrad,
-    _gibbs,
-    _LOG_TINY,
     instance_from_descriptor,
     lp_oracle,
     ot_dual_grad,
@@ -30,6 +28,10 @@ from mirropt.dgf import euclidean
 from mirropt.methods import run_concat, run_dual_amd, theta_sequence
 from mirropt.objectives import smoothness_constant
 from mirropt.spaces import bregman, finite_difference_gradient, lp_norm
+
+# exp(-x) is a normal float for every x <= _LOG_TINY (about 708.4): past C.max()/r = _LOG_TINY,
+# some entries of K = exp(-C/r) underflow, the regime where the kernel may be re-anchored.
+_LOG_TINY = -math.log(np.finfo(np.float64).tiny)
 
 
 def _uniform2():
@@ -187,15 +189,37 @@ def test_objective_grad_equals_ot_dual_grad(rng, scale):
 
 
 def _log_domain(inst, r, z):
-    """Gradient and plan from the log-domain kernel alone."""
+    """Gradient and plan from the log-domain kernel: shift by the max, exponentiate, normalize."""
     m = inst.shape[0]
-    P = _gibbs(inst, r, z[:m], z[m:], np.empty(inst.shape))
+    E = (z[:m, None] + z[None, m:] - inst.C) / r
+    P = np.exp(E - E.max())
+    P /= P.sum()
     return np.concatenate([P.sum(axis=1) - inst.mu, P.sum(axis=0) - inst.nu]), P
+
+
+# Past the gate the scaling form and the log domain round differently: an entry's exponent
+# (u_i + v_j - c_ij)/r, of size up to about 2e4 on the points below, is split between the kernel
+# and the scalings, and each part carries a rounding error of about 1.1e-16 of its size, so an
+# entry may differ by a few 1e-12 of itself.  Measured, the gradients differ by at most 1.2e-14
+# of the largest marginal on these points and 6.3e-14 along two past-gate solves.  1e-10 of the
+# largest entry bounds sums of such errors with a margin of over an order; a wrong anchor or
+# scaling is off by far more.
+_PAST_GATE_TOL = 1e-10
+
+
+def _assert_matches_log_domain(h, z, tol):
+    """h's gradient and plan at z agree with the log domain's to tol of their largest entry."""
+    inst, r, m = h.inst, h.r, h._m
+    grad, P = _log_domain(inst, r, z)
+    marginals = grad + np.concatenate([inst.mu, inst.nu])
+    assert np.max(np.abs(h.grad(z) - grad)) <= tol * np.max(marginals)
+    assert np.max(np.abs(h._plan(z).X - P)) <= tol * P.max()
 
 
 @pytest.mark.parametrize("m, n, cost", [(20, 30, "uniform"), (40, 40, "euclid")])
 def test_scaling_form_matches_log_domain_below_gate(rng, m, n, cost):
-    """Just below the gate (C.max()/r = 0.999 * -log(tiny)) the two forms agree to 1e-13."""
+    """Just below the gate (C.max()/r = 0.999 * -log(tiny)) the two forms agree to 1e-13,
+    with no rebuild of the kernel."""
     inst = _random_instance(rng, m, n)
     if cost == "euclid":
         x, y = rng.uniform(0, 1, (m, 2)), rng.uniform(0, 1, (n, 2))
@@ -204,46 +228,66 @@ def test_scaling_form_matches_log_domain_below_gate(rng, m, n, cost):
     h = OTDualObjective(inst, r=r)
     for spread in (1.0, 30.0, 300.0):
         z = spread * r * rng.standard_normal(m + n)
-        assert h._scaling(z, np.empty(m + n)) is not None
-        grad, P = _log_domain(inst, r, z)
-        marginals = grad + np.concatenate([inst.mu, inst.nu])
-        assert np.max(np.abs(h.grad(z) - grad)) <= 1e-13 * np.max(marginals)
+        _assert_matches_log_domain(h, z, 1e-13)
+        _, P = _log_domain(inst, r, z)
         assert np.max(np.abs(plan_from_dual(inst, r, z[:m], z[m:]).X - P)) <= 1e-13 * P.max()
-    assert h._buffer is None  # the log-domain buffer was never needed
+    assert h._anchor is None  # no rebuild happened
 
 
-def test_above_gate_is_log_domain_bit_for_bit(rng):
-    inst = _random_instance(rng, 6, 9)
-    r = float(inst.C.max()) / (1.001 * _LOG_TINY)
-    h = OTDualObjective(inst, r=r)
-    assert h._K is None
-    for _ in range(5):
-        z = 30.0 * r * rng.standard_normal(15)
-        grad, P = _log_domain(inst, r, z)
-        assert np.array_equal(h.grad(z), grad)
-        assert np.array_equal(np.concatenate(ot_dual_grad(inst, r, z[:6], z[6:])), grad)
-        assert np.array_equal(plan_from_dual(inst, r, z[:6], z[6:]).X, P)
+def test_above_gate_matches_log_domain(rng):
+    """Just past the gate and at three times it, the scaling form, from K = exp(-C/r) or from a
+    rebuilt kernel, agrees with the log domain to _PAST_GATE_TOL; so do ot_dual_grad and
+    plan_from_dual, which build their own objective."""
+    for past in (1.001, 3.0):
+        inst = _random_instance(rng, 6, 9)
+        r = float(inst.C.max()) / (past * _LOG_TINY)
+        h = OTDualObjective(inst, r=r)
+        for spread in (1.0, 30.0, 3000.0):
+            for _ in range(3):
+                z = spread * r * rng.standard_normal(15)
+                _assert_matches_log_domain(h, z, _PAST_GATE_TOL)
+                grad, P = _log_domain(inst, r, z)
+                assert np.max(np.abs(np.concatenate(ot_dual_grad(inst, r, z[:6], z[6:])) - grad)) <= _PAST_GATE_TOL
+                assert np.max(np.abs(plan_from_dual(inst, r, z[:6], z[6:]).X - P)) <= _PAST_GATE_TOL * P.max()
+        assert h._anchor is not None  # a spread of 3000 r leaves the unanchored total below the floor
 
 
-def test_backstop_takes_log_domain_when_scaled_total_is_tiny():
+def test_backstop_rebuilds_kernel_when_scaled_total_is_tiny():
     """The cell at (max u, max v) costs 700 r and every other cell is e^-1000 below it.
 
     The scaled total is then about e^-700, under the floor m n 2^52 tiny,
-    so the gradient and the plan come from the log domain, bit for bit.
+    so the kernel is rebuilt at z, where the largest entry is exactly 1.
     """
     r = 0.01
     inst = OTInstance(C=[[7.0, 0.0], [0.0, 7.0]], mu=[0.5, 0.5], nu=[0.5, 0.5])
     z = np.array([0.0, -10.0, 0.0, -10.0])  # |u|/r spread 1000
     h = OTDualObjective(inst, r=r)
-    assert h._K is not None and h._scaling(z, np.empty(4)) is None
+    _assert_matches_log_domain(h, z, _PAST_GATE_TOL)
+    assert np.array_equal(h._anchor, z)
+    assert h._K[0, 0] == 1.0 and h._plan(z).X[0, 0] == 1.0
     grad, P = _log_domain(inst, r, z)
-    assert np.array_equal(h.grad(z), grad)
-    assert np.array_equal(np.concatenate(ot_dual_grad(inst, r, z[:2], z[2:])), grad)
-    assert np.array_equal(plan_from_dual(inst, r, z[:2], z[2:]).X, P)
-    assert P[0, 0] == 1.0
-    assert h._buffer is not None
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(h.grad(np.full(4, np.nan))).all()  # nan input reaches the log domain
+    assert np.max(np.abs(np.concatenate(ot_dual_grad(inst, r, z[:2], z[2:])) - grad)) <= _PAST_GATE_TOL
+    assert np.max(np.abs(plan_from_dual(inst, r, z[:2], z[2:]).X - P)) <= _PAST_GATE_TOL
+
+
+def test_nan_point_keeps_the_anchor():
+    """A nan z gives a nan gradient and a nan plan and rebuilds nothing, so the kernel stays
+    finite and the next gradient at a finite z still matches the log domain."""
+    rng = np.random.default_rng(5)
+    inst = _random_instance(rng, 6, 9)
+    r = float(inst.C.max()) / (3.0 * _LOG_TINY)
+    h = OTDualObjective(inst, r=r)
+    z = 3000.0 * r * rng.standard_normal(15)
+    _assert_matches_log_domain(h, z, _PAST_GATE_TOL)
+    anchor, K = h._anchor.copy(), h._K.copy()
+    bad = z.copy()
+    bad[3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(h.grad(bad)).all()
+        assert np.isnan(h._plan(bad).X).all()
+    assert np.array_equal(h._anchor, anchor) and np.array_equal(h._K, K)
+    _assert_matches_log_domain(h, z + 50.0 * r * rng.standard_normal(15), _PAST_GATE_TOL)
 
 
 def _two_block(inst, r, u, v):
@@ -281,7 +325,7 @@ def test_fused_kernel_equals_two_block_arithmetic(m, n):
             assert np.array_equal(h.grad(z), grad)
             assert np.array_equal(np.concatenate(ot_dual_grad(inst, r, z[:m], z[m:])), grad)
             assert np.array_equal(plan_from_dual(inst, r, z[:m], z[m:]).X, X)
-        assert h._buffer is None
+        assert h._anchor is None  # no rebuild happened
 
 
 def test_plan_from_dual_uniform_and_normalized(rng):
@@ -572,7 +616,8 @@ def test_solve_ot_spends_exactly_eval_cap(rng, monkeypatch, cap):
 @given(st.data())
 def test_solve_ot_past_log_domain_gate_returns_or_exhausts_budget(data):
     """At eps 1e-6 a solve returns a certified plan or raises the budget RuntimeError (CLI
-    exit 4), and never overflows; C.max()/r is past the log-domain gate once C.max() > 5.2e-4."""
+    exit 4), and never overflows; C.max()/r is past the gate -log(tiny), where K = exp(-C/r)
+    underflows and may be re-anchored, once C.max() > 5.2e-4."""
     m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
     scale = data.draw(st.sampled_from([1e-3, 1.0, 1e6]))
     costs = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=m * n, max_size=m * n)
@@ -617,23 +662,74 @@ def test_counting_objective_certifies_first_l1_within_tolerance():
 
 @pytest.mark.parametrize("eps, above_gate", [(0.05, False), (0.004, True)])
 def test_solve_ot_plan_is_plan_from_dual_at_stop_point(monkeypatch, eps, above_gate):
-    """The plan built from the objective's own kernel equals plan_from_dual's, bit for bit,
-    as round_plan receives it (solve_ot reuses the raw plan's buffer once it is rounded)."""
+    """The raw plan, as round_plan receives it (solve_ot reuses its buffer once it is rounded),
+    is the objective's own plan at the stop point, from the anchor the stop gradient read; below
+    the gate, with no anchor, that is plan_from_dual's, bit for bit."""
     inst = OTInstance(C=[[0.0, 1.0, 0.6], [0.9, 0.0, 0.3]], mu=[0.45, 0.55], nu=[0.2, 0.5, 0.3])
     calls = _record_grads(monkeypatch)
-    raws = []
+    raws, objectives = [], []
+    own_plan = OTDualObjective._plan
 
     def spy(inst, plan):
         raws.append(TransportPlan(X=plan.X.copy()))
         return round_plan(inst, plan)
 
+    def plan_spy(self, z):
+        objectives.append(self)
+        return own_plan(self, z)
+
     monkeypatch.setattr(ot, "round_plan", spy)
+    monkeypatch.setattr(OTDualObjective, "_plan", plan_spy)
     res = solve_ot(inst, eps)
     r = res.report["r"]
     assert (inst.C.max() / r > _LOG_TINY) == above_gate
     z = calls[-1][0]
-    assert np.array_equal(raws[0].X, plan_from_dual(inst, r, z[:2], z[2:]).X)
+    assert np.array_equal(raws[0].X, own_plan(objectives[0], z).X)
+    if not above_gate:
+        assert objectives[0]._anchor is None
+        assert np.array_equal(raws[0].X, plan_from_dual(inst, r, z[:2], z[2:]).X)
     assert np.array_equal(res.plan.X, round_plan(inst, raws[0]).X)
+
+
+def _highs_cost(inst):
+    """The optimal transport cost by scipy's HiGHS, on the sparse m + n marginal constraints."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    m, n = inst.shape
+    rows = np.concatenate([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)])
+    A = sparse.coo_matrix((np.ones(2 * m * n), (rows, np.tile(np.arange(m * n), 2))), shape=(m + n, m * n))
+    res = scipy_opt.linprog(inst.C.ravel(), A_eq=A, b_eq=np.concatenate([inst.mu, inst.nu]),
+                            bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("cost, eps, N, grad_evals, rebuilt", [
+    ("uniform", 0.01, 2048, 2079, False), ("euclid", 0.005, 4096, 7541, True)])
+def test_solve_ot_far_past_the_gate(monkeypatch, cost, eps, N, grad_evals, rebuilt):
+    """100 x 100 solves far past the gate: C.max()/r is about 1842 on U[0, 1] costs at eps 0.01
+    and 6624 on squared distances in the unit square at eps 0.005.  The plan is within eps of
+    HiGHS's optimum, the rounding moves at most twice grad_l1, and N and the gradient count are
+    those the log-domain kernel takes.  The U[0, 1] solve runs on K = exp(-C/r),
+    entries lost to underflow and all; the Euclidean one re-anchors the kernel."""
+    rng = np.random.default_rng(0)
+    if cost == "uniform":
+        inst = _random_instance(rng, 100, 100)
+    else:
+        x, y = rng.uniform(0, 1, (100, 2)), rng.uniform(0, 1, (100, 2))
+        inst = OTInstance(C=((x[:, None] - y[None]) ** 2).sum(-1), mu=rng.dirichlet(np.full(100, 3.0)),
+                          nu=rng.dirichlet(np.full(100, 3.0)))
+    rebuilds, shifted_exp = [], ot._shifted_exp
+    monkeypatch.setattr(ot, "_shifted_exp", lambda *args: rebuilds.append(1) or shifted_exp(*args))
+    res = solve_ot(inst, eps)
+    rep = res.report
+    assert inst.C.max() / rep["r"] > 2.5 * _LOG_TINY
+    assert (rep["N"], rep["grad_evals"]) == (N, grad_evals)
+    assert bool(rebuilds) == rebuilt
+    lp = _highs_cost(inst)
+    assert lp - 1e-9 <= res.cost <= lp + eps
+    assert rep["rounding_l1"] <= rep["rounding_l1_bound"] == 2.0 * rep["grad_l1"]
+    assert rep["grad_l1"] <= rep["grad_tol"]
 
 
 def _restart_reference(inst, eps):
@@ -768,7 +864,7 @@ def test_solve_ot_history_has_one_row_per_attempt(monkeypatch, N_c):
 
 @pytest.mark.parametrize("m, eps, above_gate", [(300, 0.1, False), (250, 0.03, True)])
 def test_solve_ot_finish_holds_two_plan_arrays(monkeypatch, m, eps, above_gate):
-    """The kernel K (or, past the gate, the log-domain buffer) is released before rounding,
+    """The kernel K (re-anchored or not past the gate) is released before rounding,
     which holds the raw plan and the rounded one, and the raw plan's buffer then takes the
     rounding's l1 terms and the cost terms: at most 1.5 m x n arrays are held when rounding
     starts, and the traced peak of a solve is at most 2.75."""
@@ -925,19 +1021,9 @@ def test_lp_oracle_examples():
 
 
 def test_lp_oracle_enumeration_matches_scipy(rng):
-    scipy_opt = pytest.importorskip("scipy.optimize")
     for m, n in [(3, 3), (3, 4)]:
         inst = _random_instance(rng, m, n)
-        A_eq = np.zeros((m + n, m * n))
-        for i in range(m):
-            for j in range(n):
-                A_eq[i, i * n + j] = 1.0
-                A_eq[m + j, i * n + j] = 1.0
-        ref = scipy_opt.linprog(
-            inst.C.ravel(), A_eq=A_eq, b_eq=np.concatenate([inst.mu, inst.nu]),
-            bounds=(0, None),
-        )
-        assert lp_oracle(inst) == pytest.approx(ref.fun, abs=1e-9)
+        assert lp_oracle(inst) == pytest.approx(_highs_cost(inst), abs=1e-9)
 
 
 def test_lp_oracle_rejects_large():
