@@ -137,35 +137,42 @@ class EnergyTrace:
 
 
 class _TraceRows:
-    """A run's row values, read window by window (_windows), into float64
-    columns: per row, f at the points p_k, ||grad f(p_k)||_q and, when conj,
-    the conjugate DGF at the duals d_k ((x_k, y_k) or (q_k, r_k)).  Given a
-    float64 comparison point x, also what the energies read, with L and sigma
-    checked as the runners check them: f(x) and <d_0, x> once,
-    pair_x[k] = <grad f(p_k), x - p_k> per row and, per step k -> k+1, the
-    brackets coco_f and coco_conj.  No row is kept unless x is LAST, the last
-    point of a run read as it steps: points and gradients are then copied,
-    O(N d), and f(x) and pair_x computed from them once it comes (V_k reads
-    no <d_0, x>).  dual_energy_trace, whose run is whole, passes its q_N.
+    """A run's row values, read from its steps, each (point, dual, grad f(point), mirror),
+    window by window (_windows) into float64 columns: per row, f at the points p_k,
+    ||grad f(p_k)||_q and, on a dual run or given x, the conjugate DGF at the duals d_k
+    ((x_k, y_k) or (q_k, r_k)).  Given a float64 comparison point x, also what the
+    energies read, with L and sigma checked as the runners check them: f(x) and <d_0, x>
+    once (on a dual run x is q_N, whose f is its last f row, equal to f.value(q_N) by the
+    values contract), pair_x[k] = <grad f(p_k), x - p_k> per row and, per step k -> k+1,
+    the brackets coco_f and coco_conj.  No row is kept unless x is LAST, the last point
+    of a run read as it steps: points and gradients are then copied, O(N d), and pair_x
+    computed from them once it comes (V_k reads no <d_0, x>).
     """
 
-    def __init__(self, f: SmoothObjective, g: DGF, conj: bool = True, x: Optional[Vector] = None,
+    def __init__(self, f: SmoothObjective, g: DGF, steps, dual: bool, x: Optional[Vector] = None,
                  L: Optional[float] = None, sigma: Optional[float] = None):
         if x is not None:
             L, sigma = _constants(f, g, L, sigma)
-            self.fx = None if x is LAST else f.value(x)
-        self.f, self.g, self.conj, self.x, self.L, self.sigma = f, g, conj, x, L, sigma
+        self.f, self.g, self.dual, self.x, self.L, self.sigma = f, g, dual, x, L, sigma
         self.f_vals, self.norms, self.conj_vals, self.pair_x, self.coco_f, self.coco_conj, *self.kept = (
             array("d") for _ in range(8))
+        for window in _windows(steps):
+            self._add(*window)
+        if x is LAST:
+            P, G = (np.frombuffer(kept).reshape(len(self.f_vals), -1) for kept in self.kept)
+            self.x = P[-1].copy()
+            self.pair_x.frombytes(pairings(G, np.subtract(self.x, P, out=P)).tobytes())
+        if x is not None:
+            self.fx = self.f_vals[-1] if dual else f.value(x)
 
-    def add(self, P, Y, G, M) -> None:
+    def _add(self, P, Y, G, M) -> None:
         """Read the next window: stacks of points, duals, grad f at the points
         and the mirrors (grad of the conjugate DGF at the duals)."""
         f, g, x = self.f, self.g, self.x
         new = 1 if self.f_vals else 0  # the window's first row not read yet
         self.f_vals.extend(f.values(P[new:]).tolist())
         self.norms.extend(lp_norms(G[new:], g.q).tolist())
-        if self.conj:
+        if self.dual or x is not None:
             self.conj_vals.extend(g.conjugate_values(Y[new:]).tolist())
         if x is None:
             return
@@ -188,9 +195,9 @@ class _TraceRows:
             self.coco_f.append(fv[k] - fv[k + 1] - pair_f[j] - norm_f[j] ** 2 / (2.0 * self.L))
             self.coco_conj.append(cv[k] - cv[k + 1] - pair_c[j] - self.sigma / 2.0 * norm_c[j] ** 2)
 
-    def energies(self, w: List[float], dual: bool, decrements: Optional[list] = None) -> array:
-        """The energies, a float64 column, once every window is read: U_0 .. U_N
-        with w = u or, when dual, V_0 .. V_N with w = v and x = q_N.  They start from
+    def energies(self, w: List[float], decrements: Optional[list] = None) -> array:
+        """The energies, a float64 column: U_0 .. U_N with w = u or, on a dual run,
+        V_0 .. V_N with w = v and x = q_N.  They start from
 
             U_0 = phi(x) + phi*(y_0) - <y_0, x> - u_0 D_f(x, x_0),   V_0 = v_0 (f(q_0) - f(q_N)),
 
@@ -198,15 +205,11 @@ class _TraceRows:
         coco_conj, with (j, i) = (k+1, k) for U and (k, k+1) for V: each step of
         V is the step of U mirrored.  The labelled decrements go to decrements
         when it is a list."""
-        if self.x is LAST:
-            P, G = (np.frombuffer(kept).reshape(len(self.f_vals), -1) for kept in self.kept)
-            self.x, self.fx = P[-1].copy(), self.f.value(P[-1])
-            self.pair_x.frombytes(pairings(G, np.subtract(self.x, P, out=P)).tobytes())
         fx, fv, px = self.fx, self.f_vals, self.pair_x
-        energies = array("d", [w[0] * (fv[0] - fx) if dual else
+        energies = array("d", [w[0] * (fv[0] - fx) if self.dual else
                                self.g.value(self.x) + self.conj_vals[0] - self.y0x - w[0] * (fx - fv[0] - px[0])])
         for k, (coco_f, coco_conj) in enumerate(zip(self.coco_f, self.coco_conj)):
-            j, i = (k, k + 1) if dual else (k + 1, k)
+            j, i = (k, k + 1) if self.dual else (k + 1, k)
             cvx = fx - fv[j] - px[j]  # D_f(x, p_j)
             if decrements is not None:
                 decrements.append({"convexity": cvx, "coco_f": coco_f, "coco_conjugate": coco_conj})
@@ -249,10 +252,9 @@ def primal_energy_trace(
     """
     N = len(traj.xs) - 1
     u = _weights(u, N + 1, "u")
-    rows, decrements = _TraceRows(f, g, x=np.asarray(x, dtype=np.float64), L=L, sigma=sigma), []
-    for window in _windows(zip(traj.xs, traj.ys, traj.f_grads, traj.mirrors, strict=True)):
-        rows.add(*window)
-    energies = rows.energies(u, False, decrements)
+    steps = zip(traj.xs, traj.ys, traj.f_grads, traj.mirrors, strict=True)
+    rows, decrements = _TraceRows(f, g, steps, False, x=np.asarray(x, dtype=np.float64), L=L, sigma=sigma), []
+    energies = rows.energies(u, decrements)
     x, fx, f_vals, phi_conj = rows.x, rows.fx, rows.f_vals.tolist(), rows.conj_vals.tolist()
 
     fenchel = g.value(x) + phi_conj[N] - pairing(traj.ys[N], x)
@@ -289,10 +291,9 @@ def dual_energy_trace(
         raise ValueError("dual energies require an unshifted DGF (psi*(0) = 0)")
     N = len(traj.qs) - 1
     v = _weights(v, N + 1, "v")
-    rows, decrements = _TraceRows(f, g, x=np.asarray(traj.qs[N], dtype=np.float64), L=L, sigma=sigma), []
-    for window in _windows(zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors, strict=True)):
-        rows.add(*window)
-    energies, psi_conj = rows.energies(v, True, decrements), rows.conj_vals.tolist()
+    steps = zip(traj.qs, traj.rs, traj.f_grads, traj.mirrors, strict=True)
+    rows, decrements = _TraceRows(f, g, steps, True, x=np.asarray(traj.qs[N], dtype=np.float64), L=L, sigma=sigma), []
+    energies, psi_conj = rows.energies(v, decrements), rows.conj_vals.tolist()
 
     d_psi_conj_0_r0 = -psi_conj[0] + pairing(traj.rs[0], traj.mirrors[0])
     final_terms = {

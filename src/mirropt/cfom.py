@@ -106,9 +106,11 @@ def _checked_tail(N: int, a: np.ndarray, b: np.ndarray, tail) -> tuple:
     return row, col
 
 
-def schedule_from_entries(N: int, a_entries, b_entries) -> CoefficientSchedule:
-    """Build a schedule from sparse (k, i, value) triples; omitted entries are
-    zero, except b(0,0), which defaults to -1.  An index given twice is refused."""
+def schedule_from_entries(N: int, a_entries: list, b_entries: list) -> CoefficientSchedule:
+    """Build a schedule from lists of [k, i, value] entries, as JSON reads them: integer
+    indices and a finite number.  Omitted entries are zero, except b(0,0), which defaults
+    to -1.  One pass: each entry is checked whole (its shape and types, the triangle, a
+    repeat, caught by a mask shaped like its array) and written before the next is read."""
     if N < 1:
         raise ValueError("N >= 1 required")
     a = np.zeros((N + 1, N + 1))
@@ -116,15 +118,19 @@ def schedule_from_entries(N: int, a_entries, b_entries) -> CoefficientSchedule:
     b[0, 0] = -1.0
     # a is strictly lower triangular, b lower triangular with its diagonal.
     for name, arr, entries, diag in (("a", a, a_entries, 0), ("b", b, b_entries, 1)):
-        seen = set()
-        for k, i, v in entries:
-            k, i = int(k), int(i)
+        if not isinstance(entries, list):
+            raise ValueError(f"schedule {name!r} must be a list of [k, i, value] entries")
+        seen = np.zeros(arr.shape, dtype=bool)
+        for e in entries:
+            if not (isinstance(e, list) and len(e) == 3):
+                raise ValueError(f"schedule {name!r} entry {e!r} is not [k, i, value]")
+            k, i = _json_int(e[0], f"{name} index"), _json_int(e[1], f"{name} index")
             if not (0 <= i < k + diag and k <= N):
                 raise ValueError(f"{name} index ({k},{i}) outside triangle")
-            if (k, i) in seen:
+            if seen[k, i]:
                 raise ValueError(f"{name} index ({k},{i}) given twice")
-            seen.add((k, i))
-            arr[k, i] = float(v)
+            seen[k, i] = True
+            arr[k, i] = _json_number(e[2], f"{name} value")
     return CoefficientSchedule(N=N, a=a, b=b)
 
 
@@ -353,28 +359,11 @@ def save_schedule(s: CoefficientSchedule, path: str) -> None:
         fh.write("\n")
 
 
-def _json_entries(doc: dict, key: str) -> list:
-    """The (k, i, value) triples under key, checked: integer indices, a real value."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise ValueError(f"schedule {key!r} must be a list of [k, i, value] entries")
-    out = []
-    for e in entries:
-        if not (isinstance(e, list) and len(e) == 3):
-            raise ValueError(f"schedule {key!r} entry {e!r} is not [k, i, value]")
-        k, i, v = e
-        out.append((_json_int(k, f"{key} index"), _json_int(i, f"{key} index"),
-                    _json_number(v, f"{key} value")))
-    return out
-
-
 def load_schedule(path_or_dict) -> CoefficientSchedule:
-    """Load the JSON schedule format; an omitted b(0,0) defaults to -1.  A document
-    schedule_to_json_dict (or save_schedule) wrote reads back as the schedule written.
-
-    Raises ValueError on a document that is not a schedule: not an object,
-    a non-integer N or index, or an entry that is not [k, i, number].
-    """
+    """Load the JSON schedule format: its a and b lists go to schedule_from_entries, which
+    reads each entry once.  A document schedule_to_json_dict (or save_schedule) wrote reads
+    back as the schedule written.  Raises ValueError on a document that is not a schedule:
+    not an object, a non-integer N or index, or an entry that is not [k, i, number]."""
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
     else:
@@ -385,4 +374,4 @@ def load_schedule(path_or_dict) -> CoefficientSchedule:
     if "N" not in doc:
         raise ValueError("schedule document has no N")
     N = _json_int(doc["N"], "N")
-    return schedule_from_entries(N, _json_entries(doc, "a"), _json_entries(doc, "b"))
+    return schedule_from_entries(N, doc.get("a", []), doc.get("b", []))

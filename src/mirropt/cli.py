@@ -112,18 +112,15 @@ def _rows(run, steps, f, g):
 
     steps yields the run's (point, dual, grad f(point), mirror), k = 0..N; the
     rows are evaluated on windows of ROW_BLOCK + 1 of them as they come
-    (certificates._windows).  f and psi* are the values any energies are built
+    (certificates._TraceRows).  f and psi* are the values any energies are built
     from: one of each a row.
     """
     dual = run.method.startswith("dual")
     x = None  # the energies' comparison point: x* for U_k, q_N for V_k, which needs psi*(0) = 0
     if run.method == "amd" or (run.method == "dual-amd" and not g.shifted):
         x = certificates.LAST if dual else f.x_star
-    rows = certificates._TraceRows(f, g, conj=dual or x is not None, x=x, L=run.L, sigma=run.sigma)
-    for window in certificates._windows(steps):
-        rows.add(*window)
-    energies = None if x is None else rows.energies(
-        methods._energy_weights(run.theta, run.L, run.sigma, dual), dual)
+    rows = certificates._TraceRows(f, g, steps, dual, x=x, L=run.L, sigma=run.sigma)
+    energies = None if x is None else rows.energies(methods._energy_weights(run.theta, run.L, run.sigma, dual))
     return [rows.f_vals, rows.norms, rows.conj_vals if dual else None, energies], run.bound
 
 
@@ -239,6 +236,8 @@ def cmd_duality_check(args) -> int:
         s = methods._amd_schedule(th, L, sigma)
         u = methods._energy_weights(th, L, sigma, False)
     else:
+        if args.N is not None:
+            raise UsageError("--N is read only with the amd keyword; a schedule file gives its own N")
         s = cfom.load_schedule(args.schedule)
         u = np.cumsum(np.random.default_rng(args.seed).uniform(0.1, 1.0, s.N + 1)).tolist()
     v = None
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duality-check", help="sample the energy-duality identity")
     p.add_argument("--schedule", required=True, help="schedule JSON path or the keyword 'amd'")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None, help="N of the amd keyword (refused with a file)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--dim", type=int, default=4)

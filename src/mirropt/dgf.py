@@ -93,8 +93,16 @@ class DGF:
         value to conjugate_grad (a -0.0 stays -0.0); conjugate_grad otherwise."""
         return _identity if self.kind == "euclidean" else self.conjugate_grad
 
+    def _x0_beside(self, x: np.ndarray) -> Vector:
+        """x0, refused unless it has the length of the point x (each row of a stack): never broadcast."""
+        n = x.shape[-1] if x.ndim else 1
+        if n != self.x0.size:
+            raise ValueError(f"x0 has length {self.x0.size}, but the point has length {n}: "
+                             f"{x.shape} vs {x.shape[:-1] + self.x0.shape}")
+        return self.x0
+
     def _shift(self, x: Vector) -> Vector:
-        return x if self.x0 is None else x - self.x0
+        return x if self.x0 is None else x - self._x0_beside(x)
 
     def value(self, x: PrimalVector) -> float:
         """phi(x) = (1/2) ||x - x0||_p^2."""
@@ -116,7 +124,7 @@ class DGF:
         """
         vals = np.array([0.5 * nq ** 2 for nq in lp_norms(Y, self.q).tolist()], dtype=np.float64)
         if self.x0 is not None:
-            vals = vals + pairings(Y, np.broadcast_to(self.x0, (len(Y), self.x0.size)))
+            vals = vals + pairings(Y, np.broadcast_to(self._x0_beside(Y), Y.shape))
         return vals
 
     def conjugate_grad(self, y: DualVector) -> PrimalVector:
@@ -135,7 +143,7 @@ class DGF:
         y = np.asarray(y, dtype=np.float64)
         out = y + 0.0 if self.p == 2.0 else _norm_power_map(y, self.q)
         if self.x0 is not None:
-            out = out + self.x0
+            out = out + self._x0_beside(y)
         return out
 
     def to_descriptor(self) -> dict:

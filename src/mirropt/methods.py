@@ -317,8 +317,9 @@ def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha
     start is copied once, so no row is the caller's array.  The mirror map is
     g._mirror_map: for an unshifted p = 2 DGF each step's mirror is its y_k (r_k) itself.
 
-    MD checks alpha and N at its first step.  AMD checks (L, sigma), then takes
-    grad f(q_0) on a dual run unless fg0 is given, then theta_sequence(N) unless th is.
+    MD checks a given L and sigma (run.L and run.sigma stay None), then alpha and N at its
+    first step.  AMD checks (L, sigma), then takes grad f(q_0) on a dual run unless fg0 is
+    given, then theta_sequence(N) unless th is.
     """
     dual, md = method.startswith("dual"), method in ("md", "dual-md")
     run, mirror = MethodRun(method=method), g._mirror_map
@@ -327,6 +328,8 @@ def _start(method: str, f: SmoothObjective, g: DGF, start: Vector, N: int, alpha
     def grad(x):
         return np.asarray(f.grad(x), dtype=np.float64)
 
+    if md:
+        _positive_finite(**{k: v for k, v in (("L", L), ("sigma", sigma)) if v is not None})
     if md and dual:
         steps = ((q, fg, fg, m) for q, fg, m in _md_loop(grad, mirror, alpha, start, N, "primal iterate q"))
     elif md:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,24 @@ def test_schedule_document_reads_back_as_written(make, rng, tmp_path):
     save_schedule(s, str(path))
     for back in (load_schedule(doc), load_schedule(str(path))):
         assert back.N == s.N and np.array_equal(back.a, s.a) and np.array_equal(back.b, s.b)
+
+
+def test_load_schedule_holds_little_beside_its_arrays(rng):
+    """load_schedule reads a dense N = 300 document (90,601 entries) in one pass: its
+    traced peak stays below 3 times the two dense arrays it returns (1.4 MiB).  A list
+    of (k, i, value) tuples built before the arrays are filled holds about 9 times them."""
+    N = 300
+    s = random_schedule(N, rng)
+    doc = schedule_to_json_dict(s)
+    tracemalloc.start()
+    try:
+        back = load_schedule(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.a, s.a) and np.array_equal(back.b, s.b)
+    arrays = 2 * (N + 1) ** 2 * 8
+    assert peak < 3 * arrays, peak / arrays
 
 
 def test_load_defaults_b00_to_minus_one(tmp_path):

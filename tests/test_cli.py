@@ -295,6 +295,14 @@ def test_duality_check_random_schedule_file(tmp_path, rng):
     assert main(["duality-check", "--schedule", str(path), "--trials", "100"]) == 0
 
 
+def test_duality_check_refuses_N_with_a_schedule_file(capsys):
+    """--N is read only with the amd keyword: with a file, which gives its own N (6 here),
+    it is a usage error, not a check of the file's N under another's name."""
+    schedule = str(Path(__file__).parent / "golden" / "schedule.json")
+    assert main(["duality-check", "--schedule", schedule, "--N", "50", "--trials", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: --N is read only with the amd keyword")
+
+
 def test_duality_check_mismatched_v_exits_3():
     assert main([
         "duality-check", "--schedule", "amd", "--N", "5",
@@ -573,14 +581,27 @@ def test_malformed_schedules_exit_1(doc):
         assert main(["duality-check", "--schedule", str(path), "--trials", "2", "--dim", "2"]) == 1
 
 
-@pytest.mark.parametrize("method", ["amd", "dual-amd"])
+@pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
 @pytest.mark.parametrize("key, value", [("L", "4"), ("L", 0), ("sigma", 0), ("L", -4), ("sigma", -1)])
 def test_bad_smoothness_constants_exit_1(tmp_path, capsys, method, key, value):
     """A non-numeric or non-positive L or sigma is refused before the run, not a
-    TypeError or ZeroDivisionError traceback, nor a violated-bound exit 2."""
+    TypeError or ZeroDivisionError traceback, nor a violated-bound exit 2; on md and
+    dual-md, which read neither, a given one is checked all the same."""
     cfg = dict(AMD_CONFIG, method=method, N=4, **{key: value})
+    if method in ("md", "dual-md"):
+        cfg["alpha"] = 0.2
     assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("method", ["md", "dual-md", "amd", "dual-amd"])
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0, 3.0]])
+def test_shift_of_another_length_exits_1(tmp_path, capsys, method, x0):
+    """A DGF shift whose length differs from the start's (2) is a usage error: a length-1
+    shift ran and certified, broadcast, and a length-3 one failed in numpy."""
+    cfg = dict(AMD_CONFIG, method=method, N=4, alpha=0.2, dgf={"kind": "shifted-euclidean", "x0": x0})
+    assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: x0 has length {len(x0)}, but the point has length 2")
 
 
 @pytest.mark.parametrize("method", ["md", "dual-md"])

@@ -191,6 +191,20 @@ def test_rejects_nonfinite_shift():
         DGF(NormIndex(2.0), x0=np.array([1.0, np.inf]))
 
 
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_shift_of_another_length_is_refused(x0, p):
+    """A shift whose length differs from the point's is refused where the point meets it,
+    naming x0 and both lengths: a length-1 shift was broadcast over a point of length 2,
+    and a length-3 one failed with numpy's broadcast error."""
+    g, y = squared_lp(p, x0=x0), np.array([0.5, -1.0])
+    for call in (g.value, g.grad, g.conjugate_grad, g.conjugate_value):
+        with pytest.raises(ValueError, match=f"x0 has length {len(x0)}, but the point has length 2"):
+            call(y)
+    with pytest.raises(ValueError, match=f"x0 has length {len(x0)}, but the point has length 2"):
+        g.conjugate_values(np.ones((3, 2)))
+
+
 def test_conjugate_values_refuse_rows_longer_than_the_shift():
     """A length-1 shift was broadcast over rows of length 3 by conjugate_values, while
     conjugate_value refused them; its one-row case now refuses them as the stack does."""

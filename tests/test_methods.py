@@ -552,3 +552,15 @@ def test_euclidean_runs_hold_three_families_each():
     assert len(runs) == 4
     family = (N + 1) * d * 8
     assert held <= 13.5 * family, held / family
+
+
+@pytest.mark.parametrize("runner", ["md", "dual-md", "amd", "dual-amd", "cfom", "mirror-dual"])
+def test_shift_of_another_length_is_refused_by_runners_and_executors(rng, runner):
+    """A run whose DGF shift has length 1 on points of length 2 is refused, not broadcast."""
+    f, g, start = _quadratic(rng, n=2), euclidean(x0=[1.0]), np.array([0.5, -1.0])
+    run = {"md": lambda: run_md(f, g, 0.5, start, 4), "dual-md": lambda: run_dual_md(f, g, 0.5, start, 4),
+           "amd": lambda: run_amd(f, g, start, 4), "dual-amd": lambda: run_dual_amd(f, g, start, 4),
+           "cfom": lambda: run_cfom(amd_schedule(4, f.L, 1.0), f, g, start),
+           "mirror-dual": lambda: run_mirror_dual(amd_schedule(4, f.L, 1.0), f, g, start)}[runner]
+    with pytest.raises(ValueError, match="x0 has length 1, but the point has length 2"):
+        run()
