@@ -17,7 +17,8 @@ copies of two of its families until that point comes, O(N d).
 `run` and `certify` judge a run by one rule (_verdict); every document
 is read through one boundary (_reading), where a malformed one is a
 usage error, and every number in it by spaces' one reader, which refuses
-bools, strings, NaN and Infinity.  N is at most MAX_N, in a config or --N.
+bools, strings, NaN and Infinity.  N is at most ot.DEFAULT_EVAL_CAP, the OT
+gradient budget, in a config or --N.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 energy increase or
 certified-bound violation, 3 duality residual above tolerance, 4
@@ -44,7 +45,6 @@ from .objectives import objective_from_descriptor
 from .spaces import _json_int, _json_number, as_vector
 
 BOUND_SLACK = 1e-9
-MAX_N = 2 ** 20  # the largest N a config or --N may give (the default OT gradient budget)
 
 
 def _fmt(x) -> str:
@@ -78,18 +78,23 @@ def _load_json(path: str):
 def _run_from_config(cfg: dict):
     """Execute the configured method; returns (run, (cols, bound), f, g): its
     MethodRun, with no trajectory, and its trace columns and bound (_rows),
-    evaluated while it steps, as on every method.  The checks of N, L, sigma
-    and alpha are methods._start's."""
+    evaluated while it steps, as on every method.  The run starts from y0 on
+    a primal method and q0 on a dual one (zeros when absent); the other
+    family's key is refused.  The checks of N, L, sigma and alpha are
+    methods._start's."""
     with _reading("config"):
         method = cfg["method"]
         if not isinstance(method, str) or method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
         key = _METHODS[method]
+        other = "q0" if key == "y0" else "y0"
+        if other in cfg:
+            raise ValueError(f"{other} is not read by method {method}, which starts from {key}")
         f = objective_from_descriptor(cfg["objective"])
         g = dgf_from_descriptor(cfg.get("dgf", {"kind": "euclidean"}))
         N = _json_int(cfg["N"], "N")
-        if N > MAX_N:
-            raise ValueError(f"N = {N} is above MAX_N = {MAX_N}")
+        if N > ot.DEFAULT_EVAL_CAP:
+            raise ValueError(f"N = {N} is above DEFAULT_EVAL_CAP = {ot.DEFAULT_EVAL_CAP}")
         L, sigma = (None if cfg.get(k) is None else _json_number(cfg[k], k) for k in ("L", "sigma"))
         alpha = _json_number(cfg["alpha"], "alpha") if method in ("md", "dual-md") else None
         start = as_vector(cfg[key], key) if key in cfg else np.zeros(_dim(cfg))
@@ -230,8 +235,8 @@ def cmd_duality_check(args) -> int:
         raise UsageError("--perturb-v must be finite")
     L, sigma = 1.0, 1.0
     if args.schedule == "amd":
-        if args.N is None or args.N > MAX_N:
-            raise UsageError(f"--N at most MAX_N = {MAX_N} is required with the amd keyword")
+        if args.N is None or args.N > ot.DEFAULT_EVAL_CAP:
+            raise UsageError(f"--N at most DEFAULT_EVAL_CAP = {ot.DEFAULT_EVAL_CAP} is required with the amd keyword")
         th = methods.theta_sequence(args.N)
         s = methods._amd_schedule(th, L, sigma)
         u = methods._energy_weights(th, L, sigma, False)

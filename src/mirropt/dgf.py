@@ -164,13 +164,19 @@ def squared_lp(p: float, x0: Optional[Vector] = None) -> DGF:
 def dgf_from_descriptor(desc: dict) -> DGF:
     """Build a DGF from its serialized {kind, p, x0} form; p and x0 must be finite JSON numbers.
 
-    A Euclidean kind takes no p but 2, the one its to_descriptor writes.
+    A Euclidean kind takes no p but 2, the one its to_descriptor writes.  A
+    kind given names its shift: a shifted- kind needs an x0 and the others
+    take none (an x0 of null is none).  With no kind, x0 alone decides.
     """
     kind, x0 = desc.get("kind", "euclidean"), desc.get("x0")
     if kind in ("euclidean", "shifted-euclidean"):
         if "p" in desc and _json_number(desc["p"], "p") != 2.0:
             raise ValueError(f"p must be 2 for a {kind} DGF, got {desc['p']!r}")
-        return euclidean(x0=x0)
-    if kind in ("squared-lp", "shifted-squared-lp"):
-        return squared_lp(_json_number(desc["p"], "p"), x0=x0)
-    raise ValueError(f"unknown DGF kind {kind!r}")
+        p = 2.0
+    elif kind in ("squared-lp", "shifted-squared-lp"):
+        p = _json_number(desc["p"], "p")
+    else:
+        raise ValueError(f"unknown DGF kind {kind!r}")
+    if "kind" in desc and kind.startswith("shifted-") != (x0 is not None):
+        raise ValueError(f"DGF kind {kind!r} {'needs an x0' if x0 is None else 'takes no x0'}, got x0={x0!r}")
+    return DGF(NormIndex(p), x0=x0)

@@ -137,8 +137,7 @@ def _md_loop(F, G, alpha: float, u: Vector, N: int, u_label: str):
     (grad f, grad psi*), from u_0 = u, a float64 array.  Yields (u_k, w_k,
     G(w_k)) for k = 0..N; only the current step's vectors are held.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    _positive_finite(alpha=alpha)
     if N < 1:
         raise ValueError("N >= 1 required")
     w = F(u)

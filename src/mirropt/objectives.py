@@ -45,7 +45,8 @@ class SmoothObjective:
         """value at each row of an (n, d) stack, float for float.
 
         Objectives whose value is a few array operations evaluate the
-        stack at once; the others evaluate it row by row.
+        stack at once, and their value is its one-row case; the others
+        evaluate it row by row.
         """
         return np.array([self.value(x) for x in X], dtype=np.float64)
 
@@ -91,8 +92,7 @@ class DiagQuadratic(SmoothObjective):
         self.f_star = 0.0
 
     def value(self, x: PrimalVector) -> float:
-        z = self._check_dim(x, self.b.size) - self.b
-        return 0.5 * float(z @ (self.d * z))
+        return float(self.values(self._check_dim(x, self.b.size)[None])[0])
 
     def values(self, X: np.ndarray) -> np.ndarray:
         Z = self._check_rows(X, self.b.size) - self.b
@@ -134,12 +134,11 @@ class DenseQuadratic(SmoothObjective):
         self.f_star = 0.0
 
     def value(self, x: PrimalVector) -> float:
-        z = self._check_dim(x, self.b.size) - self.b
-        return 0.5 * float(z @ (self.A @ z))
+        return float(self.values(self._check_dim(x, self.b.size)[None])[0])
 
     def values(self, X: np.ndarray) -> np.ndarray:
         Z = self._check_rows(X, self.b.size) - self.b
-        # A @ z per row (one matrix-vector product each, as in value), not Z @ A.
+        # A @ z per row (one matrix-vector product each, as in grad), not Z @ A.
         return 0.5 * pairings(Z, (self.A @ Z[:, :, None])[:, :, 0])
 
     def grad(self, x: PrimalVector) -> DualVector:

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 MARGINAL_TOL = 1e-12
-DEFAULT_EVAL_CAP = 2 ** 20
+DEFAULT_EVAL_CAP = 2 ** 20  # solve_ot's gradient budget, and the largest N of a run config or --N
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -213,7 +213,8 @@ class OTDualObjective(SmoothObjective):
         self.x_star = None
         self.f_star = None
         self._m, self._n = self.inst.shape
-        self._K = np.exp(np.divide(self.inst.C, -self.r))
+        with np.errstate(over="ignore"):  # at a subnormal r, C_ij / r overflows to inf: K_ij = 0
+            self._K = np.exp(np.divide(self.inst.C, -self.r))
         self._anchor = None  # the point K was last rebuilt at; None while K = exp(-C/r)
         self._mu_nu = np.concatenate([self.inst.mu, self.inst.nu])
         self._blocks = np.array([0, self._m])  # where u and v start in z
@@ -265,7 +266,8 @@ class OTDualObjective(SmoothObjective):
         tot = np.add.reduce(g[:m])
         if not self._floor <= tot < math.inf:
             u, v = z[:m], z[m:]
-            bounds = np.array([u.min() + v.min() - self.inst.C.max(), u.max() + v.max()]) / self.r
+            with np.errstate(over="ignore"):  # an overflowing bound means no rebuild
+                bounds = np.array([u.min() + v.min() - self.inst.C.max(), u.max() + v.max()]) / self.r
             if np.isfinite(bounds).all():  # so is every exponent (u_i + v_j - c_ij)/r, and K stays finite
                 _shifted_exp(self.inst, self.r, u, v, K)
                 self._anchor = z.copy()
@@ -436,8 +438,7 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     rounded plan, and once rounded the raw plan's buffer takes
     |rounded - raw| and then C * rounded.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+    _positive_finite(eps=eps)
     if _json_int(eval_cap, "eval_cap") < 1:  # a nan or fractional cap would cut N_c to 1
         raise ValueError(f"eval_cap must be at least 1, got {eval_cap}")
     m, n = inst.shape

@@ -129,7 +129,8 @@ def lp_norms(X: np.ndarray, p: float) -> np.ndarray:
     The sums run over the last axis; the root 1/p is taken per sum, as a
     Python float, whose power is the libm pow numpy's scalar power calls,
     since numpy's array power may round it differently.  An inf or nan sum
-    gives an inf or nan root, not an error.
+    gives an inf or nan root, not an error.  At p = 1 both powers are exact,
+    so the general form is the plain sum of |x_i|.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -138,8 +139,6 @@ def lp_norms(X: np.ndarray, p: float) -> np.ndarray:
         return np.max(np.abs(X), axis=-1)
     if not p >= 1:  # nan too
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    if p == 1:
-        return np.add.reduce(np.abs(X), axis=-1)
     if p == 2:
         return np.sqrt(pairings(X, X))
     return np.array([s ** (1.0 / p) for s in np.add.reduce(np.abs(X) ** p, axis=-1).tolist()])

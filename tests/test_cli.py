@@ -4,6 +4,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from mirropt import methods, ot
 from mirropt.cfom import load_schedule, run_dual_cfom, save_schedule, schedule_to_json_dict
-from mirropt.cli import MAX_N, main
+from mirropt.cli import main
 from mirropt.dgf import euclidean
 from mirropt.methods import amd_schedule, run_dual_amd
 from mirropt.objectives import DiagQuadratic
@@ -581,13 +582,20 @@ def test_malformed_schedules_exit_1(doc):
         assert main(["duality-check", "--schedule", str(path), "--trials", "2", "--dim", "2"]) == 1
 
 
+def _as_method(method, **fields):
+    """AMD_CONFIG run by method, with fields, its start under the method's own key."""
+    cfg = dict(AMD_CONFIG, method=method, **fields)
+    cfg["q0" if method.startswith("dual") else "y0"] = cfg.pop("y0")
+    return cfg
+
+
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md"])
 @pytest.mark.parametrize("key, value", [("L", "4"), ("L", 0), ("sigma", 0), ("L", -4), ("sigma", -1)])
 def test_bad_smoothness_constants_exit_1(tmp_path, capsys, method, key, value):
     """A non-numeric or non-positive L or sigma is refused before the run, not a
     TypeError or ZeroDivisionError traceback, nor a violated-bound exit 2; on md and
     dual-md, which read neither, a given one is checked all the same."""
-    cfg = dict(AMD_CONFIG, method=method, N=4, **{key: value})
+    cfg = _as_method(method, N=4, **{key: value})
     if method in ("md", "dual-md"):
         cfg["alpha"] = 0.2
     assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
@@ -599,7 +607,7 @@ def test_bad_smoothness_constants_exit_1(tmp_path, capsys, method, key, value):
 def test_shift_of_another_length_exits_1(tmp_path, capsys, method, x0):
     """A DGF shift whose length differs from the start's (2) is a usage error: a length-1
     shift ran and certified, broadcast, and a length-3 one failed in numpy."""
-    cfg = dict(AMD_CONFIG, method=method, N=4, alpha=0.2, dgf={"kind": "shifted-euclidean", "x0": x0})
+    cfg = _as_method(method, N=4, alpha=0.2, dgf={"kind": "shifted-euclidean", "x0": x0})
     assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: x0 has length {len(x0)}, but the point has length 2")
 
@@ -609,7 +617,7 @@ def test_shift_of_another_length_exits_1(tmp_path, capsys, method, x0):
 def test_bad_md_step_size_exits_1(tmp_path, capsys, method, alpha):
     """A non-finite, non-positive, non-numeric or missing alpha is a usage error: not a
     non-finite-iterate exit 4, an accepted string, nor a TypeError traceback."""
-    cfg = dict(AMD_CONFIG, method=method, N=4, alpha=alpha)
+    cfg = _as_method(method, N=4, alpha=alpha)
     if alpha is None:
         del cfg["alpha"]
     assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]) == 1
@@ -626,9 +634,7 @@ def _not_a_float(text):
 
 def _certified_trace(method):
     """A config and the trace `run` writes for it (N = 4), as text."""
-    key = "q0" if method.startswith("dual") else "y0"
-    cfg = dict(AMD_CONFIG, method=method, N=4, alpha=0.2)
-    cfg[key] = cfg.pop("y0")
+    cfg = _as_method(method, N=4, alpha=0.2)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "t.csv"
         cfg_path.write_text(json.dumps(cfg))
@@ -964,26 +970,66 @@ def test_run_and_certify_do_not_call_the_runners(method, monkeypatch):
     assert [code for code, _ in _run_then_certify(cfg)] == [0, 0]
 
 
+@pytest.mark.parametrize("dgf", [{"kind": "euclidean", "x0": [1.0, 2.0]}, {"kind": "shifted-euclidean"},
+                                 {"kind": "squared-lp", "p": 1.5, "x0": [1.0, 2.0]},
+                                 {"kind": "shifted-squared-lp", "p": 1.5, "x0": None}])
+def test_dgf_kind_that_disagrees_with_x0_exits_1(dgf):
+    """A dual-amd config whose DGF kind and x0 disagree exits 1 naming both: the first of
+    these ran a shifted DGF (f(q_1) = 2.406, not the Euclidean 0.1378, and no energies)."""
+    cfg = {"method": "dual-amd", "objective": PROBE_OBJECTIVE, "dgf": dgf, "N": 3, "q0": [1.0, -1.0]}
+    for code, err in _run_then_certify(cfg):
+        assert code == 1
+        assert err.startswith(f"error: bad config: DGF kind '{dgf['kind']}' ") and "x0=" in err
+
+
+@pytest.mark.parametrize("method, key", [("dual-amd", "y0"), ("dual-md", "y0"), ("amd", "q0"), ("md", "q0")])
+def test_start_key_of_the_other_family_exits_1(method, key):
+    """A start under the other family's key exits 1 naming it, not a run from zero: a
+    dual-amd config with y0 ran from q0 = 0 and wrote f = 0.125 = f(0) in row 0."""
+    cfg = {"method": method, "objective": PROBE_OBJECTIVE, "N": 3, "alpha": 0.2, key: [1.0, -1.0]}
+    for code, err in _run_then_certify(cfg):
+        assert code == 1
+        assert err.startswith(f"error: bad config: {key} is not read by method {method}")
+
+
+@pytest.mark.parametrize("doc, eps, code, out", [
+    ({"C": [[0, 1], [1, 0]], "mu": [0.5, 0.5], "nu": [0.5, 0.5]}, 1e-320, 0,
+     "cost=0 N=1 gap=2.2248465765025707e-16\n"),
+    ({"C": [[0.2, 1], [1, 0.3]], "mu": [0.5, 0.5], "nu": [0.4, 0.6]}, 1e-310, 4, ""),
+], ids=["eps1e-320", "eps1e-310"])
+def test_ot_at_a_subnormal_temperature_warns_nothing(tmp_path, capsys, doc, eps, code, out):
+    """At a subnormal r, C/r overflows to inf (K_ij = 0) and so do the rebuild bounds (no
+    rebuild): the intended limits, with no RuntimeWarning, so that under warnings-as-errors
+    the exit codes and output are those of a plain run, not a traceback."""
+    inst = _write(tmp_path / "inst.json", doc)
+    argv = ["ot", "--instance", inst, "--eps", str(eps), "--out", str(tmp_path / "o.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md", None])
 def test_n_above_max_exits_1_before_building(tmp_path, monkeypatch, method):
-    """An N above MAX_N, in a config (each method) or in duality-check's --N (method None),
-    is refused before a theta sequence, an MD iterate or a dense schedule is built: each
-    builder is made to fail the test if called."""
+    """An N above the OT gradient budget DEFAULT_EVAL_CAP, in a config (each method) or
+    in duality-check's --N (method None), is refused before a theta sequence, an MD
+    iterate or a dense schedule is built: each builder is made to fail the test if called."""
     def built(*args, **kwargs):
-        raise AssertionError("built something for N above MAX_N")
+        raise AssertionError("built something for N above DEFAULT_EVAL_CAP")
 
     for name in ("theta_sequence", "_md_loop"):
         monkeypatch.setattr(methods, name, built)
     monkeypatch.setattr(np, "zeros", built)
     if method is None:
-        argv = ["duality-check", "--schedule", "amd", "--N", str(MAX_N + 1), "--trials", "2", "--dim", "2"]
+        N = str(ot.DEFAULT_EVAL_CAP + 1)
+        argv = ["duality-check", "--schedule", "amd", "--N", N, "--trials", "2", "--dim", "2"]
     else:
-        cfg = dict(VALID_RUN, method=method, N=MAX_N + 1)
+        cfg = dict(VALID_RUN, method=method, N=ot.DEFAULT_EVAL_CAP + 1)
         cfg["q0" if method.startswith("dual") else "y0"] = cfg.pop("y0")
         argv = ["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "t.csv")]
     code, err = _main_quietly(argv)
     assert code == 1
-    assert err.startswith("error: ") and f"MAX_N = {MAX_N}" in err
+    assert err.startswith("error: ") and f"DEFAULT_EVAL_CAP = {ot.DEFAULT_EVAL_CAP}" in err
 
 
 # Entries that are no finite JSON number, numeric strings and bools among them.

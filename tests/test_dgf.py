@@ -186,6 +186,31 @@ def test_kind_and_descriptor_round_trip():
         assert g2.value(x) == pytest.approx(g.value(x), abs=1e-14)
 
 
+@pytest.mark.parametrize("desc", [
+    {"kind": "euclidean", "x0": [1.0, 2.0]},
+    {"kind": "shifted-euclidean"},
+    {"kind": "shifted-euclidean", "x0": None},
+    {"kind": "squared-lp", "p": 1.5, "x0": [1.0, 2.0]},
+    {"kind": "shifted-squared-lp", "p": 1.5},
+])
+def test_kind_that_disagrees_with_x0_is_refused(desc):
+    """A kind names its shift: a shifted- kind with no x0 (null included), or another kind
+    with one, is refused naming both, not built as the other geometry."""
+    with pytest.raises(ValueError, match=f"DGF kind '{desc['kind']}' .*x0=") as e:
+        dgf_from_descriptor(desc)
+    assert ("needs an x0" in str(e.value)) == desc["kind"].startswith("shifted-")
+
+
+def test_descriptor_without_kind_reads_its_shift_from_x0():
+    """With no kind, x0 alone decides; a kind that is no string is an unknown kind."""
+    assert dgf_from_descriptor({"x0": [1.0, 2.0]}).kind == "shifted-euclidean"
+    assert dgf_from_descriptor({}).kind == "euclidean"
+    assert dgf_from_descriptor({"kind": "euclidean", "x0": None}).kind == "euclidean"
+    for kind in (None, 2, ["euclidean"]):
+        with pytest.raises(ValueError, match="unknown DGF kind"):
+            dgf_from_descriptor({"kind": kind, "x0": [1.0, 2.0]})
+
+
 def test_rejects_nonfinite_shift():
     with pytest.raises(ValueError):
         DGF(NormIndex(2.0), x0=np.array([1.0, np.inf]))

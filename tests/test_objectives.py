@@ -235,3 +235,31 @@ def test_descriptor_round_trips(rng):
         x = rng.standard_normal(dim)
         assert f2.value(x) == pytest.approx(f.value(x), abs=1e-12)
         assert f2.kind == f.kind and f2.L == pytest.approx(f.L)
+
+
+def _extreme_points(d, rng):
+    """Rows of length d at magnitudes 1e-300 to 1e150, and rows with signed zeros, inf and nan."""
+    rows = [rng.standard_normal(d) * 10.0 ** e for e in range(-300, 151, 50)]
+    for special in (0.0, -0.0, math.inf, -math.inf, math.nan):
+        x = rng.standard_normal(d)
+        x[rng.integers(d)] = special
+        rows.append(x)
+    rows += [np.full(d, -0.0), np.zeros(d)]
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 3, 17, 1000])
+def test_quadratic_values_are_the_former_formulas_bit_for_bit(d):
+    """value, now the one-row case of values, equals the formula each quadratic used before,
+    0.5 * z^T diag(d) z or 0.5 * z^T (A z), to the bit, as values does row by row."""
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((d, d))
+    diag = DiagQuadratic(d=rng.uniform(0.0, 4.0, d), b=rng.standard_normal(d) * 1e-3)
+    dense = DenseQuadratic(A=M @ M.T / d, b=diag.b)
+    rows = _extreme_points(d, rng)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for f, former in ((diag, lambda z: 0.5 * float(z @ (diag.d * z))),
+                          (dense, lambda z: 0.5 * float(z @ (dense.A @ z)))):
+            want = np.array([former(x - f.b) for x in rows])
+            assert np.array([f.value(x) for x in rows]).tobytes() == want.tobytes(), f.kind
+            assert f.values(np.array(rows)).tobytes() == want.tobytes(), f.kind

@@ -210,17 +210,24 @@ def test_trace_rows_evaluate_each_row_once(method, conj_rows, monkeypatch):
     N = 20
     cfg, f, g = _config(method, "diag", 1.5, False, N, seed=4)
     rows = {"f": 0, "conj": 0}
-    f_values, conj_values = type(f).values, DGF.conjugate_values
+    f_values, f_value, conj_values = type(f).values, type(f).value, DGF.conjugate_values
 
     def counted_f(self, X):
         rows["f"] += len(X)
         return f_values(self, X)
+
+    def uncounted_value(self, x):
+        # value is the one-row case of values; its row (the bound's f(q_0), or f(x*)
+        # in AMD's energies) is no trace row.
+        rows["f"] -= 1
+        return f_value(self, x)
 
     def counted_conj(self, Y):
         rows["conj"] += len(Y)
         return conj_values(self, Y)
 
     monkeypatch.setattr(type(f), "values", counted_f)
+    monkeypatch.setattr(type(f), "value", uncounted_value)
     monkeypatch.setattr(DGF, "conjugate_values", counted_conj)
     cli._run_from_config(cfg)
     assert rows == {"f": N + 1, "conj": conj_rows * (N + 1)}

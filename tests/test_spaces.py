@@ -88,6 +88,21 @@ def test_lp_norms_on_extreme_rows_match_a_scalar_reference(p):
     assert got[0] == 0.0 and math.isinf(got[4]) and math.isnan(got[6])
 
 
+@pytest.mark.parametrize("d", [1, 3, 17, 1000])
+def test_l1_norms_are_the_plain_sum_bit_for_bit(d):
+    """At p = 1 the general form of lp_norms (|x| ** 1, summed, ** 1.0) is the plain sum of
+    |x_i|, to the bit, at magnitudes 1e-300 to 1e150, signed zeros, inf and nan."""
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((16, d)) * np.logspace(-300, 150, 16)[:, None]
+    for i, special in enumerate((0.0, -0.0, math.inf, -math.inf, math.nan), start=1):
+        X[-i, rng.integers(d)] = special
+    X = np.vstack([X, np.full(d, -0.0), _EXTREME_ROWS[:, :1].repeat(d, axis=1)])
+    want = np.add.reduce(np.abs(X), axis=-1)
+    for p in (1, 1.0):
+        assert lp_norms(X, p).tobytes() == want.tobytes()
+        assert np.array([lp_norm(x, p) for x in X]).tobytes() == want.tobytes()
+
+
 def test_norm_index_conjugacy():
     for p in (1.2, 1.5, 2.0, 3.0):
         ni = NormIndex(p)
