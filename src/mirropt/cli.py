@@ -53,21 +53,17 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-class UsageError(Exception):
-    pass
-
-
 # method -> key of its start point in the config
 _METHODS = {"amd": "y0", "dual-amd": "q0", "md": "y0", "dual-md": "q0"}
 
 
 @contextlib.contextmanager
 def _reading(what: str):
-    """The one read boundary: a document of the wrong shape or type is a usage error."""
+    """The one read boundary: a document of the wrong shape or type is a ValueError, "bad <what>: ..."."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as e:
-        raise UsageError(f"bad {what}: {e}") from None
+        raise ValueError(f"bad {what}: {e}") from None
 
 
 def _load_json(path: str):
@@ -108,7 +104,7 @@ def _dim(cfg: dict) -> int:
         return len(desc["b"])
     if "n" in desc:
         return desc["n"]
-    raise UsageError("cannot infer dimension; provide y0/q0 explicitly")
+    raise ValueError("cannot infer dimension; provide y0/q0 explicitly")
 
 
 def _rows(run, steps, f, g):
@@ -206,16 +202,16 @@ def cmd_certify(args) -> int:
                 print(f"trace header mismatch: {line!r} where run writes {want!r}", file=sys.stderr)
                 return 2
         if count != len(cols[0]):
-            raise UsageError("trace row count does not match config")
+            raise ValueError("trace row count does not match config")
         fh.seek(0)
         for ln, row in zip(_data_lines(fh, []), _cells(cols, bound)):
             parts = ln.split(",")
             if len(parts) != len(row):
-                raise UsageError(f"trace row has {len(parts)} columns, expected {len(row)}")
+                raise ValueError(f"trace row has {len(parts)} columns, expected {len(row)}")
             vals = [float(p) if p else None for p in parts]
             for got, want in zip(vals, row):
                 if (got is None) != (want is None):
-                    raise UsageError("trace column shape mismatch")
+                    raise ValueError("trace column shape mismatch")
                 # Relative, not 1e-9 (1 + |want|): values below 1e-9 must match
                 # too.  Written as "not <=" so that a nan in the trace fails.
                 if got is not None and not abs(got - float(want)) <= 1e-9 * abs(float(want)):
@@ -232,17 +228,17 @@ def cmd_certify(args) -> int:
 
 def cmd_duality_check(args) -> int:
     if not math.isfinite(args.perturb_v):
-        raise UsageError("--perturb-v must be finite")
+        raise ValueError("--perturb-v must be finite")
     L, sigma = 1.0, 1.0
     if args.schedule == "amd":
         if args.N is None or args.N > ot.DEFAULT_EVAL_CAP:
-            raise UsageError(f"--N at most DEFAULT_EVAL_CAP = {ot.DEFAULT_EVAL_CAP} is required with the amd keyword")
+            raise ValueError(f"--N at most DEFAULT_EVAL_CAP = {ot.DEFAULT_EVAL_CAP} is required with the amd keyword")
         th = methods.theta_sequence(args.N)
         s = methods._amd_schedule(th, L, sigma)
         u = methods._energy_weights(th, L, sigma, False)
     else:
         if args.N is not None:
-            raise UsageError("--N is read only with the amd keyword; a schedule file gives its own N")
+            raise ValueError("--N is read only with the amd keyword; a schedule file gives its own N")
         s = cfom.load_schedule(args.schedule)
         u = np.cumsum(np.random.default_rng(args.seed).uniform(0.1, 1.0, s.N + 1)).tolist()
     v = None
@@ -276,7 +272,7 @@ def cmd_ot(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(result.to_json_dict(), fh, indent=1)
         fh.write("\n")
-    gap = f" gap={_fmt(result.cost - ot.lp_oracle(inst))}" if inst.C.size <= 12 else ""
+    gap = f" gap={_fmt(result.cost - ot.lp_oracle(inst))}" if inst.C.size <= ot._LP_ORACLE_CELLS else ""
     print(f"cost={_fmt(result.cost)} N={result.report['N']}{gap}")
     return 0
 
@@ -339,7 +335,7 @@ def main(argv=None) -> int:
         return globals()[args.fn](args)
     # The one exit-code table: faults of the input, sizes in it that memory
     # cannot hold included, exit 1; faults of the numerics 4.
-    except (UsageError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:

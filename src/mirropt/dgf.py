@@ -20,16 +20,17 @@ from .spaces import DualVector, NormIndex, PrimalVector, Vector, _json_number, a
 __all__ = ["DGF", "euclidean", "squared_lp", "dgf_from_descriptor"]
 
 
-def _signed_power(z: Vector, expo: float) -> Vector:
-    return np.sign(z) * np.abs(z) ** expo
-
-
 def _norm_power_map(z: Vector, r: float) -> Vector:
     """grad (1/2)||z||_r^2 = ||z||_r^{2-r} sign(z) |z|^{r-1}, and 0 at z = 0.
 
     The map is 1-homogeneous.  When ||z||_r comes out 0 or inf on a finite,
-    nonzero z (|z_i|^r under- or overflows), it is taken at z scaled by a
-    power of two of max|z| and scaled back; in-range inputs keep their floats.
+    nonzero z (|z_i|^r under- or overflows), it is taken at z scaled by
+    2^-e, a power of two of max|z|, and scaled back; in-range inputs keep
+    their floats.  Where the norm overflows and r <= 2, only the norm is
+    taken scaled: |z|^{r-1} <= max(|z|, 1) is taken at z itself and the
+    norm's factor scaled back by 2^{e(2-r)}, so that no entry of z is
+    flushed by the scaling.  At r = 2 the map is then z + 0.0 bit for bit,
+    in range or not (-0.0 becomes 0.0, inf and nan pass through).
     """
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         nz = lp_norm(z, r)
@@ -38,11 +39,14 @@ def _norm_power_map(z: Vector, r: float) -> Vector:
         big = float(np.max(np.abs(z)))
         if 0.0 < big < np.inf:
             e = math.frexp(big)[1]
-            z = np.ldexp(z, -e)
-            nz = lp_norm(z, r)
+            zs = np.ldexp(z, -e)
+            nz = lp_norm(zs, r)
+            if e > 0 and r <= 2.0:
+                return nz ** (2.0 - r) * (np.sign(z) * np.abs(z) ** (r - 1.0)) * 2.0 ** (e * (2.0 - r))
+            z = zs
     if nz == 0.0:
         return np.zeros_like(z)
-    out = nz ** (2.0 - r) * _signed_power(z, r - 1.0)
+    out = nz ** (2.0 - r) * (np.sign(z) * np.abs(z) ** (r - 1.0))
     return np.ldexp(out, e) if e else out
 
 
@@ -132,16 +136,12 @@ class DGF:
 
         At y = 0 the expression is 0^{2-q} * 0 for q > 2; the limit is 0,
         so the value is the shift x0 (the minimizer of phi* minus linear).
-        At q = 2 the map is y + x0.  There y + 0.0 equals the general
-        formula bit for bit (-0.0 becomes 0.0, inf and nan pass through),
-        also where ||y||_2^2 underflows (every |y_i| below about 1e-162):
-        the general formula, at any q, rescales a y whose ||y||_q under- or
-        overflows by a power of two (the map is 1-homogeneous).
+        At q = 2 the formula is y + 0.0 bit for bit (_norm_power_map).
         It returns a new array; the runners step an unshifted p = 2 DGF with
         _mirror_map instead, whose mirror family is the dual family's storage.
         """
         y = np.asarray(y, dtype=np.float64)
-        out = y + 0.0 if self.p == 2.0 else _norm_power_map(y, self.q)
+        out = _norm_power_map(y, self.q)
         if self.x0 is not None:
             out = out + self._x0_beside(y)
         return out

@@ -29,8 +29,8 @@ there: it doubles dual-AMD's horizon and restarts each attempt from the
 last one's final iterate, and switches to the AMD + dual-AMD
 concatenation from 0 at a horizon computed from the instance, where the
 concatenation's bound certifies (solve_ot, _fallback_horizon).  A tiny
-exact LP oracle (basic-solution enumeration up to 12 cells) supplies
-the reference optimum for the accuracy checks.
+exact LP oracle (basic-solution enumeration, up to _LP_ORACLE_CELLS
+cells) supplies the reference optimum for the accuracy checks.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 MARGINAL_TOL = 1e-12
+_LP_ORACLE_CELLS = 12  # the largest instance lp_oracle enumerates: C(12, 6) = 924 supports at 3 x 4
 DEFAULT_EVAL_CAP = 2 ** 20  # solve_ot's gradient budget, and the largest N of a run config or --N
 _TINY = np.finfo(np.float64).tiny
 
@@ -436,7 +437,8 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     iterates while stepping, whatever N (and O(N) theta scalars); K is then
     released, and the finish holds two m x n arrays: the raw plan and the
     rounded plan, and once rounded the raw plan's buffer takes
-    |rounded - raw| and then C * rounded.
+    |rounded - raw| and then C * rounded.  An eps whose r or grad_tol
+    underflows to 0 is refused (ValueError); an infinite L = 1/r is not.
     """
     _positive_finite(eps=eps)
     if _json_int(eval_cap, "eval_cap") < 1:  # a nan or fractional cap would cut N_c to 1
@@ -447,6 +449,9 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     r = eps / (2.0 * math.log(m * n))
     c_max = float(inst.C.max())  # C >= 0, so this is ||C||_inf
     grad_tol = math.inf if c_max == 0.0 else eps / (8.0 * c_max)
+    if r == 0.0 or grad_tol == 0.0:
+        raise ValueError(f"eps = {eps!r} is too small: r = eps / (2 log mn) = {r!r} or "
+                         f"grad_tol = eps / (8 max C) = {grad_tol!r} underflows to 0")
 
     h = OTDualObjective(inst, r=r)
     grad = _CountedGrad(h.grad, grad_tol, eval_cap)
@@ -504,8 +509,11 @@ def solve_ot(inst: OTInstance, eps: float, eval_cap: int = DEFAULT_EVAL_CAP) -> 
     return OTResult(plan=rounded, cost=cost, report=report, history=history)
 
 
-def _lp_oracle_enumerate(inst: OTInstance) -> float:
-    """Minimum over basic feasible solutions with m+n-1 support cells."""
+def lp_oracle(inst: OTInstance) -> float:
+    """Exact optimal transport cost of an instance of at most _LP_ORACLE_CELLS cells:
+    the minimum over basic feasible solutions with m+n-1 support cells."""
+    if inst.C.size > _LP_ORACLE_CELLS:
+        raise ValueError(f"lp_oracle supports up to {_LP_ORACLE_CELLS} cells")
     m, n = inst.shape
     cells = list(itertools.product(range(m), range(n)))
     rhs = np.concatenate([inst.mu, inst.nu])
@@ -525,10 +533,3 @@ def _lp_oracle_enumerate(inst: OTInstance) -> float:
     if not math.isfinite(best):
         raise RuntimeError("no basic feasible solution found")
     return best
-
-
-def lp_oracle(inst: OTInstance) -> float:
-    """Exact optimal transport cost for tiny instances."""
-    if inst.C.size <= 12:
-        return _lp_oracle_enumerate(inst)
-    raise ValueError("lp_oracle supports up to 12 cells")

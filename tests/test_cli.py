@@ -1009,6 +1009,36 @@ def test_ot_at_a_subnormal_temperature_warns_nothing(tmp_path, capsys, doc, eps,
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("eps", ["5e-324", "1e-323"])
+def test_ot_at_an_eps_whose_r_or_grad_tol_underflows_exits_1(tmp_path, capsys, eps):
+    """r or grad_tol underflows to 0: exit 1 naming eps, where 5e-324 named an r the user
+    never gave and 1e-323 exited 4 on a division by zero; no warning, no output."""
+    inst = _write(tmp_path / "inst.json", OT_INSTANCE)
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["ot", "--instance", inst, "--eps", eps, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: eps = {eps} is too small: ") and captured.out == ""
+    assert not out.exists()
+
+
+def test_ot_at_the_smallest_eps_whose_r_and_grad_tol_are_positive_exits_0(tmp_path, capsys):
+    inst = _write(tmp_path / "inst.json", OT_INSTANCE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["ot", "--instance", inst, "--eps", "1e-322", "--out", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().out == "cost=0 N=1 gap=2.2248465765025707e-16\n"
+
+
+@pytest.mark.parametrize("n, gap", [(12, True), (13, False)])
+def test_ot_prints_a_gap_only_where_lp_oracle_enumerates(tmp_path, capsys, n, gap):
+    """The gap against lp_oracle is printed up to its 12-cell limit, and not past it."""
+    inst = _write(tmp_path / "inst.json", {"C": [[j / n for j in range(n)]], "mu": [1.0], "nu": [1 / n] * n})
+    assert main(["ot", "--instance", inst, "--eps", "0.1", "--out", str(tmp_path / "o.json")]) == 0
+    assert ("gap=" in capsys.readouterr().out) == gap
+
+
 @pytest.mark.parametrize("method", ["amd", "dual-amd", "md", "dual-md", None])
 def test_n_above_max_exits_1_before_building(tmp_path, monkeypatch, method):
     """An N above the OT gradient budget DEFAULT_EVAL_CAP, in a config (each method) or

@@ -45,25 +45,54 @@ def _general_conjugate_grad(g, y):
     return out if g.x0 is None else out + g.x0
 
 
+def _mixed_magnitudes(d: int, seed: int = 0) -> np.ndarray:
+    """d entries of random sign from 1e-323 to 1e300, a -0.0 and a subnormal among them."""
+    rng = np.random.default_rng(seed)
+    y = rng.choice([-1.0, 1.0], d) * rng.uniform(1.0, 10.0, d) * 10.0 ** rng.integers(-323, 300, d)
+    y[:3] = [1e300, -0.0, 5e-324]
+    return y
+
+
 @pytest.mark.parametrize("y", [
     [-0.0, 1.0], [-0.0, -0.0], [0.0, -0.0], [np.inf, -2.0], [-np.inf, np.inf],
     [np.nan, 1.0], [3.0, -4.0],
+    # ||y||_2 in range beside subnormal entries, and overflowing beside small ones
+    [5e-324, -1e-310, -0.0, 1.0], [1e300, -1e300, 1e-300, -5e-324], [-1e-300, 1e300],
+    _mixed_magnitudes(1000), np.random.default_rng(1).standard_normal(1000),
 ])
 @pytest.mark.parametrize("x0", [None, [0.7, -0.0], [-0.0, 0.0]])
 def test_euclidean_conjugate_grad_equals_general_formula(y, x0):
-    g = euclidean(x0=None if x0 is None else np.array(x0))
+    """At q = 2 grad phi*(y) is y + 0.0 (+ x0) bit for bit, sign bits and all: the
+    general formula, with no branch of its own (x0 repeated to the length of y)."""
     y = np.array(y)
+    g = euclidean(x0=None if x0 is None else np.resize(x0, y.shape))
     with np.errstate(invalid="ignore", over="ignore"):
         want = _general_conjugate_grad(g, y)
     got = g.conjugate_grad(y)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == (y + 0.0 if g.x0 is None else y + 0.0 + g.x0).tobytes()
 
 
 def test_euclidean_conjugate_grad_is_exact_below_norm_underflow():
     # ||y||^2 underflows to 0 here, so the general formula would return 0.
-    y = np.array([1e-170, -1e-170])
-    assert np.array_equal(euclidean().conjugate_grad(y), y)
+    for y in ([1e-170, -1e-170], [5e-324, -0.0, -1e-310], _mixed_magnitudes(1000) * 1e-300):
+        y = np.array(y)
+        assert euclidean().conjugate_grad(y).tobytes() == (y + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0])
+def test_grad_keeps_small_entries_beside_an_overflowing_norm(p):
+    """Where ||z||_p overflows, only the norm is taken scaled, so an entry far below
+    max|z| is not flushed: at p = 1.5, grad phi([1e300, -1e-20]) gave 0 where -1e140
+    is right, and at p = 2 the map is z itself."""
+    g, y = squared_lp(p), np.array([1.0, -1e-320])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g.grad(1e300 * y)
+    assert np.allclose(got, 1e300 * g.grad(y), rtol=1e-13, atol=0.0)
+    if p == 2.0:
+        assert got.tobytes() == (1e300 * y).tobytes()
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])

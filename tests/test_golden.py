@@ -28,7 +28,7 @@ from mirropt.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _run_config(method: str, p: float) -> dict:
+def _run_config(method: str, p: float, x0=None) -> dict:
     cfg = {
         "method": method,
         "objective": {
@@ -40,6 +40,8 @@ def _run_config(method: str, p: float) -> dict:
         "dgf": {"kind": "euclidean"} if p == 2.0 else {"kind": "squared-lp", "p": p},
         "N": 12,
     }
+    if x0 is not None:
+        cfg["dgf"] = {"kind": "shifted-euclidean", "x0": x0}
     if method in ("md", "dual-md"):
         cfg["alpha"] = (p - 1.0) / 4.0
     if method in ("md", "amd"):
@@ -54,6 +56,12 @@ RUN_CASES = {
     for method in ("md", "dual-md", "amd", "dual-amd")
     for p in (2.0, 1.5)
 }
+# Shifted runs step through DGF.conjugate_grad (grad phi* = y + x0); the
+# unshifted Euclidean ones above step with the identity.
+RUN_CASES.update({
+    f"{method}_p2_shifted": _run_config(method, 2.0, x0=[0.5, -1.0, 0.0, -0.125])
+    for method in ("md", "amd")
+})
 
 DUALITY_CASES = {
     "amd": ["--schedule", "amd", "--N", "8", "--trials", "50"],

@@ -1030,3 +1030,26 @@ def test_lp_oracle_rejects_large():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         lp_oracle(_random_instance(rng, 4, 4))
+
+
+def test_lp_oracle_refuses_thirteen_cells():
+    """12 cells are enumerated and 13 refused, with the limit in the message."""
+    row = np.arange(13.0).reshape(1, 13)
+    assert lp_oracle(OTInstance(C=row[:, :12], mu=[1.0], nu=np.full(12, 1 / 12))) == pytest.approx(5.5)
+    with pytest.raises(ValueError, match="^lp_oracle supports up to 12 cells$"):
+        lp_oracle(OTInstance(C=row, mu=[1.0], nu=np.full(13, 1 / 13)))
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-323])
+def test_solve_ot_refuses_an_eps_whose_r_or_grad_tol_underflows(eps):
+    """At eps = 5e-324, r = eps / (2 log 4) underflows to 0, which was refused as an r
+    the caller never gave; at 1e-323 grad_tol = eps / 8 does, and _fallback_horizon
+    divided by it (exit 4).  Each is refused by eps."""
+    with pytest.raises(ValueError, match=f"^eps = {eps!r} is too small: "):
+        solve_ot(_uniform2(), eps)
+
+
+def test_solve_ot_at_the_smallest_eps_whose_r_and_grad_tol_are_positive():
+    res = solve_ot(_uniform2(), 1e-322)
+    assert res.report["r"] > 0.0 and res.report["grad_tol"] > 0.0
+    assert res.cost == 0.0 and res.report["N"] == 1
