@@ -183,17 +183,16 @@ class _TraceRows:
             if not new:
                 self.y0x = pairing(Y[0], x)
             self.pair_x.extend(pairings(G[new:], x - P[new:]).tolist())
-        # <grad f(p_{k+1}), p_k - p_{k+1}> and ||grad f(p_k) - grad f(p_{k+1})||_q.
-        pair_f = pairings(G[1:], P[:-1] - P[1:]).tolist()
-        norm_f = lp_norms(G[:-1] - G[1:], g.q).tolist()
-        # <d_k - d_{k+1}, M_{k+1}> and ||M_{k+1} - M_k||_p.
-        pair_c = pairings(Y[:-1] - Y[1:], M[1:]).tolist()
-        norm_c = lp_norms(M[1:] - M[:-1], g.p).tolist()
-        fv, cv = self.f_vals, self.conj_vals
-        # Python's scalar ** 2, not numpy's array square, keeps the brackets' bytes.
-        for j, k in enumerate(range(len(fv) - len(P), len(fv) - 1)):
-            self.coco_f.append(fv[k] - fv[k + 1] - pair_f[j] - norm_f[j] ** 2 / (2.0 * self.L))
-            self.coco_conj.append(cv[k] - cv[k + 1] - pair_c[j] - self.sigma / 2.0 * norm_c[j] ** 2)
+        # coco_conj is coco_f mirrored: (f, p_k, grad f(p_k), q-norm, ||.||^2 / (2L)) becomes
+        # (conjugate DGF, d_k, mirror_k, p-norm, (sigma/2) ||.||^2).  Python's scalar ** 2,
+        # not numpy's array square, keeps the brackets' bytes.
+        for vals, pts, grads, r, quad, out in (
+                (self.f_vals, P, G, g.q, lambda s: s / (2.0 * self.L), self.coco_f),
+                (self.conj_vals, Y, M, g.p, lambda s: self.sigma / 2.0 * s, self.coco_conj)):
+            pair = pairings(grads[1:], pts[:-1] - pts[1:]).tolist()
+            norm = lp_norms(grads[:-1] - grads[1:], r).tolist()
+            out.extend(vals[k] - vals[k + 1] - pair[j] - quad(norm[j] ** 2)
+                       for j, k in enumerate(range(len(vals) - len(P), len(vals) - 1)))
 
     def energies(self, w: List[float], decrements: Optional[list] = None) -> array:
         """The energies, a float64 column: U_0 .. U_N with w = u or, on a dual run,

@@ -322,16 +322,14 @@ def to_h_matrix(s: CoefficientSchedule, L: float = 1.0, form: str = "primal") ->
     primal update, b drives the dual one).  Requires the convex-hull
     row-sum condition so that the y_0 dependence cancels.
     """
-    N = s.N
-    if form == "primal":
-        if not validate_schedule(s).ok:
-            raise ValueError("schedule fails the convex-hull row-sum condition")
-        # Row i of cumsum(a) holds the coefficients of grad f(x_l) in y_0 - y_i.
-        return -L * (s.b[1:] @ np.cumsum(s.a, axis=0))[:, :N]
-    if form == "dual":
-        # Row i of -cumsum(b) holds the coefficients of grad f(q_l) in r_i.
-        return L * (s.a[1:] @ -np.cumsum(s.b, axis=0))[:, :N]
-    raise ValueError(f"unknown form {form!r}")
+    if form not in ("primal", "dual"):
+        raise ValueError(f"unknown form {form!r}")
+    if form == "primal" and not validate_schedule(s).ok:
+        raise ValueError("schedule fails the convex-hull row-sum condition")
+    # The dual reading is the primal one with a and b trading places.  Row i of
+    # cumsum(a) holds the coefficients of grad f(x_l) in y_0 - y_i (of grad f(q_l) in -r_i).
+    a, b = (s.a, s.b) if form == "primal" else (s.b, s.a)
+    return -L * (b[1:] @ np.cumsum(a, axis=0))[:, :s.N]
 
 
 def anti_transpose(H: np.ndarray) -> np.ndarray:

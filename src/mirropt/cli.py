@@ -55,6 +55,8 @@ def _fmt(x) -> str:
 
 # method -> key of its start point in the config
 _METHODS = {"amd": "y0", "dual-amd": "q0", "md": "y0", "dual-md": "q0"}
+# the keys a run config may give; any other is refused, not ignored
+_CONFIG_KEYS = {"method", "objective", "dgf", "N", "L", "sigma", "alpha", "y0", "q0"}
 
 
 @contextlib.contextmanager
@@ -76,9 +78,12 @@ def _run_from_config(cfg: dict):
     MethodRun, with no trajectory, and its trace columns and bound (_rows),
     evaluated while it steps, as on every method.  The run starts from y0 on
     a primal method and q0 on a dual one (zeros when absent); the other
-    family's key is refused.  The checks of N, L, sigma and alpha are
-    methods._start's."""
+    family's key, and any key nothing reads, is refused.  The checks of N,
+    L, sigma and alpha are methods._start's."""
     with _reading("config"):
+        unread = sorted(cfg.keys() - _CONFIG_KEYS)
+        if unread:
+            raise ValueError(f"unknown key {unread[0]!r}: a config reads only {', '.join(sorted(_CONFIG_KEYS))}")
         method = cfg["method"]
         if not isinstance(method, str) or method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
@@ -332,7 +337,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return globals()[args.fn](args)
+        # An overflow is judged by its result, not by a warning: a non-finite
+        # iterate or trace value exits 4, a nan duality residual 3.
+        with np.errstate(all="ignore"):
+            return globals()[args.fn](args)
     # The one exit-code table: faults of the input, sizes in it that memory
     # cannot hold included, exit 1; faults of the numerics 4.
     except (ValueError, OSError) as e:

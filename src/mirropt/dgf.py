@@ -23,31 +23,29 @@ __all__ = ["DGF", "euclidean", "squared_lp", "dgf_from_descriptor"]
 def _norm_power_map(z: Vector, r: float) -> Vector:
     """grad (1/2)||z||_r^2 = ||z||_r^{2-r} sign(z) |z|^{r-1}, and 0 at z = 0.
 
-    The map is 1-homogeneous.  When ||z||_r comes out 0 or inf on a finite,
-    nonzero z (|z_i|^r under- or overflows), it is taken at z scaled by
-    2^-e, a power of two of max|z|, and scaled back; in-range inputs keep
-    their floats.  Where the norm overflows and r <= 2, only the norm is
-    taken scaled: |z|^{r-1} <= max(|z|, 1) is taken at z itself and the
-    norm's factor scaled back by 2^{e(2-r)}, so that no entry of z is
-    flushed by the scaling.  At r = 2 the map is then z + 0.0 bit for bit,
-    in range or not (-0.0 becomes 0.0, inf and nan pass through).
+    When ||z||_r comes out 0 or inf on a finite, nonzero z (|z_i|^r under-
+    or overflows), one rule serves every r: with |z_i| = m_i 2^{k_i}
+    (np.frexp) and 2^e a power of two of max|z|, the value is
+    ||z 2^-e||_r^{2-r} m_i^{r-1} 2^{k_i + (k_i - e)(r - 2)}, whose last
+    factor is taken as 2^frac times an exact ldexp, so no power in it leaves
+    the float range and no entry of z is flushed by a scaling.  In-range
+    inputs keep their floats.  At r = 2 the map is z + 0.0 bit for bit, in
+    range or not (-0.0 becomes 0.0, inf and nan pass through).
     """
-    with np.errstate(over="ignore"):  # an overflow is rescaled below
+    with np.errstate(over="ignore"):  # an overflow takes the rule below
         nz = lp_norm(z, r)
-    e = 0
     if nz == 0.0 or nz == np.inf:
         big = float(np.max(np.abs(z)))
         if 0.0 < big < np.inf:
             e = math.frexp(big)[1]
-            zs = np.ldexp(z, -e)
-            nz = lp_norm(zs, r)
-            if e > 0 and r <= 2.0:
-                return nz ** (2.0 - r) * (np.sign(z) * np.abs(z) ** (r - 1.0)) * 2.0 ** (e * (2.0 - r))
-            z = zs
+            m, k = np.frexp(np.abs(z))
+            t = (k - e) * (r - 2.0)
+            n = np.floor(t)  # t - n is exact
+            scale = lp_norm(np.ldexp(z, -e), r) ** (2.0 - r) * m ** (r - 1.0) * np.exp2(t - n)
+            return np.sign(z) * np.ldexp(scale, k + n.astype(np.int64))
     if nz == 0.0:
         return np.zeros_like(z)
-    out = nz ** (2.0 - r) * (np.sign(z) * np.abs(z) ** (r - 1.0))
-    return np.ldexp(out, e) if e else out
+    return nz ** (2.0 - r) * (np.sign(z) * np.abs(z) ** (r - 1.0))
 
 
 def _identity(y: DualVector) -> PrimalVector:
@@ -136,7 +134,9 @@ class DGF:
 
         At y = 0 the expression is 0^{2-q} * 0 for q > 2; the limit is 0,
         so the value is the shift x0 (the minimizer of phi* minus linear).
-        At q = 2 the formula is y + 0.0 bit for bit (_norm_power_map).
+        At q = 2 the formula is y + 0.0 bit for bit.  Where ||y||_q under- or
+        overflows, _norm_power_map's one rule, the same at every q, flushes no
+        entry far below max|y|.
         It returns a new array; the runners step an unshifted p = 2 DGF with
         _mirror_map instead, whose mirror family is the dual family's storage.
         """

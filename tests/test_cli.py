@@ -249,7 +249,6 @@ def test_run_unknown_method_exits_1(tmp_path, capsys):
     assert "unknown method 'newton'" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exits_4(tmp_path, capsys):
     """A non-finite iterate many row blocks into the run exits 4 and writes no trace."""
     for cfg in [
@@ -263,6 +262,16 @@ def test_run_divergence_exits_4(tmp_path, capsys):
         assert main(["run", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 4
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_config_key_nothing_reads_exits_1(tmp_path):
+    """A misspelt key ("dfg" for "dgf") is refused by run and certify, named, not run with
+    the Euclidean default under a "# p=2" header that certify then passes."""
+    cfg = dict(AMD_CONFIG, dfg={"kind": "squared-lp", "p": 1.5})
+    del cfg["dgf"]
+    for code, err in _run_then_certify(cfg):
+        assert code == 1
+        assert err.startswith("error: bad config: unknown key 'dfg'")
 
 
 def test_duality_check_amd(tmp_path):
@@ -305,10 +314,12 @@ def test_duality_check_refuses_N_with_a_schedule_file(capsys):
 
 
 def test_duality_check_mismatched_v_exits_3():
-    assert main([
-        "duality-check", "--schedule", "amd", "--N", "5",
-        "--trials", "20", "--perturb-v", "0.1",
-    ]) == 3
+    # 1e308 overflows v to inf, and the residual is nan: exit 3 by the result, not a warning.
+    for perturb in ("0.1", "1e308"):
+        assert main([
+            "duality-check", "--schedule", "amd", "--N", "5",
+            "--trials", "20", "--perturb-v", perturb,
+        ]) == 3
 
 
 def test_duality_check_malformed_schedule(tmp_path):
@@ -719,7 +730,6 @@ def _run_then_certify(cfg) -> tuple:
 PROBE_OBJECTIVE = {"kind": "diag-quadratic", "d": [1.0, 4.0], "b": [0.3, -0.2]}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cfg, code, message", [
     # L below the true 4: V_k increases at once, below the final bound.
     ({"method": "dual-amd", "objective": PROBE_OBJECTIVE, "N": 5, "L": 3.5, "q0": [1.0, -1.0]},
@@ -730,6 +740,9 @@ PROBE_OBJECTIVE = {"kind": "diag-quadratic", "d": [1.0, 4.0], "b": [0.3, -0.2]}
     # The p = 1.5 DGF squares a Python float in the bound: an OverflowError.
     ({"method": "amd", "objective": dict(PROBE_OBJECTIVE, p=1.5), "dgf": {"kind": "squared-lp", "p": 1.5},
       "N": 5, "y0": [1e160, -1e160]}, 4, "numerical failure"),
+    # grad f(x_0) overflows to inf: exit 4 by the result, not a warning.
+    ({"method": "amd", "objective": PROBE_OBJECTIVE, "N": 5, "y0": [1e308, -1e308]},
+     4, "numerical failure: non-finite dual iterate y at iteration 1"),
 ])
 def test_run_and_certify_give_one_verdict(cfg, code, message):
     """run exits as certify does on the trace it wrote, by the energies too, not only the bound."""
@@ -748,7 +761,6 @@ DIAG_RUNS = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(DIAG_RUNS)
 def test_certify_returns_the_exit_code_of_run(case):

@@ -1,4 +1,6 @@
+import decimal
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -81,11 +83,18 @@ def test_euclidean_conjugate_grad_is_exact_below_norm_underflow():
         assert euclidean().conjugate_grad(y).tobytes() == (y + 0.0).tobytes()
 
 
+def test_euclidean_conjugate_grad_is_exact_at_the_top_of_the_float_range():
+    # max|y| >= 2^1023, whose power of two 2^1024 is past the float range.
+    for y in ([1.7e308, -1e-320, -0.0], [-np.finfo(float).max, 5e-324, 1.0]):
+        y = np.array(y)
+        assert euclidean().conjugate_grad(y).tobytes() == (y + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0])
 def test_grad_keeps_small_entries_beside_an_overflowing_norm(p):
-    """Where ||z||_p overflows, only the norm is taken scaled, so an entry far below
-    max|z| is not flushed: at p = 1.5, grad phi([1e300, -1e-20]) gave 0 where -1e140
-    is right, and at p = 2 the map is z itself."""
+    """Where ||z||_p overflows, no entry far below max|z| is flushed: at p = 1.5,
+    grad phi([1e300, -1e-20]) gave 0 where -1e140 is right, and at p = 2 the map is
+    z itself."""
     g, y = squared_lp(p), np.array([1.0, -1e-320])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -119,6 +128,30 @@ def test_mirror_maps_do_not_warn_on_norm_overflow(p):
         for f in (g.conjugate_grad, g.grad):
             assert np.allclose(f(np.array([1e300, -1e300])), 1e300 * f(np.array([1.0, -1.0])),
                                rtol=1e-13, atol=0.0)
+
+
+def _exact_norm_power_map(z, r):
+    """||z||_r^{2-r} sign(z) |z|^{r-1} of the floats z and r, as Decimals to 50 digits."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        z, r = [Decimal(float(v)) for v in z], Decimal(float(r))
+        norm = sum(abs(v) ** r for v in z) ** (1 / r)
+        return [norm ** (2 - r) * abs(v) ** (r - 1) * (1 if v > 0 else -1) for v in z]
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("z", [[1e300, 1e-10], [1e300, 1e-100], [1e300, -1e-50, 3.0]])
+def test_mirror_maps_beside_an_overflowing_norm_match_the_exact_value(p, z):
+    """grad phi (r = p) and grad phi* (r = q > 2) where ||z||_r overflows: each entry within
+    2e-13 of the exact value, or of a subnormal one within the least subnormal, with no
+    warning.  At q > 2 a scaling by a power of two of max|z| flushed the small entries:
+    squared_lp(1.8).conjugate_grad([1e300, 1e-10]) gave [1e300, 0] for [1e300, 3.16e-88]."""
+    g = squared_lp(p)
+    for f, r in ((g.grad, g.p), (g.conjugate_grad, g.q)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(np.array(z))
+        for v, want in zip(got.tolist(), _exact_norm_power_map(z, r)):
+            assert abs(Decimal(v) - want) <= Decimal(2e-13) * abs(want) + Decimal(5e-324), (r, v, want)
 
 
 def test_grad_examples():

@@ -398,6 +398,16 @@ def test_round_plan_rejects_negative():
         TransportPlan(X=np.array([[-0.1, 0.6], [0.3, 0.2]]))
 
 
+def test_solve_ot_at_a_subnormal_temperature_warns_nothing():
+    """At a subnormal r, C/r overflows to inf (K_ij = 0) and so do the kernel's rebuild bounds
+    (no rebuild): the intended limits, taken with no RuntimeWarning (an error here) by solve_ot
+    itself, since mirropt ot runs it with numpy's floating-point warnings off."""
+    res = solve_ot(_uniform2(), 1e-320)
+    assert res.cost == 0.0 and res.report["N"] == 1
+    with pytest.raises(FloatingPointError, match="non-finite dual iterate"):
+        solve_ot(OTInstance(C=[[0.2, 1], [1, 0.3]], mu=[0.5, 0.5], nu=[0.4, 0.6]), 1e-310)
+
+
 def test_round_plan_scales_a_subnormal_sum_without_a_warning():
     """A positive column (or row) sum of 5e-324 overflows nu / cols (or mu / rows) to
     inf; the scale min(1, inf) = 1 is the right one, and no overflow warning is raised."""
